@@ -111,10 +111,6 @@ class Matching:
     def total_weight(self, eta: float) -> float:
         return math.fsum(e.weight(eta) for e in self.edges)
 
-    @property
-    def sync_weight(self) -> float:
-        return float(self.sync_count)
-
     def to_json_dict(self, eta: float) -> dict:
         return {
             "edges": [{"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.edges],
@@ -199,18 +195,19 @@ def schedule_from_matching(matching: Matching, period_len: int, eta: float) -> S
 
 
 def energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: EnergyTrace) -> bool:
-    """Prefix energy budget: cumulative activity never exceeds cumulative
-    harvest for either device. Checked directly on the raw sequences,
-    independent of how the schedule was built."""
-    for a, trace in ((schedule.a_u, trace_u), (schedule.a_v, trace_v)):
-        spent = np.cumsum(np.asarray(a, dtype=np.int64))
-        gained = np.cumsum(trace.as_array().astype(np.int64))
-        if np.any(spent > gained):
-            return False
+    """Whether assert_energy_feasible accepts the schedule."""
+    try:
+        assert_energy_feasible(schedule, trace_u, trace_v)
+    except FeasibilityError:
+        return False
     return True
 
 
 def assert_energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: EnergyTrace) -> None:
+    """Prefix energy budget: cumulative activity never exceeds cumulative
+    harvest for either device. Checked directly on the raw sequences,
+    independent of how the schedule was built; raises FeasibilityError
+    naming the device and the first overspent slot."""
     for name, a, trace in (("u", schedule.a_u, trace_u), ("v", schedule.a_v, trace_v)):
         spent = np.cumsum(np.asarray(a, dtype=np.int64))
         gained = np.cumsum(trace.as_array().astype(np.int64))

@@ -1,8 +1,11 @@
 """Monte Carlo experiment runner and verification suites.
 
-Runs seeded trials of the offline and online schedulers over synthetic
-i.i.d. trace pairs, aggregates CAT/SAT into reproducible reports, and hosts
-the four verification suites exposed by the CLI:
+Runs seeded trials over synthetic i.i.d. trace pairs, aggregates CAT/SAT
+into reproducible reports, and hosts the four verification suites exposed by
+the CLI. A Monte Carlo cell draws its (n, T) trace arrays once; the offline
+counts of all n trials come from the closed form offline.optimum_counts,
+the online counts from one per-trial loop over online.simulate_arrays.
+The suites:
 
 * optimality:    offline totals equal the exhaustive oracle, instance by
                  instance (exact integer edge counts).
@@ -21,6 +24,7 @@ seed; running a spec twice yields byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,8 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import build_graph
-from .metrics import PairMetrics, compute_heterogeneity, pair_metrics, ratio_online_to_offline
-from .offline import duty_cycle_arrays, expected_cat, offline_duty_cycle
+from .metrics import (
+    PairMetrics,
+    compute_heterogeneity,
+    heterogeneity,
+    pair_metrics,
+    ratio_online_to_offline,
+)
+from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
 from .oracle import ORACLE_MAX_VERTEXES, brute_force_matching
 from .traces import DEFAULT_SEED, EnergyTrace, _stream
@@ -128,12 +138,6 @@ class RunReport:
             lines.extend(p.to_csv_row() for p in self.pairs)
         return "\n".join(lines) + "\n"
 
-    def all_checks_pass(self) -> bool:
-        return all(
-            bool(v) for cell in self.cells for v in cell.get("checks", {}).values()
-            if isinstance(v, bool)
-        )
-
 
 def _stats(values: np.ndarray) -> dict:
     n = int(values.size)
@@ -142,42 +146,52 @@ def _stats(values: np.ndarray) -> dict:
     return {"mean": mean, "std": std, "stderr": std / math.sqrt(n) if n > 1 else 0.0, "n": n}
 
 
+def _draw_pair(seed: int, tag: int, cell: int, p_u: float, p_v: float, shape):
+    """One cell's boolean U and V draws of the given (n, T) shape; row i is
+    trial i, so each trial is a pure function of (seed, tag, cell, i)."""
+    return (
+        _stream(seed, tag, cell, 0).random(shape) < p_u,
+        _stream(seed, tag, cell, 1).random(shape) < p_v,
+    )
+
+
+def _online_counts(b_u, b_v, d_u, d_v, mode: OnlineMode):
+    """Per-trial (sync, async, wasted) counts of the online scheduler, as
+    float arrays over the rows of the (n, T) arrival and decision arrays."""
+    n = b_u.shape[0]
+    sync = np.empty(n)
+    asyn = np.empty(n)
+    wasted = np.empty(n)
+    for i in range(n):
+        sync_slots, pairs, lost = simulate_arrays(b_u[i], b_v[i], d_u[i], d_v[i], mode)
+        sync[i] = len(sync_slots)
+        asyn[i] = len(pairs)
+        wasted[i] = lost
+    return sync, asyn, wasted
+
+
 def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     """Run every (p, algorithm) cell of the spec and aggregate CAT/SAT.
 
     Traces and activation decisions for trial i occupy row i of bulk Philox
     draws, so each trial is a pure function of (seed, cell, trial index) and
-    results do not depend on the number of trials run around them.
+    results do not depend on the number of trials run around them. Offline
+    cells count every trial's optimum with the closed form
+    offline.optimum_counts; the oracle cell, when requested, solves each
+    trial exhaustively and checks it against those counts.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
+    shape = (spec.trials, spec.period_len)
     for cell_idx, p in enumerate(spec.p_values):
         cell_name = f"p={p:g}"
-        T = spec.period_len
-        n = spec.trials
-        b_u = _stream(spec.seed, _TAG_TRACE, cell_idx, 0).random((n, T)) < p
-        b_v = _stream(spec.seed, _TAG_TRACE, cell_idx, 1).random((n, T)) < p
-
-        off_cat = np.empty(n)
-        off_sat = np.empty(n)
-        oracle_cat = np.empty(n) if "oracle" in spec.algorithms else None
-        oracle_equal = True
-        for i in range(n):
-            sync_slots, step2, step3 = duty_cycle_arrays(b_u[i], b_v[i])
-            sync = len(sync_slots)
-            asyn = len(step2) + len(step3)
-            off_cat[i] = sync + eta * asyn
-            off_sat[i] = sync
-            if oracle_cat is not None:
-                tr_u = _trace_from_row(b_u[i], "u")
-                tr_v = _trace_from_row(b_v[i], "v")
-                ores = brute_force_matching(build_graph(tr_u, tr_v, eta))
-                oracle_cat[i] = ores.best_weight
-                if (ores.best_sync_count, ores.best_async_count) != (sync, asyn):
-                    oracle_equal = False
+        b_u, b_v = _draw_pair(spec.seed, _TAG_TRACE, cell_idx, p, p, shape)
+        sync, asyn = optimum_counts(b_u, b_v)
+        off_sat = sync.astype(float)
+        off_cat = off_sat + eta * asyn
 
         if "offline" in spec.algorithms:
-            ref = expected_cat(T, p, eta)
+            ref = expected_cat(spec.period_len, p, eta)
             gap = (off_cat.mean() - ref) / ref if ref else 0.0
             report.cells.append(
                 {
@@ -194,7 +208,16 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                 }
             )
 
-        if oracle_cat is not None:
+        if "oracle" in spec.algorithms:
+            oracle_cat = np.empty(spec.trials)
+            oracle_equal = True
+            for i in range(spec.trials):
+                tr_u = _trace_from_row(b_u[i], "u")
+                tr_v = _trace_from_row(b_v[i], "v")
+                ores = brute_force_matching(build_graph(tr_u, tr_v, eta))
+                oracle_cat[i] = ores.best_weight
+                if (ores.best_sync_count, ores.best_async_count) != (sync[i], asyn[i]):
+                    oracle_equal = False
             report.cells.append(
                 {
                     "cell": cell_name,
@@ -207,19 +230,10 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
             )
 
         if "online" in spec.algorithms:
-            d_u = _stream(spec.seed, _TAG_DECISION, cell_idx, 0).random((n, T)) < p
-            d_v = _stream(spec.seed, _TAG_DECISION, cell_idx, 1).random((n, T)) < p
+            d_u, d_v = _draw_pair(spec.seed, _TAG_DECISION, cell_idx, p, p, shape)
             for mode in spec.modes:
-                on_cat = np.empty(n)
-                on_sat = np.empty(n)
-                on_wasted = np.empty(n)
-                for i in range(n):
-                    sync_slots, pairs, wasted = simulate_arrays(
-                        b_u[i], b_v[i], d_u[i], d_v[i], mode
-                    )
-                    on_cat[i] = len(sync_slots) + eta * len(pairs)
-                    on_sat[i] = len(sync_slots)
-                    on_wasted[i] = wasted
+                on_sat, on_async, on_wasted = _online_counts(b_u, b_v, d_u, d_v, mode)
+                on_cat = on_sat + eta * on_async
                 trial_ratios = np.where(
                     off_cat > 0.0, on_cat / np.where(off_cat > 0.0, off_cat, 1.0), 1.0
                 )
@@ -454,38 +468,25 @@ def heterogeneity_sweep(
     weaker device improves, and CAT falls as heterogeneity grows.
     """
     rows: list[dict] = []
-    combo_idx = 0
-    for p_u in p_values:
-        for p_v in p_values:
-            b_u = _stream(seed, _TAG_TRACE, 1000 + combo_idx, 0).random((trials, period_len)) < p_u
-            b_v = _stream(seed, _TAG_TRACE, 1000 + combo_idx, 1).random((trials, period_len)) < p_v
-            d_u = _stream(seed, _TAG_DECISION, 1000 + combo_idx, 0).random((trials, period_len)) < p_u
-            d_v = _stream(seed, _TAG_DECISION, 1000 + combo_idx, 1).random((trials, period_len)) < p_v
-            off = np.empty(trials)
-            onl = np.empty(trials)
-            het = np.empty(trials)
-            for i in range(trials):
-                sync_slots, s2, s3 = duty_cycle_arrays(b_u[i], b_v[i])
-                off[i] = len(sync_slots) + eta * (len(s2) + len(s3))
-                sync_on, pairs_on, _ = simulate_arrays(
-                    b_u[i], b_v[i], d_u[i], d_v[i], OnlineMode.MATCHING
-                )
-                onl[i] = len(sync_on) + eta * len(pairs_on)
-                inter = int((b_u[i] & b_v[i]).sum())
-                union = int((b_u[i] | b_v[i]).sum())
-                het[i] = 1.0 - inter / union if union else 0.0
-            rows.append(
-                {
-                    "p_u": p_u,
-                    "p_v": p_v,
-                    "min_p": min(p_u, p_v),
-                    "mean_offline_cat": float(off.mean()),
-                    "mean_online_cat": float(onl.mean()),
-                    "ratio_of_means": float(onl.mean() / off.mean()) if off.mean() > 0 else 1.0,
-                    "mean_heterogeneity": float(het.mean()),
-                }
-            )
-            combo_idx += 1
+    shape = (trials, period_len)
+    for combo_idx, (p_u, p_v) in enumerate(itertools.product(p_values, p_values)):
+        b_u, b_v = _draw_pair(seed, _TAG_TRACE, 1000 + combo_idx, p_u, p_v, shape)
+        d_u, d_v = _draw_pair(seed, _TAG_DECISION, 1000 + combo_idx, p_u, p_v, shape)
+        sync, asyn = optimum_counts(b_u, b_v)
+        off = sync + eta * asyn
+        on_sync, on_async, _ = _online_counts(b_u, b_v, d_u, d_v, OnlineMode.MATCHING)
+        onl = on_sync + eta * on_async
+        rows.append(
+            {
+                "p_u": p_u,
+                "p_v": p_v,
+                "min_p": min(p_u, p_v),
+                "mean_offline_cat": float(off.mean()),
+                "mean_online_cat": float(onl.mean()),
+                "ratio_of_means": float(onl.mean() / off.mean()) if off.mean() > 0 else 1.0,
+                "mean_heterogeneity": float(heterogeneity(b_u, b_v).mean()),
+            }
+        )
     return rows
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Schedule
 from .offline import OfflineResult
 from .online import OnlineResult
@@ -63,23 +65,25 @@ def compute_sat(schedule: Schedule) -> float:
     return math.fsum(c for c in schedule.cat if c == 1.0)
 
 
-def compute_heterogeneity(trace_u: EnergyTrace, trace_v: EnergyTrace) -> float:
-    """Degree of non-overlap of the harvest-slot sets.
+def heterogeneity(b_u: np.ndarray, b_v: np.ndarray):
+    """Degree of non-overlap of two harvest-state arrays along the last axis.
 
-    1 - |intersection| / |union| over the two devices' harvest slots; 0 for
-    identical access (or when neither device ever harvests), 1 for disjoint
-    access.
+    1 - |b_u & b_v| / |b_u | b_v|; 0 for identical access (or when neither
+    device ever harvests), 1 for disjoint access. Takes one pair (1-D) or n
+    trials (2-D, one trial per row) and returns a 0-d or (n,) float array.
     """
+    inter = np.count_nonzero(b_u & b_v, axis=-1)
+    union = np.count_nonzero(b_u, axis=-1) + np.count_nonzero(b_v, axis=-1) - inter
+    return np.where(union > 0, 1.0 - inter / np.maximum(union, 1), 0.0)
+
+
+def compute_heterogeneity(trace_u: EnergyTrace, trace_v: EnergyTrace) -> float:
+    """heterogeneity of two traces' energy states, as a Python float."""
     if trace_u.period_len != trace_v.period_len:
         raise ValueError(
             f"traces disagree on period length: {trace_u.period_len} vs {trace_v.period_len}"
         )
-    slots_u = set(trace_u.harvest_slots())
-    slots_v = set(trace_v.harvest_slots())
-    union = slots_u | slots_v
-    if not union:
-        return 0.0
-    return 1.0 - len(slots_u & slots_v) / len(union)
+    return float(heterogeneity(trace_u.as_array(), trace_v.as_array()))
 
 
 def ratio_online_to_offline(online: OnlineResult, offline: OfflineResult) -> float:

@@ -39,9 +39,7 @@ class OfflineResult:
             "async": self.async_count,
             "cat": self.cat_total,
             "sat": self.sat_total,
-            "edges": [
-                {"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.matching.edges
-            ],
+            "edges": self.matching.to_json_dict(self.eta)["edges"],
         }
 
 
@@ -81,8 +79,8 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     unmatched; their banked unit is never spent.
 
     Returns (sync_slots, step2 (u, v) pairs, step3 (v, u) pairs); slots are
-    1-based. The Monte Carlo harness calls this directly; offline_duty_cycle
-    wraps it with the domain types.
+    1-based. offline_duty_cycle wraps it with the domain types; callers that
+    need only the edge counts use optimum_counts.
     """
     sync_slots = np.flatnonzero(b_u & b_v) + 1
     u_rem = (np.flatnonzero(b_u & ~b_v) + 1).tolist()
@@ -90,6 +88,21 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     step2, u_left, v_left = _pair_backward(u_rem, v_rem)
     step3, _, _ = _pair_backward(v_left, u_left)
     return sync_slots, step2, step3
+
+
+def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
+    """(sync, async) edge counts of the offline optimum along the last axis.
+
+    Takes one trace pair (1-D) or n trials (2-D, one trial per row) and
+    returns scalars or (n,) arrays: sync = |b_u & b_v| and
+    async = min(|b_u|, |b_v|) - sync, that is min(X, Y) for the U-only and
+    V-only counts X and Y (see oracle.closed_form_optimum). The greedy of
+    duty_cycle_arrays realizes exactly these counts; the test suite pins the
+    two. Only b_u & b_v is materialized, so memory stays at one (n, T) mask.
+    """
+    sync = np.count_nonzero(b_u & b_v, axis=-1)
+    edges = np.minimum(np.count_nonzero(b_u, axis=-1), np.count_nonzero(b_v, axis=-1))
+    return sync, edges - sync
 
 
 def offline_duty_cycle(graph: StateGraph) -> OfflineResult:

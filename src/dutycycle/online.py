@@ -24,7 +24,7 @@ ever read the energy state of the current slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -60,15 +60,9 @@ class OnlineConfig:
         if self.warmup < 1:
             raise ValueError(f"warmup must be at least 1, got {self.warmup}")
         object.__setattr__(self, "mode", OnlineMode(self.mode))
-        if self.prob_active is not None:
-            probs = self.prob_active
-            if isinstance(probs, (int, float)):
-                probs = (float(probs), float(probs))
-            else:
-                probs = (float(probs[0]), float(probs[1]))
-            for p in probs:
-                if not (0.0 <= p <= 1.0):
-                    raise ValueError(f"prob_active must lie in [0, 1], got {p}")
+        for p in self.device_probs() or ():
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"prob_active must lie in [0, 1], got {p}")
 
     def device_probs(self) -> tuple[float, float] | None:
         if self.prob_active is None:
@@ -76,23 +70,6 @@ class OnlineConfig:
         if isinstance(self.prob_active, (int, float)):
             return (float(self.prob_active), float(self.prob_active))
         return (float(self.prob_active[0]), float(self.prob_active[1]))
-
-
-@dataclass
-class DeviceBank:
-    """Stored one-slot energy units, remembered by their harvest slot."""
-
-    banked_slots: list[int] = field(default_factory=list)
-
-    @property
-    def stored_units(self) -> int:
-        return len(self.banked_slots)
-
-    def deposit(self, slot: int) -> None:
-        self.banked_slots.append(slot)
-
-    def withdraw_latest(self) -> int:
-        return self.banked_slots.pop()
 
 
 @dataclass(frozen=True)
@@ -116,9 +93,7 @@ class OnlineResult:
             "async": self.async_count,
             "cat": self.cat_total,
             "sat": self.sat_total,
-            "edges": [
-                {"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.matching.edges
-            ],
+            "edges": self.matching.to_json_dict(self.eta)["edges"],
             "wasted_units": self.wasted_units,
             "mode": self.mode.value,
         }
@@ -326,8 +301,9 @@ class OnlineSimulator:
         self._probs = cfg.device_probs()
         self._t = 0
         self._harvest_count = [0, 0]  # history for estimated probabilities
-        self.bank_u = DeviceBank()
-        self.bank_v = DeviceBank()
+        # stored one-slot units, remembered by their harvest slot
+        self.bank_u: list[int] = []
+        self.bank_v: list[int] = []
         self._sync_slots: list[int] = []
         self._async_pairs: list[tuple[int, int]] = []
         self._spent = 0
@@ -363,19 +339,19 @@ class OnlineSimulator:
         if b_v and d_v:
             self._spent += 1
         if b_u and not d_u:
-            if d_v and self.bank_v.stored_units:
-                self._async_pairs.append((t, self.bank_v.withdraw_latest()))
+            if d_v and self.bank_v:
+                self._async_pairs.append((t, self.bank_v.pop()))
             else:
-                self.bank_u.deposit(t)
+                self.bank_u.append(t)
         if b_v and not d_v:
-            if d_u and self.bank_u.stored_units:
-                self._async_pairs.append((self.bank_u.withdraw_latest(), t))
+            if d_u and self.bank_u:
+                self._async_pairs.append((self.bank_u.pop(), t))
             else:
-                self.bank_v.deposit(t)
+                self.bank_v.append(t)
 
     def _step_slot_sim(self, t: int, b_u: bool, b_v: bool, d_u: bool, d_v: bool) -> None:
-        eff_u = d_u and (b_u or self.bank_u.stored_units > 0)
-        eff_v = d_v and (b_v or self.bank_v.stored_units > 0)
+        eff_u = d_u and (b_u or bool(self.bank_u))
+        eff_v = d_v and (b_v or bool(self.bank_v))
         u_participates = False
         v_participates = False
         if eff_u and eff_v:
@@ -383,10 +359,10 @@ class OnlineSimulator:
                 self._sync_slots.append(t)
                 u_participates = v_participates = True
             elif b_u:
-                self._async_pairs.append((t, self.bank_v.withdraw_latest()))
+                self._async_pairs.append((t, self.bank_v.pop()))
                 u_participates = True
             elif b_v:
-                self._async_pairs.append((self.bank_u.withdraw_latest(), t))
+                self._async_pairs.append((self.bank_u.pop(), t))
                 v_participates = True
             # both running on stored energy carries no weight; banks stay put
         if b_u and d_u and not u_participates:
@@ -394,16 +370,16 @@ class OnlineSimulator:
         if b_v and d_v and not v_participates:
             self._spent += 1
         if b_u and not d_u:
-            self.bank_u.deposit(t)
+            self.bank_u.append(t)
         if b_v and not d_v:
-            self.bank_v.deposit(t)
+            self.bank_v.append(t)
 
     def result(self) -> OnlineResult:
         if self._t != self.period_len:
             raise RuntimeError(
                 f"period incomplete: {self._t} of {self.period_len} slots stepped"
             )
-        wasted = self._spent + self.bank_u.stored_units + self.bank_v.stored_units
+        wasted = self._spent + len(self.bank_u) + len(self.bank_v)
         return _build_result(
             np.asarray(self._sync_slots, dtype=np.int64),
             self._async_pairs,

@@ -86,7 +86,6 @@ def test_matching_counts_and_sorting():
     m = Matching(edges=(Edge(4, 3), Edge(1, 1)))
     assert m.edges == (Edge(1, 1), Edge(4, 3))
     assert m.sync_count == 1 and m.async_count == 1
-    assert m.sync_weight == 1.0
 
 
 def test_schedule_from_matching_hand_evaluated():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from dutycycle import (
     ratio_online_to_offline,
     schedule_from_matching,
 )
+from dutycycle.metrics import heterogeneity
 
 
 def trace(states, device_id="u"):
@@ -43,6 +45,19 @@ def test_heterogeneity_examples():
     assert compute_heterogeneity(WORKED_U, WORKED_V) == pytest.approx(1.0 - 2.0 / 6.0)
     empty = trace([0, 0])
     assert compute_heterogeneity(empty, trace([0, 0], "v")) == 0.0
+    # the n-trial form: one row per case above, zero-padded to a common length
+    rows = [
+        ([1, 0, 1], [1, 0, 1]),
+        ([1, 0], [0, 1]),
+        (WORKED_U.states, WORKED_V.states),
+        ([0, 0], [0, 0]),
+    ]
+    b_u = np.zeros((len(rows), 9), dtype=bool)
+    b_v = np.zeros((len(rows), 9), dtype=bool)
+    for i, (u, v) in enumerate(rows):
+        b_u[i, : len(u)] = u
+        b_v[i, : len(v)] = v
+    assert heterogeneity(b_u, b_v).tolist() == pytest.approx([0.0, 1.0, 1.0 - 2.0 / 6.0, 0.0])
 
 
 def test_ratio_examples():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from dutycycle import (
     offline_duty_cycle,
 )
 from dutycycle.harness import random_instance
+from dutycycle.offline import duty_cycle_arrays, optimum_counts
 
 
 def graph(set_a, set_b, eta=0.75, period=None):
@@ -167,6 +169,24 @@ def test_exclusivity_and_result_invariants(sets):
     used_v = [e.v_slot for e in result.matching.edges]
     assert len(used_u) == len(set(used_u))
     assert len(used_v) == len(set(used_v))
+    b_u = np.zeros(period, dtype=bool)
+    b_v = np.zeros(period, dtype=bool)
+    b_u[[t - 1 for t in set_a]] = True
+    b_v[[t - 1 for t in set_b]] = True
+    assert optimum_counts(b_u, b_v) == (result.sync_count, result.async_count)
+
+
+def test_optimum_counts_rows_match_greedy():
+    # the n-trial form, row by row against the greedy's edge lists
+    rng = np.random.Generator(np.random.Philox(20153))
+    for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+        b_u = rng.random((100, 1000)) < p
+        b_v = rng.random((100, 1000)) < p
+        sync, asyn = optimum_counts(b_u, b_v)
+        assert sync.shape == asyn.shape == (100,)
+        for i in range(100):
+            sync_slots, step2, step3 = duty_cycle_arrays(b_u[i], b_v[i])
+            assert (sync[i], asyn[i]) == (len(sync_slots), len(step2) + len(step3)), (p, i)
 
 
 def test_json_payload_shape():

@@ -26,14 +26,13 @@ from .harness import (
     verify_optimality,
     verify_ratio_bound,
 )
-from .metrics import compute_heterogeneity, pair_metrics, ratio_online_to_offline
+from .metrics import pair_metrics, ratio_online_to_offline
 from .offline import offline_duty_cycle
 from .online import OnlineConfig, OnlineMode, online_duty_cycle
 from .traces import (
     DEFAULT_SEED,
     ArrivalModel,
     TraceFormatError,
-    estimate_prob,
     generate_pair,
     read_pair_csv,
     read_raw_csv,
@@ -82,7 +81,7 @@ def _resolve_seed(seed: int | None) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise SystemExit(f"error: {ENV_SEED} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
     return DEFAULT_SEED
 
 
@@ -238,9 +237,9 @@ def cmd_run(args) -> int:
     if offline is not None and online is not None:
         payload["pair"] = {
             "ratio": ratio_online_to_offline(online, offline),
-            "heterogeneity": compute_heterogeneity(trace_u, trace_v),
-            "p_hat_u": estimate_prob(trace_u),
-            "p_hat_v": estimate_prob(trace_v),
+            "heterogeneity": rows[0].heterogeneity,
+            "p_hat_u": rows[0].p_hat_u,
+            "p_hat_v": rows[0].p_hat_v,
         }
 
     if args.format == "json":

@@ -4,7 +4,8 @@ Runs seeded trials over synthetic i.i.d. trace pairs, aggregates CAT/SAT
 into reproducible reports, and hosts the four verification suites exposed by
 the CLI. A Monte Carlo cell draws its (n, T) trace arrays once; the offline
 counts of all n trials come from the closed form offline.optimum_counts,
-the online counts from one per-trial loop over online.simulate_arrays.
+the online counts of each mode from one call of the slot-major count
+kernel online.simulate_arrays.
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle, instance by
@@ -34,7 +35,6 @@ import numpy as np
 from .graph import build_graph
 from .metrics import (
     PairMetrics,
-    compute_heterogeneity,
     heterogeneity,
     pair_metrics,
     ratio_online_to_offline,
@@ -155,21 +155,6 @@ def _draw_pair(seed: int, tag: int, cell: int, p_u: float, p_v: float, shape):
     )
 
 
-def _online_counts(b_u, b_v, d_u, d_v, mode: OnlineMode):
-    """Per-trial (sync, async, wasted) counts of the online scheduler, as
-    float arrays over the rows of the (n, T) arrival and decision arrays."""
-    n = b_u.shape[0]
-    sync = np.empty(n)
-    asyn = np.empty(n)
-    wasted = np.empty(n)
-    for i in range(n):
-        sync_slots, pairs, lost = simulate_arrays(b_u[i], b_v[i], d_u[i], d_v[i], mode)
-        sync[i] = len(sync_slots)
-        asyn[i] = len(pairs)
-        wasted[i] = lost
-    return sync, asyn, wasted
-
-
 def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     """Run every (p, algorithm) cell of the spec and aggregate CAT/SAT.
 
@@ -178,7 +163,8 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     results do not depend on the number of trials run around them. Offline
     cells count every trial's optimum with the closed form
     offline.optimum_counts; the oracle cell, when requested, solves each
-    trial exhaustively and checks it against those counts.
+    trial exhaustively and checks it against those counts. Online cells
+    count all trials of a mode with one call of online.simulate_arrays.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
@@ -232,7 +218,7 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
         if "online" in spec.algorithms:
             d_u, d_v = _draw_pair(spec.seed, _TAG_DECISION, cell_idx, p, p, shape)
             for mode in spec.modes:
-                on_sat, on_async, on_wasted = _online_counts(b_u, b_v, d_u, d_v, mode)
+                on_sat, on_async, on_wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
                 on_cat = on_sat + eta * on_async
                 trial_ratios = np.where(
                     off_cat > 0.0, on_cat / np.where(off_cat > 0.0, off_cat, 1.0), 1.0
@@ -424,9 +410,10 @@ def run_trace_pairs(
         offline = offline_duty_cycle(build_graph(trace_u, trace_v, eta))
         online = online_duty_cycle(trace_u, trace_v, online_cfg)
         ratio = ratio_online_to_offline(online, offline)
-        report.pairs.append(
-            pair_metrics(f"{pair_id}/offline", trace_u, trace_v, offline.cat_total, offline.sat_total)
+        offline_row = pair_metrics(
+            f"{pair_id}/offline", trace_u, trace_v, offline.cat_total, offline.sat_total
         )
+        report.pairs.append(offline_row)
         report.pairs.append(
             pair_metrics(
                 f"{pair_id}/online[{online.mode.value}]",
@@ -446,7 +433,7 @@ def run_trace_pairs(
                     "online_cat": {"mean": online.cat_total, "std": 0.0, "stderr": 0.0, "n": 1},
                     "ratio": {"mean": ratio, "std": 0.0, "stderr": 0.0, "n": 1},
                 },
-                "heterogeneity": compute_heterogeneity(trace_u, trace_v),
+                "heterogeneity": offline_row.heterogeneity,
                 "wasted_units": online.wasted_units,
             }
         )
@@ -474,7 +461,7 @@ def heterogeneity_sweep(
         d_u, d_v = _draw_pair(seed, _TAG_DECISION, 1000 + combo_idx, p_u, p_v, shape)
         sync, asyn = optimum_counts(b_u, b_v)
         off = sync + eta * asyn
-        on_sync, on_async, _ = _online_counts(b_u, b_v, d_u, d_v, OnlineMode.MATCHING)
+        on_sync, on_async, _ = simulate_arrays(b_u, b_v, d_u, d_v, OnlineMode.MATCHING)
         onl = on_sync + eta * on_async
         rows.append(
             {

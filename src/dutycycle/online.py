@@ -19,6 +19,11 @@ sleep otherwise. Two bookkeeping modes are provided:
 Both modes draw one activation decision per device per slot from the same
 seeded sub-streams, so they agree on every synchronous edge, and both only
 ever read the energy state of the current slot.
+
+The per-slot rules of each mode exist twice: OnlineSimulator applies them
+to one pair and records the edges (online_duty_cycle feeds it decisions
+drawn in bulk), and simulate_arrays, the slot-major count kernel of the
+Monte Carlo harness, applies them to n trials at once and only counts.
 """
 
 from __future__ import annotations
@@ -106,81 +111,6 @@ def approx_ratio_bound(p: float) -> float:
     return -math.expm1(-p * p)
 
 
-# ---------------------------------------------------------------------------
-# Batch cores. Both take boolean arrays (arrivals and decisions) and return
-# (sync_slots, async_pairs, wasted_units); slots are 1-based. The stepwise
-# OnlineSimulator below implements the same rules one slot at a time and the
-# test suite pins the two paths to bit-identical outputs.
-# ---------------------------------------------------------------------------
-
-
-def _matching_mode_events(b_u, b_v, d_u, d_v):
-    sync_mask = b_u & b_v & d_u & d_v
-    sync_slots = np.flatnonzero(sync_mask) + 1
-    wasted = int((b_u & d_u & ~sync_mask).sum()) + int((b_v & d_v & ~sync_mask).sum())
-
-    ev_u = np.flatnonzero(b_u & ~d_u)
-    ev_v = np.flatnonzero(b_v & ~d_v)
-    events = sorted(
-        [(int(t) + 1, 0, bool(d_v[t])) for t in ev_u]
-        + [(int(t) + 1, 1, bool(d_u[t])) for t in ev_v]
-    )
-    bank_u: list[int] = []
-    bank_v: list[int] = []
-    async_pairs: list[tuple[int, int]] = []
-    for t, side, partner_active in events:
-        if side == 0:  # device U slept and its vertex arrived
-            if partner_active and bank_v:
-                async_pairs.append((t, bank_v.pop()))
-            else:
-                bank_u.append(t)
-        else:
-            if partner_active and bank_u:
-                async_pairs.append((bank_u.pop(), t))
-            else:
-                bank_v.append(t)
-    wasted += len(bank_u) + len(bank_v)
-    return sync_slots, async_pairs, wasted
-
-
-def _slot_sim_events(b_u, b_v, d_u, d_v):
-    sync_mask = b_u & b_v & d_u & d_v
-    sync_slots = np.flatnonzero(sync_mask) + 1
-
-    dep_u = np.flatnonzero(b_u & ~d_u)
-    dep_v = np.flatnonzero(b_v & ~d_v)
-    joint = d_u & d_v
-    cand_u_direct = np.flatnonzero(b_u & ~b_v & joint)  # V would debit its bank
-    cand_v_direct = np.flatnonzero(b_v & ~b_u & joint)  # U would debit its bank
-    events = sorted(
-        [(int(t) + 1, 0) for t in dep_u]
-        + [(int(t) + 1, 1) for t in dep_v]
-        + [(int(t) + 1, 2) for t in cand_u_direct]
-        + [(int(t) + 1, 3) for t in cand_v_direct]
-    )
-    bank_u: list[int] = []
-    bank_v: list[int] = []
-    async_pairs: list[tuple[int, int]] = []
-    realized_direct = 0
-    for t, kind in events:
-        if kind == 0:
-            bank_u.append(t)
-        elif kind == 1:
-            bank_v.append(t)
-        elif kind == 2:
-            if bank_v:
-                async_pairs.append((t, bank_v.pop()))
-                realized_direct += 1
-        else:
-            if bank_u:
-                async_pairs.append((bank_u.pop(), t))
-                realized_direct += 1
-
-    lone_active = int((b_u & d_u & ~sync_mask).sum()) + int((b_v & d_v & ~sync_mask).sum())
-    wasted = lone_active - realized_direct + len(bank_u) + len(bank_v)
-    return sync_slots, async_pairs, wasted
-
-
 def _estimated_probs(states: np.ndarray, warmup: int) -> np.ndarray:
     """Causal per-slot activation probabilities from a device's own history.
 
@@ -220,41 +150,45 @@ def simulate_arrays(
     d_v: np.ndarray,
     mode: OnlineMode,
 ):
-    """Run one online trial on prepared boolean arrays.
+    """Count the online scheduler's outcome on n trials at once.
 
-    Returns (sync_slots, async_pairs, wasted_units). Exposed for the Monte
-    Carlo harness, which pre-draws decision arrays in bulk.
+    Takes boolean (n, T) arrays of arrivals and activation decisions, row i
+    being trial i, and returns the per-trial (sync, async, wasted) counts as
+    float64 arrays of shape (n,). Sync edges and lone-active spends depend on
+    the current slot only. The banks carry state from slot to slot, so they
+    are integer counters of shape (n,), updated one slot at a time for all
+    trials together. OnlineSimulator applies the same rules to a single
+    trial and records the edges; the test suite holds the two to equal
+    counts.
     """
+    sync = b_u & b_v & d_u & d_v
+    lone = np.count_nonzero(b_u & d_u & ~sync, axis=1)
+    lone += np.count_nonzero(b_v & d_v & ~sync, axis=1)
+    dep_u = b_u & ~d_u  # a sleeping harvester banks its unit
+    dep_v = b_v & ~d_v
     if mode == OnlineMode.MATCHING:
-        return _matching_mode_events(b_u, b_v, d_u, d_v)
-    return _slot_sim_events(b_u, b_v, d_u, d_v)
-
-
-def _build_result(
-    sync_slots,
-    async_pairs,
-    wasted: int,
-    period_len: int,
-    cfg: OnlineConfig,
-) -> OnlineResult:
-    edges = [Edge(int(t), int(t)) for t in sync_slots]
-    edges.extend(Edge(int(u), int(v)) for u, v in async_pairs)
-    matching = Matching(edges=tuple(edges))
-    sync_count = len(sync_slots)
-    async_count = len(async_pairs)
-    cat_total = math.fsum([1.0] * sync_count + [cfg.eta] * async_count)
-    return OnlineResult(
-        matching=matching,
-        schedule=schedule_from_matching(matching, period_len, cfg.eta),
-        eta=cfg.eta,
-        mode=cfg.mode,
-        period_len=period_len,
-        sync_count=sync_count,
-        async_count=async_count,
-        cat_total=cat_total,
-        sat_total=float(sync_count),
-        wasted_units=int(wasted),
-    )
+        # ...unless the partner is active and has a banked vertex to pair with
+        want_u, want_v = dep_u & d_v, dep_v & d_u
+    else:
+        # both active, one harvests and the other debits its bank
+        joint = d_u & d_v
+        want_u, want_v = b_u & ~b_v & joint, b_v & ~b_u & joint
+    bank_u = np.zeros(b_u.shape[0], dtype=np.int64)
+    bank_v = np.zeros_like(bank_u)
+    asyn = np.zeros_like(bank_u)
+    for t in range(b_u.shape[1]):
+        pair_u = want_u[:, t] & (bank_v > 0)
+        pair_v = want_v[:, t] & (bank_u > 0)
+        bank_v -= pair_u
+        bank_u -= pair_v
+        bank_u += dep_u[:, t] & ~pair_u
+        bank_v += dep_v[:, t] & ~pair_v
+        asyn += pair_u
+        asyn += pair_v
+    wasted = lone + bank_u + bank_v
+    if mode == OnlineMode.SLOT_SIM:
+        wasted -= asyn  # the lone harvester of an async edge was not wasted
+    return np.count_nonzero(sync, axis=1).astype(float), asyn.astype(float), wasted.astype(float)
 
 
 def online_duty_cycle(
@@ -262,9 +196,11 @@ def online_duty_cycle(
 ) -> OnlineResult:
     """Run the online scheduler over a trace pair.
 
-    The energy state of slot t is only ever combined with decisions drawn at
-    slot t and with bank contents from earlier slots; OnlineSimulator is the
-    slot-by-slot equivalent and the test suite keeps the two in lockstep.
+    Draws every slot's decisions in bulk from the sub-streams that
+    OnlineSimulator.step draws from one slot at a time, then feeds the slots
+    in order through the simulator's per-slot rules. The energy state of
+    slot t is thus only ever combined with decisions drawn at slot t and
+    with bank contents from earlier slots.
     """
     if trace_u.period_len != trace_v.period_len:
         raise ValueError(
@@ -273,8 +209,10 @@ def online_duty_cycle(
     b_u = trace_u.as_array().astype(bool)
     b_v = trace_v.as_array().astype(bool)
     d_u, d_v = _decision_arrays(b_u, b_v, cfg, trace_u.device_id, trace_v.device_id)
-    sync_slots, async_pairs, wasted = simulate_arrays(b_u, b_v, d_u, d_v, cfg.mode)
-    return _build_result(sync_slots, async_pairs, wasted, trace_u.period_len, cfg)
+    sim = OnlineSimulator(trace_u.period_len, cfg, trace_u.device_id, trace_v.device_id)
+    for slot in zip(b_u.tolist(), b_v.tolist(), d_u.tolist(), d_v.tolist()):
+        sim._advance(*slot)
+    return sim.result()
 
 
 class OnlineSimulator:
@@ -282,7 +220,8 @@ class OnlineSimulator:
 
     Call step(b_u_t, b_v_t) once per slot with just that slot's energy
     states; the simulator cannot see further. After period_len steps,
-    result() returns the same OnlineResult as the batch online_duty_cycle.
+    result() returns the same OnlineResult as online_duty_cycle, which draws
+    the same decisions in bulk and applies the same per-slot rules.
     """
 
     def __init__(
@@ -299,6 +238,9 @@ class OnlineSimulator:
         self._rng_u = device_stream(cfg.seed, id_u, purpose=1)
         self._rng_v = device_stream(cfg.seed, id_v, purpose=2)
         self._probs = cfg.device_probs()
+        self._rule = (
+            self._step_matching if cfg.mode == OnlineMode.MATCHING else self._step_slot_sim
+        )
         self._t = 0
         self._harvest_count = [0, 0]  # history for estimated probabilities
         # stored one-slot units, remembered by their harvest slot
@@ -309,26 +251,26 @@ class OnlineSimulator:
         self._spent = 0
 
     def _prob(self, device: int, b_t: int) -> float:
+        """Activation probability for the next slot, whose state is b_t."""
         if self._probs is not None:
             return self._probs[device]
-        if self._t <= self.cfg.warmup:
+        if self._t < self.cfg.warmup:
             self._harvest_count[device] += b_t
-        horizon = min(self._t, self.cfg.warmup)
-        return self._harvest_count[device] / horizon
+        return self._harvest_count[device] / min(self._t + 1, self.cfg.warmup)
 
     def step(self, b_u_t: int, b_v_t: int) -> None:
         if self._t >= self.period_len:
             raise RuntimeError("period already complete")
-        self._t += 1
-        t = self._t
         b_u = bool(b_u_t)
         b_v = bool(b_v_t)
         d_u = self._rng_u.random() < self._prob(0, int(b_u))
         d_v = self._rng_v.random() < self._prob(1, int(b_v))
-        if self.cfg.mode == OnlineMode.MATCHING:
-            self._step_matching(t, b_u, b_v, d_u, d_v)
-        else:
-            self._step_slot_sim(t, b_u, b_v, d_u, d_v)
+        self._advance(b_u, b_v, d_u, d_v)
+
+    def _advance(self, b_u: bool, b_v: bool, d_u: bool, d_v: bool) -> None:
+        """Apply the mode's rules to the next slot, given its decisions."""
+        self._t += 1
+        self._rule(self._t, b_u, b_v, d_u, d_v)
 
     def _step_matching(self, t: int, b_u: bool, b_v: bool, d_u: bool, d_v: bool) -> None:
         if b_u and b_v and d_u and d_v:
@@ -379,11 +321,21 @@ class OnlineSimulator:
             raise RuntimeError(
                 f"period incomplete: {self._t} of {self.period_len} slots stepped"
             )
-        wasted = self._spent + len(self.bank_u) + len(self.bank_v)
-        return _build_result(
-            np.asarray(self._sync_slots, dtype=np.int64),
-            self._async_pairs,
-            wasted,
-            self.period_len,
-            self.cfg,
+        edges = [Edge(t, t) for t in self._sync_slots]
+        edges.extend(Edge(u, v) for u, v in self._async_pairs)
+        matching = Matching(edges=tuple(edges))
+        sync_count = len(self._sync_slots)
+        async_count = len(self._async_pairs)
+        eta = self.cfg.eta
+        return OnlineResult(
+            matching=matching,
+            schedule=schedule_from_matching(matching, self.period_len, eta),
+            eta=eta,
+            mode=self.cfg.mode,
+            period_len=self.period_len,
+            sync_count=sync_count,
+            async_count=async_count,
+            cat_total=math.fsum([1.0] * sync_count + [eta] * async_count),
+            sat_total=float(sync_count),
+            wasted_units=self._spent + len(self.bank_u) + len(self.bank_v),
         )

@@ -122,6 +122,15 @@ def test_env_seed_applies_and_flag_wins(monkeypatch, capsys):
     assert json.loads(stdout)["config"]["seed"] == 5
 
 
+def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
+    # exit 1 would read as a verification failure; a malformed seed is exit 2
+    monkeypatch.setenv("DUTYCYCLE_SEED", "abc")
+    code, stdout, stderr = run_cli(["run", "--prob", "0.5", "--period", "10"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: DUTYCYCLE_SEED must be an integer")
+
+
 def test_ingest_thresholds_raw_pair(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from dutycycle import (
     offline_duty_cycle,
     online_duty_cycle,
 )
+from dutycycle.online import _decision_arrays, simulate_arrays
 
 
 def trace(states, device_id="u"):
@@ -139,6 +141,34 @@ def test_batch_equals_stepwise_with_poisoned_future(run):
         poisoned_u[t] = 9  # the simulator must not hold references
         poisoned_v[t] = 9
     assert sim.result() == batch
+
+
+@settings(max_examples=250, deadline=None)
+@given(run=random_runs())
+def test_count_kernel_equals_stepwise_rules(run):
+    # the vectorized count kernel and OnlineSimulator's per-slot rules are
+    # two implementations of one scheduler: each row of one 2-D call must
+    # give the counts of the single-pair path on the same decisions
+    trace_u, trace_v, p, seed, mode, warmup = run
+    # rotated traces and shifted seeds make the five rows differ
+    pairs = [
+        (trace(np.roll(trace_u.states, j).tolist()), trace(np.roll(trace_v.states, j).tolist(), "v"))
+        for j in range(5)
+    ]
+    configs = [cfg(p=p, seed=seed + j, mode=mode, warmup=warmup) for j in range(5)]
+    b_u = np.array([tr_u.states for tr_u, _ in pairs], dtype=bool)
+    b_v = np.array([tr_v.states for _, tr_v in pairs], dtype=bool)
+    d_u, d_v = np.stack(
+        [_decision_arrays(b_u[j], b_v[j], configs[j], "u", "v") for j in range(5)], axis=1
+    )
+    sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
+    for j, ((tr_u, tr_v), config) in enumerate(zip(pairs, configs)):
+        result = online_duty_cycle(tr_u, tr_v, config)
+        assert (sync[j], asyn[j], wasted[j]) == (
+            result.sync_count,
+            result.async_count,
+            result.wasted_units,
+        )
 
 
 @settings(max_examples=250, deadline=None)

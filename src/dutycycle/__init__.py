@@ -60,7 +60,7 @@ from .metrics import (
     compute_cat,
     compute_heterogeneity,
     compute_sat,
-    pair_metrics,
+    pair_rows,
     ratio_online_to_offline,
 )
 from .harness import (
@@ -117,7 +117,7 @@ __all__ = [
     "matching_weight",
     "offline_duty_cycle",
     "online_duty_cycle",
-    "pair_metrics",
+    "pair_rows",
     "ratio_online_to_offline",
     "read_pair_csv",
     "read_raw_csv",

@@ -26,7 +26,7 @@ from .harness import (
     verify_optimality,
     verify_ratio_bound,
 )
-from .metrics import pair_metrics, ratio_online_to_offline
+from .metrics import pair_rows, ratio_online_to_offline
 from .offline import offline_duty_cycle
 from .online import OnlineConfig, OnlineMode, online_duty_cycle
 from .traces import (
@@ -212,15 +212,13 @@ def cmd_run(args) -> int:
         **source,
     }
     payload: dict = {"config": config}
-    rows = []
+    runs = []
 
     offline = None
     if args.algo in ("offline", "both"):
         offline = offline_duty_cycle(build_graph(trace_u, trace_v, args.eta))
         payload["offline"] = offline.to_json_dict()
-        rows.append(
-            pair_metrics("pair1/offline", trace_u, trace_v, offline.cat_total, offline.sat_total)
-        )
+        runs.append(("pair1/offline", offline.cat_total, offline.sat_total))
     online = None
     if args.algo in ("online", "both"):
         cfg = OnlineConfig(
@@ -228,12 +226,8 @@ def cmd_run(args) -> int:
         )
         online = online_duty_cycle(trace_u, trace_v, cfg)
         payload["online"] = online.to_json_dict()
-        rows.append(
-            pair_metrics(
-                f"pair1/online[{args.mode}]", trace_u, trace_v,
-                online.cat_total, online.sat_total,
-            )
-        )
+        runs.append((f"pair1/online[{args.mode}]", online.cat_total, online.sat_total))
+    rows = pair_rows(trace_u, trace_v, runs)
     if offline is not None and online is not None:
         payload["pair"] = {
             "ratio": ratio_online_to_offline(online, offline),

@@ -36,7 +36,7 @@ from .graph import build_graph
 from .metrics import (
     PairMetrics,
     heterogeneity,
-    pair_metrics,
+    pair_rows,
     ratio_online_to_offline,
 )
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
@@ -410,19 +410,15 @@ def run_trace_pairs(
         offline = offline_duty_cycle(build_graph(trace_u, trace_v, eta))
         online = online_duty_cycle(trace_u, trace_v, online_cfg)
         ratio = ratio_online_to_offline(online, offline)
-        offline_row = pair_metrics(
-            f"{pair_id}/offline", trace_u, trace_v, offline.cat_total, offline.sat_total
+        rows = pair_rows(
+            trace_u,
+            trace_v,
+            [
+                (f"{pair_id}/offline", offline.cat_total, offline.sat_total),
+                (f"{pair_id}/online[{online.mode.value}]", online.cat_total, online.sat_total),
+            ],
         )
-        report.pairs.append(offline_row)
-        report.pairs.append(
-            pair_metrics(
-                f"{pair_id}/online[{online.mode.value}]",
-                trace_u,
-                trace_v,
-                online.cat_total,
-                online.sat_total,
-            )
-        )
+        report.pairs.extend(rows)
         report.cells.append(
             {
                 "cell": pair_id,
@@ -433,7 +429,7 @@ def run_trace_pairs(
                     "online_cat": {"mean": online.cat_total, "std": 0.0, "stderr": 0.0, "n": 1},
                     "ratio": {"mean": ratio, "std": 0.0, "stderr": 0.0, "n": 1},
                 },
-                "heterogeneity": offline_row.heterogeneity,
+                "heterogeneity": rows[0].heterogeneity,
                 "wasted_units": online.wasted_units,
             }
         )

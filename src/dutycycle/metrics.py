@@ -93,22 +93,31 @@ def ratio_online_to_offline(online: OnlineResult, offline: OfflineResult) -> flo
     return online.cat_total / offline.cat_total
 
 
-def pair_metrics(
-    pair_id: str,
+def pair_rows(
     trace_u: EnergyTrace,
     trace_v: EnergyTrace,
-    cat: float,
-    sat: float,
-) -> PairMetrics:
-    """Assemble one report row from traces and a run's totals."""
+    runs: list[tuple[str, float, float]],
+) -> list[PairMetrics]:
+    """One report row per `(pair_id, cat, sat)` run over the same trace pair.
+
+    The pair's heterogeneity and estimated probabilities are computed once
+    and shared by every row.
+    """
     period = trace_u.period_len
-    return PairMetrics(
-        pair_id=pair_id,
-        cat=cat,
-        sat=sat,
-        cat_pct=cat / period if period else 0.0,
-        sat_pct=sat / period if period else 0.0,
-        heterogeneity=compute_heterogeneity(trace_u, trace_v),
-        p_hat_u=estimate_prob(trace_u),
-        p_hat_v=estimate_prob(trace_v),
-    )
+    heterogeneity = compute_heterogeneity(trace_u, trace_v)
+    p_hat_u = estimate_prob(trace_u)
+    p_hat_v = estimate_prob(trace_v)
+    return [
+        PairMetrics(
+            pair_id=pair_id,
+            cat=cat,
+            sat=sat,
+            cat_pct=cat / period if period else 0.0,
+            sat_pct=sat / period if period else 0.0,
+            heterogeneity=heterogeneity,
+            p_hat_u=p_hat_u,
+            p_hat_v=p_hat_v,
+        )
+        for pair_id, cat, sat in runs
+    ]
+

@@ -240,6 +240,8 @@ def read_pair_csv(path, id_u: str = "u", id_v: str = "v") -> tuple[EnergyTrace, 
                     )
             states_u.append(int(row[1]))
             states_v.append(int(row[2]))
+    if not states_u:
+        raise TraceFormatError(f"{path}: row 2: no data rows after header")
     period = len(states_u)
     return (
         EnergyTrace(device_id=id_u, states=tuple(states_u), period_len=period),

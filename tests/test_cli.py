@@ -103,6 +103,15 @@ def test_run_rejects_malformed_trace_with_row_number(tmp_path, capsys):
     assert "row 3" in stderr
 
 
+def test_run_rejects_header_only_trace(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("slot,b_u,b_v\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(["run", "--trace", str(empty)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: {empty}: row 2: no data rows")
+
+
 def test_run_requires_exactly_one_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--trace", "x.csv", "--prob", "0.5"])

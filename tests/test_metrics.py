@@ -12,7 +12,7 @@ from dutycycle import (
     compute_sat,
     offline_duty_cycle,
     online_duty_cycle,
-    pair_metrics,
+    pair_rows,
     ratio_online_to_offline,
     schedule_from_matching,
 )
@@ -84,7 +84,7 @@ def test_ratio_examples():
 
 def test_pair_metrics_row():
     result = offline_duty_cycle(build_graph(WORKED_U, WORKED_V, 0.75))
-    row = pair_metrics("pair1/offline", WORKED_U, WORKED_V, result.cat_total, result.sat_total)
+    (row,) = pair_rows(WORKED_U, WORKED_V, [("pair1/offline", result.cat_total, result.sat_total)])
     assert row.cat == 3.5 and row.sat == 2.0
     assert row.cat_pct == pytest.approx(3.5 / 9)
     assert row.sat_pct == pytest.approx(2.0 / 9)

@@ -1,3 +1,7 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,3 +117,83 @@ def test_witness_is_schedulable(inst):
     set_a, set_b, eta, period = inst
     ora = brute_force_matching(graph(set_a, set_b, eta=eta, period=period))
     schedule_from_matching(ora.witness, period, eta)
+
+
+def literal_optima(set_a, set_b, eta):
+    """Every vertex-exclusive matching, listed with itertools; the best ones.
+
+    Scores are (exact weight, sync count), eta read as the decimal it is
+    written as. Returns the best score and the edge sets that reach it.
+    """
+    eta_exact = Fraction(str(eta))
+    best, argbest = None, []
+    for k in range(min(len(set_a), len(set_b)) + 1):
+        for us in itertools.combinations(set_a, k):
+            for vs in itertools.permutations(set_b, k):
+                edges = frozenset(zip(us, vs))
+                n_sync = sum(u == v for u, v in edges)
+                score = (n_sync + eta_exact * (k - n_sync), n_sync)
+                if best is None or score > best:
+                    best, argbest = score, [edges]
+                elif score == best:
+                    argbest.append(edges)
+    return best, argbest
+
+
+@st.composite
+def tiny_instances(draw):
+    period = draw(st.integers(min_value=1, max_value=7))
+    set_a = draw(st.sets(st.integers(1, period), max_size=5))
+    set_b = draw(st.sets(st.integers(1, period), max_size=5))
+    eta = draw(st.sampled_from([0.5, 0.6, 0.75, 1.0]))
+    return sorted(set_a), sorted(set_b), eta, period
+
+
+@settings(max_examples=400, deadline=None)
+@given(inst=tiny_instances())
+def test_oracle_equals_literal_enumeration(inst):
+    set_a, set_b, eta, period = inst
+    ora = brute_force_matching(graph(set_a, set_b, eta=eta, period=period))
+    (weight, n_sync), maximizers = literal_optima(set_a, set_b, eta)
+    assert ora.best_sync_count == n_sync
+    assert ora.best_async_count == (weight - n_sync) / Fraction(str(eta))
+    assert ora.best_weight == pytest.approx(float(weight), abs=1e-12)
+    assert frozenset((e.u_slot, e.v_slot) for e in ora.witness.edges) in maximizers
+
+
+def test_literal_enumeration_prefers_sync_on_weight_ties():
+    # at eta = 1 all 24 perfect matchings of four slots weigh 4; only the
+    # identity has four synchronous edges
+    (weight, n_sync), maximizers = literal_optima([1, 2, 3, 4], [1, 2, 3, 4], 1.0)
+    assert (weight, n_sync) == (4, 4)
+    assert maximizers == [frozenset((t, t) for t in range(1, 5))]
+    ora = brute_force_matching(graph([1, 2, 3, 4], [1, 2, 3, 4], eta=1.0))
+    assert (ora.best_sync_count, ora.best_async_count) == (4, 0)
+
+
+def test_oracle_at_the_size_cap():
+    full = list(range(1, 13))
+    both = brute_force_matching(graph(full, full, period=12))
+    assert (both.best_sync_count, both.best_async_count) == (12, 0)
+    assert both.best_weight == 12.0
+
+    shifted = brute_force_matching(graph(full, list(range(2, 14)), eta=0.75, period=13))
+    assert (shifted.best_sync_count, shifted.best_async_count) == (11, 1)
+    assert shifted.best_weight == 11.75
+    assert (1, 13) in {(e.u_slot, e.v_slot) for e in shifted.witness.edges}
+
+    rng = random.Random(12)
+    set_a = sorted(rng.sample(range(1, 25), 12))
+    set_b = sorted(rng.sample(range(1, 25), 11))
+    ora = brute_force_matching(graph(set_a, set_b, eta=0.6, period=24))
+    n_sync = len(set(set_a) & set(set_b))
+    assert ora.best_sync_count == n_sync
+    assert ora.best_weight == pytest.approx(
+        closed_form_optimum(n_sync, 12 - n_sync, 11 - n_sync, 0.6)
+    )
+    assert ora.witness.total_weight(0.6) == ora.best_weight
+    schedule_from_matching(ora.witness, 24, 0.6)
+
+    thirteen = list(range(1, 14))
+    with pytest.raises(OracleBudgetError):
+        brute_force_matching(graph(thirteen, thirteen, period=13))

@@ -163,6 +163,13 @@ def test_pair_csv_errors_name_the_row(tmp_path):
         read_pair_csv(path)
 
 
+def test_header_only_pair_csv_names_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("slot,b_u,b_v\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match=r"empty\.csv: row 2: no data rows"):
+        read_pair_csv(path)
+
+
 def test_raw_csv_round_trip(tmp_path):
     raws = [
         RawTrace(device_id="n1", samples=((1, 2.5), (3, 3.25))),

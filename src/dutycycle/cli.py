@@ -66,6 +66,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0.0:
@@ -79,9 +86,12 @@ def _resolve_seed(seed: int | None) -> int:
     env = os.environ.get(ENV_SEED)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+        if seed < 0:
+            raise ValueError(f"{ENV_SEED} must be non-negative, got {env!r}")
+        return seed
     return DEFAULT_SEED
 
 
@@ -97,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="slots per period (default 600, one-minute slots over 10 hours)")
     gen.add_argument("--prob", type=_probability, required=True,
                      help="per-slot harvest probability for both devices")
-    gen.add_argument("--seed", type=int, default=None, help="RNG seed")
+    gen.add_argument("--seed", type=_seed, default=None, help="RNG seed")
     gen.add_argument("--out", required=True, help="output CSV path (slot,b_u,b_v)")
 
     ing = sub.add_parser("ingest", help="threshold raw readings into a binary trace CSV")
@@ -118,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algo", choices=("offline", "online", "both"), default="both")
     run.add_argument("--mode", choices=("matching", "slotsim"), default="matching",
                      help="online bookkeeping mode")
-    run.add_argument("--seed", type=int, default=None, help="RNG seed")
+    run.add_argument("--seed", type=_seed, default=None, help="RNG seed")
     run.add_argument("--format", choices=("json", "csv"), default="json")
 
     ver = sub.add_parser("verify", help="run a verification suite")
@@ -128,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "bins: occupancy concentration")
     ver.add_argument("--trials", type=_positive_int, default=None,
                      help="trial count override (suite defaults: t1 500, others 10000)")
-    ver.add_argument("--seed", type=int, default=None, help="RNG seed")
+    ver.add_argument("--seed", type=_seed, default=None, help="RNG seed")
     return parser
 
 
@@ -169,8 +179,8 @@ def cmd_ingest(args) -> int:
         trace_u = threshold_trace(raws[id_u], args.threshold, args.period)
         trace_v = threshold_trace(raws[id_v], args.threshold, args.period)
         write_pair_csv(trace_u, trace_v, args.out)
-    except (TraceFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # TraceFormatError included
+        print(f"error: {args.raw}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)

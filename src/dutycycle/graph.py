@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import EnergyTrace
+from .traces import EnergyTrace, pair_period
 
 SYNC = "sync"
 ASYNC = "async"
@@ -127,15 +127,11 @@ class Matching:
 
 def build_graph(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> StateGraph:
     """Collect each device's harvest slots into the bipartite vertex sets."""
-    if trace_u.period_len != trace_v.period_len:
-        raise ValueError(
-            f"traces disagree on period length: {trace_u.period_len} vs {trace_v.period_len}"
-        )
     return StateGraph(
         set_a=trace_u.harvest_slots(),
         set_b=trace_v.harvest_slots(),
         eta=eta,
-        period_len=trace_u.period_len,
+        period_len=pair_period(trace_u, trace_v),
     )
 
 
@@ -210,7 +206,7 @@ def assert_energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: En
     naming the device and the first overspent slot."""
     for name, a, trace in (("u", schedule.a_u, trace_u), ("v", schedule.a_v, trace_v)):
         spent = np.cumsum(np.asarray(a, dtype=np.int64))
-        gained = np.cumsum(trace.as_array().astype(np.int64))
+        gained = np.cumsum(trace.states, dtype=np.int64)
         bad = np.flatnonzero(spent > gained)
         if bad.size:
             t = int(bad[0]) + 1

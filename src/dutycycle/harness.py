@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,7 +110,7 @@ class RunReport:
     def to_json(self) -> str:
         payload = {"config": self.config, "cells": self.cells}
         if self.pairs:
-            payload["pairs"] = [p.to_json_dict() for p in self.pairs]
+            payload["pairs"] = [asdict(p) for p in self.pairs]
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
@@ -198,9 +198,8 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
             oracle_cat = np.empty(spec.trials)
             oracle_equal = True
             for i in range(spec.trials):
-                tr_u = _trace_from_row(b_u[i], "u")
-                tr_v = _trace_from_row(b_v[i], "v")
-                ores = brute_force_matching(build_graph(tr_u, tr_v, eta))
+                graph = build_graph(EnergyTrace("u", b_u[i]), EnergyTrace("v", b_v[i]), eta)
+                ores = brute_force_matching(graph)
                 oracle_cat[i] = ores.best_weight
                 if (ores.best_sync_count, ores.best_async_count) != (sync[i], asyn[i]):
                     oracle_equal = False
@@ -255,14 +254,6 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     return report
 
 
-def _trace_from_row(row: np.ndarray, device_id: str) -> EnergyTrace:
-    return EnergyTrace(
-        device_id=device_id,
-        states=tuple(int(x) for x in row),
-        period_len=int(row.shape[0]),
-    )
-
-
 def random_instance(
     seed: int, index: int, period_len: int, p: float
 ) -> tuple[EnergyTrace, EnergyTrace]:
@@ -270,7 +261,7 @@ def random_instance(
     rng = _stream(seed, _TAG_INSTANCE, index)
     b_u = rng.random(period_len) < p
     b_v = rng.random(period_len) < p
-    return _trace_from_row(b_u, "u"), _trace_from_row(b_v, "v")
+    return EnergyTrace("u", b_u), EnergyTrace("v", b_v)
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +285,6 @@ class BinsReport:
     exact_mean: float
     freq_bound_satisfied: bool
     mean_rel_error: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_balls": self.n_balls,
-            "n_bins": self.n_bins,
-            "subset_size": self.subset_size,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "threshold": self.threshold,
-            "prob_bound": self.prob_bound,
-            "empirical_freq": self.empirical_freq,
-            "empirical_mean": self.empirical_mean,
-            "exact_mean": self.exact_mean,
-            "freq_bound_satisfied": self.freq_bound_satisfied,
-            "mean_rel_error": self.mean_rel_error,
-        }
 
 
 def check_balls_in_bins(
@@ -602,4 +577,4 @@ def verify_bins(trials: int = 10_000, seed: int = DEFAULT_SEED) -> dict:
         seed=seed,
     )
     passed = rep.freq_bound_satisfied and rep.mean_rel_error <= 0.02
-    return {"suite": "bins", "seed": seed, "report": rep.to_json_dict(), "passed": passed}
+    return {"suite": "bins", "seed": seed, "report": asdict(rep), "passed": passed}

@@ -10,7 +10,7 @@ import numpy as np
 from .graph import Schedule
 from .offline import OfflineResult
 from .online import OnlineResult
-from .traces import EnergyTrace, estimate_prob
+from .traces import EnergyTrace, estimate_prob, pair_period
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,6 @@ class PairMetrics:
             ]
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "cat": self.cat,
-            "sat": self.sat,
-            "cat_pct": self.cat_pct,
-            "sat_pct": self.sat_pct,
-            "heterogeneity": self.heterogeneity,
-            "p_hat_u": self.p_hat_u,
-            "p_hat_v": self.p_hat_v,
-        }
-
 
 def compute_cat(schedule: Schedule) -> float:
     """Total CAT of a schedule: correctly rounded sum of the per-slot values."""
@@ -79,11 +67,8 @@ def heterogeneity(b_u: np.ndarray, b_v: np.ndarray):
 
 def compute_heterogeneity(trace_u: EnergyTrace, trace_v: EnergyTrace) -> float:
     """heterogeneity of two traces' energy states, as a Python float."""
-    if trace_u.period_len != trace_v.period_len:
-        raise ValueError(
-            f"traces disagree on period length: {trace_u.period_len} vs {trace_v.period_len}"
-        )
-    return float(heterogeneity(trace_u.as_array(), trace_v.as_array()))
+    pair_period(trace_u, trace_v)
+    return float(heterogeneity(trace_u.states, trace_v.states))
 
 
 def ratio_online_to_offline(online: OnlineResult, offline: OfflineResult) -> float:

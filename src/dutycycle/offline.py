@@ -121,15 +121,13 @@ def offline_duty_cycle(graph: StateGraph) -> OfflineResult:
     matching = Matching(edges=tuple(edges))
 
     sync_count = len(sync_slots)
-    async_count = len(step2) + len(step3)
-    cat_total = math.fsum([1.0] * sync_count + [graph.eta] * async_count)
     return OfflineResult(
         matching=matching,
         eta=graph.eta,
         period_len=graph.period_len,
         sync_count=sync_count,
-        async_count=async_count,
-        cat_total=cat_total,
+        async_count=len(step2) + len(step3),
+        cat_total=matching.total_weight(graph.eta),
         sat_total=float(sync_count),
     )
 

@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .graph import Edge, Matching, Schedule, schedule_from_matching
-from .traces import DEFAULT_SEED, EnergyTrace, device_stream
+from .traces import DEFAULT_SEED, EnergyTrace, device_stream, pair_period
 
 
 class OnlineMode(str, Enum):
@@ -79,10 +79,9 @@ class OnlineConfig:
 
 @dataclass(frozen=True)
 class OnlineResult:
-    """Matching, realized schedule and waste accounting for one online run."""
+    """Matching and waste accounting for one online run."""
 
     matching: Matching
-    schedule: Schedule
     eta: float
     mode: OnlineMode
     period_len: int
@@ -91,6 +90,9 @@ class OnlineResult:
     cat_total: float
     sat_total: float
     wasted_units: int
+
+    def schedule(self) -> Schedule:
+        return schedule_from_matching(self.matching, self.period_len, self.eta)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,14 +204,10 @@ def online_duty_cycle(
     slot t is thus only ever combined with decisions drawn at slot t and
     with bank contents from earlier slots.
     """
-    if trace_u.period_len != trace_v.period_len:
-        raise ValueError(
-            f"traces disagree on period length: {trace_u.period_len} vs {trace_v.period_len}"
-        )
-    b_u = trace_u.as_array().astype(bool)
-    b_v = trace_v.as_array().astype(bool)
+    period = pair_period(trace_u, trace_v)
+    b_u, b_v = trace_u.states, trace_v.states
     d_u, d_v = _decision_arrays(b_u, b_v, cfg, trace_u.device_id, trace_v.device_id)
-    sim = OnlineSimulator(trace_u.period_len, cfg, trace_u.device_id, trace_v.device_id)
+    sim = OnlineSimulator(period, cfg, trace_u.device_id, trace_v.device_id)
     for slot in zip(b_u.tolist(), b_v.tolist(), d_u.tolist(), d_v.tolist()):
         sim._advance(*slot)
     return sim.result()
@@ -325,17 +323,14 @@ class OnlineSimulator:
         edges.extend(Edge(u, v) for u, v in self._async_pairs)
         matching = Matching(edges=tuple(edges))
         sync_count = len(self._sync_slots)
-        async_count = len(self._async_pairs)
-        eta = self.cfg.eta
         return OnlineResult(
             matching=matching,
-            schedule=schedule_from_matching(matching, self.period_len, eta),
-            eta=eta,
+            eta=self.cfg.eta,
             mode=self.cfg.mode,
             period_len=self.period_len,
             sync_count=sync_count,
-            async_count=async_count,
-            cat_total=math.fsum([1.0] * sync_count + [eta] * async_count),
+            async_count=len(self._async_pairs),
+            cat_total=matching.total_weight(self.cfg.eta),
             sat_total=float(sync_count),
             wasted_units=self._spent + len(self.bank_u) + len(self.bank_v),
         )

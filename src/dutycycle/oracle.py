@@ -16,7 +16,6 @@ search stays cheap; anything larger is refused rather than approximated.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,13 +133,10 @@ def brute_force_matching(graph: StateGraph) -> OracleResult:
         score -= gains[i][j + 1]
 
     witness = Matching(edges=tuple(edges))
-    sync_count = witness.sync_count
-    async_count = witness.async_count
-    best_weight = math.fsum([1.0] * sync_count + [graph.eta] * async_count)
     return OracleResult(
-        best_weight=best_weight,
-        best_sync_count=sync_count,
-        best_async_count=async_count,
+        best_weight=witness.total_weight(graph.eta),
+        best_sync_count=witness.sync_count,
+        best_async_count=witness.async_count,
         witness=witness,
     )
 

@@ -1,9 +1,11 @@
 """Per-device binary energy-state traces.
 
 A trace records, for every slot t = 1..T of a period, whether the device
-could harvest a usable unit of energy (b(t) = 1) or not (b(t) = 0). Traces
-are either synthesized from a seeded Bernoulli arrival process or derived
-from raw power readings by thresholding.
+could harvest a usable unit of energy (b(t) = 1) or not (b(t) = 0). It holds
+those states as one read-only 1-D bool array, checked once when the trace is
+built; the schedulers, metrics and the feasibility check read that array
+directly. Traces are either synthesized from a seeded Bernoulli arrival
+process or derived from raw power readings by thresholding.
 
 Randomness uses the counter-based Philox generator keyed through
 numpy.random.SeedSequence, so identical (seed, device_id) always reproduce
@@ -45,30 +47,44 @@ def device_stream(seed: int, device_id: str, purpose: int = 0) -> np.random.Gene
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyTrace:
-    """Binary energy states b(t) for one device over slots 1..period_len."""
+    """Binary energy states b(t) of one device over slots 1..period_len.
+
+    `states` accepts any 1-D sequence of 0/1 (or bool) values and is stored
+    as a read-only bool array copied from it, so later writes to the source
+    never reach the trace. Traces compare by identity.
+    """
 
     device_id: str
-    states: tuple[int, ...]
-    period_len: int
+    states: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.period_len < 0:
-            raise ValueError(f"period_len must be non-negative, got {self.period_len}")
-        if len(self.states) != self.period_len:
-            raise ValueError(
-                f"states length {len(self.states)} does not match period_len {self.period_len}"
-            )
-        if any(s not in (0, 1) for s in self.states):
+        states = np.asarray(self.states)
+        if states.ndim != 1:
+            raise ValueError(f"states must be one-dimensional, got shape {states.shape}")
+        if states.dtype != bool and ((states != 0) & (states != 1)).any():
             raise ValueError("every energy state must be exactly 0 or 1")
+        states = states.astype(bool)  # a copy, even for bool input
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.states, dtype=np.uint8)
+    @property
+    def period_len(self) -> int:
+        return self.states.shape[0]
 
     def harvest_slots(self) -> tuple[int, ...]:
         """1-based slots where the device can harvest."""
-        return tuple(t + 1 for t, s in enumerate(self.states) if s == 1)
+        return tuple((np.flatnonzero(self.states) + 1).tolist())
+
+
+def pair_period(trace_u: EnergyTrace, trace_v: EnergyTrace) -> int:
+    """Common period length of a trace pair; ValueError if they disagree."""
+    if trace_u.period_len != trace_v.period_len:
+        raise ValueError(
+            f"traces disagree on period length: {trace_u.period_len} vs {trace_v.period_len}"
+        )
+    return trace_u.period_len
 
 
 @dataclass(frozen=True)
@@ -112,12 +128,7 @@ class RawTrace:
 def generate_trace(model: ArrivalModel, device_id: str = "u") -> EnergyTrace:
     """Draw one seeded Bernoulli trace; pure function of (model, device_id)."""
     rng = device_stream(model.seed, device_id, purpose=0)
-    states = (rng.random(model.period_len) < model.prob_harvest).astype(np.uint8)
-    return EnergyTrace(
-        device_id=device_id,
-        states=tuple(states.tolist()),
-        period_len=model.period_len,
-    )
+    return EnergyTrace(device_id, rng.random(model.period_len) < model.prob_harvest)
 
 
 def generate_pair(
@@ -137,7 +148,7 @@ def threshold_trace(raw: RawTrace, threshold: float, period_len: int) -> EnergyT
         raise ValueError(f"threshold must be positive, got {threshold}")
     if period_len < 1:
         raise ValueError(f"period_len must be at least 1, got {period_len}")
-    states = [0] * period_len
+    states = np.zeros(period_len, dtype=bool)
     for i, (slot, reading) in enumerate(raw.samples):
         if not (1 <= slot <= period_len):
             raise TraceFormatError(
@@ -145,15 +156,15 @@ def threshold_trace(raw: RawTrace, threshold: float, period_len: int) -> EnergyT
                 f"outside 1..{period_len}"
             )
         if reading >= threshold:
-            states[slot - 1] = 1
-    return EnergyTrace(device_id=raw.device_id, states=tuple(states), period_len=period_len)
+            states[slot - 1] = True
+    return EnergyTrace(raw.device_id, states)
 
 
 def estimate_prob(trace: EnergyTrace) -> float:
     """Empirical harvest probability: fraction of slots with b = 1."""
     if trace.period_len < 1:
         raise ValueError("cannot estimate a probability from an empty trace")
-    return sum(trace.states) / trace.period_len
+    return int(np.count_nonzero(trace.states)) / trace.period_len
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +189,11 @@ def write_raw_csv(traces: list[RawTrace], path) -> None:
 
 
 def read_raw_csv(path) -> dict[str, RawTrace]:
-    """Read raw samples grouped by device; errors name the offending row."""
+    """Read raw samples grouped by device; errors name the file and its row.
+
+    Each device's slots must start at 1 or later and rise strictly from row
+    to row; rows of different devices may interleave.
+    """
     by_device: dict[str, list[tuple[int, float]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -195,26 +210,32 @@ def read_raw_csv(path) -> dict[str, RawTrace]:
                 reading = float(row[2])
             except ValueError as exc:
                 raise TraceFormatError(f"{path}: row {row_no}: {exc}") from exc
-            by_device.setdefault(row[1], []).append((slot, reading))
+            if slot < 1:
+                raise TraceFormatError(f"{path}: row {row_no}: slot {slot} is below 1")
+            samples = by_device.setdefault(row[1], [])
+            if samples and slot <= samples[-1][0]:
+                raise TraceFormatError(
+                    f"{path}: row {row_no}: slot {slot} of device {row[1]!r} does not "
+                    f"rise above its previous slot {samples[-1][0]}"
+                )
+            samples.append((slot, reading))
     return {dev: RawTrace(device_id=dev, samples=tuple(samples)) for dev, samples in by_device.items()}
 
 
 def write_pair_csv(trace_u: EnergyTrace, trace_v: EnergyTrace, path) -> None:
-    if trace_u.period_len != trace_v.period_len:
-        raise ValueError(
-            f"pair traces disagree on period length: {trace_u.period_len} vs {trace_v.period_len}"
-        )
+    period = pair_period(trace_u, trace_v)
+    bits_u = trace_u.states.view(np.uint8).tolist()  # literal 0/1, not True/False
+    bits_v = trace_v.states.view(np.uint8).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PAIR_HEADER)
-        for t in range(trace_u.period_len):
-            writer.writerow([t + 1, trace_u.states[t], trace_v.states[t]])
+        writer.writerows(zip(range(1, period + 1), bits_u, bits_v))
 
 
 def read_pair_csv(path, id_u: str = "u", id_v: str = "v") -> tuple[EnergyTrace, EnergyTrace]:
     """Read a two-device binary trace; errors name the offending row."""
-    states_u: list[int] = []
-    states_v: list[int] = []
+    states_u: list[bool] = []
+    states_v: list[bool] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -238,12 +259,8 @@ def read_pair_csv(path, id_u: str = "u", id_v: str = "v") -> tuple[EnergyTrace, 
                     raise TraceFormatError(
                         f"{path}: row {row_no}: column {col} must be 0 or 1, got {val!r}"
                     )
-            states_u.append(int(row[1]))
-            states_v.append(int(row[2]))
+            states_u.append(row[1] == "1")
+            states_v.append(row[2] == "1")
     if not states_u:
         raise TraceFormatError(f"{path}: row 2: no data rows after header")
-    period = len(states_u)
-    return (
-        EnergyTrace(device_id=id_u, states=tuple(states_u), period_len=period),
-        EnergyTrace(device_id=id_v, states=tuple(states_v), period_len=period),
-    )
+    return EnergyTrace(id_u, states_u), EnergyTrace(id_v, states_v)

@@ -11,6 +11,7 @@ for the measured numbers.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+import dutycycle
 from dutycycle import (
     Edge,
     EnergyTrace,
@@ -156,7 +158,7 @@ def test_criterion_5_energy_feasibility_everywhere():
         schedules = [offline.schedule()]
         for mode in OnlineMode:
             cfg = OnlineConfig(prob_active=p, eta=0.75, seed=SEED + i, mode=mode)
-            schedules.append(online_duty_cycle(trace_u, trace_v, cfg).schedule)
+            schedules.append(online_duty_cycle(trace_u, trace_v, cfg).schedule())
         for sched in schedules:
             checked += 1
             try:
@@ -173,8 +175,8 @@ def test_criterion_5_energy_feasibility_everywhere():
 
 
 def test_criterion_6_worked_example():
-    trace_u = EnergyTrace("u", (1, 0, 0, 1, 0, 1, 0, 1, 0), 9)
-    trace_v = EnergyTrace("v", (1, 0, 1, 0, 0, 1, 0, 0, 1), 9)
+    trace_u = EnergyTrace("u", (1, 0, 0, 1, 0, 1, 0, 1, 0))
+    trace_v = EnergyTrace("v", (1, 0, 1, 0, 0, 1, 0, 0, 1))
     result = offline_duty_cycle(build_graph(trace_u, trace_v, eta=0.75))
     expected_edges = {Edge(1, 1), Edge(6, 6), Edge(4, 3), Edge(8, 9)}
     ok = (
@@ -193,10 +195,15 @@ def test_criterion_6_worked_example():
 
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:
+    # pytest's `pythonpath` setting does not reach child processes, so hand
+    # the child the directory of the package this test imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dutycycle.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "dutycycle.cli", *argv],
         capture_output=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -140,6 +140,45 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     assert stderr.startswith("error: DUTYCYCLE_SEED must be an integer")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--prob", "0.5", "--out", "x.csv", "--seed", "-1"],
+        ["run", "--prob", "0.5", "--seed", "-1"],
+        ["verify", "--suite", "t1", "--seed", "-3"],
+    ],
+)
+def test_negative_seed_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def test_negative_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("DUTYCYCLE_SEED", "-4")
+    code, stdout, stderr = run_cli(["verify", "--suite", "t1", "--trials", "1"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: DUTYCYCLE_SEED must be non-negative")
+
+
+def test_ingest_errors_name_the_file_and_row(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    argv = ["ingest", "--raw", str(raw), "--threshold", "1.0", "--period", "4", "--out", "o.csv"]
+    raw.write_text("slot,device_id,reading\n1,a,3.5\n1,b,1.0\n2,b,3.0\n9,a,9\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {raw}: ")
+    assert "slot 9 outside 1..4" in stderr
+    raw.write_text("slot,device_id,reading\n1,a,3.5\n1,b,1.0\n1,a,2.0\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {raw}: row 4: slot 1 of device 'a'")
+
+
 def test_ingest_thresholds_raw_pair(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(

@@ -22,7 +22,7 @@ from dutycycle import (
 
 
 def trace(states, device_id="u"):
-    return EnergyTrace(device_id=device_id, states=tuple(states), period_len=len(states))
+    return EnergyTrace(device_id=device_id, states=states)
 
 
 def test_edge_properties():

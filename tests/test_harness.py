@@ -19,7 +19,7 @@ from dutycycle.harness import (
 
 
 def trace(states, device_id="u"):
-    return EnergyTrace(device_id=device_id, states=tuple(states), period_len=len(states))
+    return EnergyTrace(device_id=device_id, states=states)
 
 
 def small_spec(**overrides):

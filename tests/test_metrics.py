@@ -20,7 +20,7 @@ from dutycycle.metrics import heterogeneity
 
 
 def trace(states, device_id="u"):
-    return EnergyTrace(device_id=device_id, states=tuple(states), period_len=len(states))
+    return EnergyTrace(device_id=device_id, states=states)
 
 
 WORKED_U = trace([1, 0, 0, 1, 0, 1, 0, 1, 0])

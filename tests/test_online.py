@@ -19,7 +19,7 @@ from dutycycle.online import _decision_arrays, simulate_arrays
 
 
 def trace(states, device_id="u"):
-    return EnergyTrace(device_id=device_id, states=tuple(states), period_len=len(states))
+    return EnergyTrace(device_id=device_id, states=states)
 
 
 def cfg(p=0.5, mode=OnlineMode.MATCHING, seed=11, eta=0.75, warmup=60):
@@ -180,7 +180,7 @@ def test_online_invariants(run):
     # feasibility against the raw traces
     assert result.cat_total == pytest.approx(result.sync_count + 0.75 * result.async_count)
     assert result.sat_total == result.sync_count
-    assert_energy_feasible(result.schedule, trace_u, trace_v)
+    assert_energy_feasible(result.schedule(), trace_u, trace_v)
     # offline is optimal, so it dominates every online outcome
     offline = offline_duty_cycle(build_graph(trace_u, trace_v, 0.75))
     assert offline.cat_total >= result.cat_total - 1e-9

@@ -22,12 +22,12 @@ from dutycycle import (
 
 def test_p_zero_gives_all_zero_trace():
     trace = generate_trace(ArrivalModel(prob_harvest=0.0, period_len=10, seed=1))
-    assert trace.states == (0,) * 10
+    assert np.array_equal(trace.states, [0] * 10)
 
 
 def test_p_one_gives_all_one_trace():
     trace = generate_trace(ArrivalModel(prob_harvest=1.0, period_len=10, seed=1))
-    assert trace.states == (1,) * 10
+    assert np.array_equal(trace.states, [1] * 10)
 
 
 def test_empirical_mean_matches_probability():
@@ -38,14 +38,14 @@ def test_empirical_mean_matches_probability():
 
 def test_generation_is_deterministic_per_seed():
     model = ArrivalModel(prob_harvest=0.4, period_len=500, seed=9)
-    assert generate_trace(model).states == generate_trace(model).states
+    assert np.array_equal(generate_trace(model).states, generate_trace(model).states)
     other = ArrivalModel(prob_harvest=0.4, period_len=500, seed=10)
-    assert generate_trace(model).states != generate_trace(other).states
+    assert not np.array_equal(generate_trace(model).states, generate_trace(other).states)
 
 
 def test_pair_devices_use_independent_streams():
     trace_u, trace_v = generate_pair(ArrivalModel(prob_harvest=0.5, period_len=2000, seed=3))
-    assert trace_u.states != trace_v.states
+    assert not np.array_equal(trace_u.states, trace_v.states)
 
 
 def test_law_of_large_numbers_across_seeds():
@@ -71,25 +71,23 @@ def test_invalid_model_parameters():
 
 def test_trace_invariants():
     with pytest.raises(ValueError):
-        EnergyTrace(device_id="u", states=(0, 1), period_len=3)
-    with pytest.raises(ValueError):
-        EnergyTrace(device_id="u", states=(0, 2, 1), period_len=3)
+        EnergyTrace(device_id="u", states=(0, 2, 1))
 
 
 def test_threshold_basic():
     raw = RawTrace(device_id="a", samples=((1, 2.1), (2, 3.4), (3, 0.0)))
     trace = threshold_trace(raw, threshold=3.0, period_len=3)
-    assert trace.states == (0, 1, 0)
+    assert np.array_equal(trace.states, [0, 1, 0])
 
 
 def test_threshold_no_samples_gives_zeros():
     trace = threshold_trace(RawTrace(device_id="a", samples=()), threshold=1.0, period_len=5)
-    assert trace.states == (0, 0, 0, 0, 0)
+    assert np.array_equal(trace.states, [0, 0, 0, 0, 0])
 
 
 def test_threshold_boundary_is_inclusive():
     raw = RawTrace(device_id="a", samples=((1, 3.0),))
-    assert threshold_trace(raw, threshold=3.0, period_len=1).states == (1,)
+    assert np.array_equal(threshold_trace(raw, threshold=3.0, period_len=1).states, [1])
 
 
 def test_threshold_rejects_out_of_period_slot():
@@ -129,9 +127,9 @@ def test_threshold_is_monotone(readings, lo, extra):
 
 
 def test_estimate_prob_examples():
-    trace = EnergyTrace(device_id="u", states=(1, 0, 1, 0), period_len=4)
+    trace = EnergyTrace(device_id="u", states=(1, 0, 1, 0))
     assert estimate_prob(trace) == 0.5
-    ones = EnergyTrace(device_id="u", states=(1, 1, 1), period_len=3)
+    ones = EnergyTrace(device_id="u", states=(1, 1, 1))
     assert estimate_prob(ones) == 1.0
     big = generate_trace(ArrivalModel(prob_harvest=0.3, period_len=100_000, seed=11))
     assert abs(estimate_prob(big) - 0.3) < 0.01
@@ -143,8 +141,8 @@ def test_pair_csv_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "pair.csv"
     write_pair_csv(trace_u, trace_v, path)
     back_u, back_v = read_pair_csv(path)
-    assert back_u.states == trace_u.states
-    assert back_v.states == trace_v.states
+    assert np.array_equal(back_u.states, trace_u.states)
+    assert np.array_equal(back_v.states, trace_v.states)
     first = path.read_bytes()
     write_pair_csv(back_u, back_v, path)
     assert path.read_bytes() == first
@@ -188,9 +186,32 @@ def test_raw_csv_errors_name_the_row(tmp_path):
     path.write_text("slot,device_id,reading\n1,a,2.0\nx,a,1.0\n", encoding="utf-8")
     with pytest.raises(TraceFormatError, match="row 3"):
         read_raw_csv(path)
+    path.write_text("slot,device_id,reading\n1,a,2.0\n0,b,1.0\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match=r"raw\.csv: row 3: slot 0 is below 1"):
+        read_raw_csv(path)
+    # device b's rows interleave with a's; its slot 2 follows its own slot 3
+    path.write_text(
+        "slot,device_id,reading\n1,a,2.0\n3,b,1.0\n2,a,1.0\n2,b,3.0\n", encoding="utf-8"
+    )
+    with pytest.raises(TraceFormatError, match=r"raw\.csv: row 5: slot 2 of device 'b'"):
+        read_raw_csv(path)
 
 
 def test_as_array_matches_states():
-    trace = EnergyTrace(device_id="u", states=(1, 0, 1), period_len=3)
-    assert np.array_equal(trace.as_array(), np.array([1, 0, 1], dtype=np.uint8))
+    trace = EnergyTrace(device_id="u", states=(1, 0, 1))
+    assert trace.states.dtype == bool and trace.states.shape == (3,)
+    assert np.array_equal(trace.states, np.array([1, 0, 1], dtype=np.uint8))
+    assert trace.period_len == 3
     assert trace.harvest_slots() == (1, 3)
+
+
+def test_states_are_a_read_only_copy():
+    for source in (np.array([1, 0, 1], dtype=np.uint8), np.array([True, False, True])):
+        trace = EnergyTrace(device_id="u", states=source)
+        with pytest.raises(ValueError):
+            trace.states[0] = False
+        source[:] = 0  # the caller's array stays writeable and is not shared
+        assert np.array_equal(trace.states, [1, 0, 1])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        EnergyTrace(device_id="u", states=np.ones((2, 2), dtype=bool))
+

@@ -36,7 +36,6 @@ from .graph import (
     assert_energy_feasible,
     build_graph,
     energy_feasible,
-    matching_weight,
     schedule_from_matching,
 )
 from .offline import OfflineResult, exact_expected_cat, expected_cat, offline_duty_cycle
@@ -44,7 +43,6 @@ from .online import (
     OnlineConfig,
     OnlineMode,
     OnlineResult,
-    OnlineSimulator,
     approx_ratio_bound,
     online_duty_cycle,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "OnlineConfig",
     "OnlineMode",
     "OnlineResult",
-    "OnlineSimulator",
     "ORACLE_MAX_VERTEXES",
     "OracleBudgetError",
     "OracleResult",
@@ -114,7 +111,6 @@ __all__ = [
     "expected_cat",
     "generate_pair",
     "generate_trace",
-    "matching_weight",
     "offline_duty_cycle",
     "online_duty_cycle",
     "pair_rows",

@@ -135,17 +135,6 @@ def build_graph(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> State
     )
 
 
-def matching_weight(matching, eta: float) -> float:
-    """Total weight |sync| * 1 + |async| * eta of a matching.
-
-    Accepts a Matching or any iterable of edges; building the Matching
-    revalidates vertex exclusivity.
-    """
-    if not isinstance(matching, Matching):
-        matching = Matching(edges=tuple(matching))
-    return matching.total_weight(eta)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Per-slot activation decisions and the CAT realized in each slot."""

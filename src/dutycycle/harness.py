@@ -425,6 +425,7 @@ def heterogeneity_sweep(
     reproduce the qualitative trends: the ratio climbs toward 1 as the
     weaker device improves, and CAT falls as heterogeneity grows.
     """
+    ExperimentSpec(period_len, tuple(p_values), trials, eta, seed)  # validates the arguments
     rows: list[dict] = []
     shape = (trials, period_len)
     for combo_idx, (p_u, p_v) in enumerate(itertools.product(p_values, p_values)):

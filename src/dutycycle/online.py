@@ -20,10 +20,11 @@ Both modes draw one activation decision per device per slot from the same
 seeded sub-streams, so they agree on every synchronous edge, and both only
 ever read the energy state of the current slot.
 
-The per-slot rules of each mode exist twice: OnlineSimulator applies them
-to one pair and records the edges (online_duty_cycle feeds it decisions
-drawn in bulk), and simulate_arrays, the slot-major count kernel of the
-Monte Carlo harness, applies them to n trials at once and only counts.
+Each mode's per-slot rules are written once, in _slot_rules, and walked
+twice. online_duty_cycle keeps each bank as a list of harvest slots and
+records one pair's edges. simulate_arrays, the slot-major count kernel of
+the Monte Carlo harness and the heterogeneity sweep, keeps each bank as an
+integer counter per trial and only counts.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ class OnlineConfig:
             return None
         if isinstance(self.prob_active, (int, float)):
             return (float(self.prob_active), float(self.prob_active))
+        if len(self.prob_active) != 2:
+            raise ValueError(
+                f"prob_active must be one probability or a pair, got {self.prob_active!r}"
+            )
         return (float(self.prob_active[0]), float(self.prob_active[1]))
 
 
@@ -145,6 +150,44 @@ def _decision_arrays(
     return rng_u.random(n) < p_u, rng_v.random(n) < p_v
 
 
+def _slot_rules(b_u, b_v, d_u, d_v, mode: OnlineMode):
+    """Apply a mode's per-slot rules to boolean arrivals and decisions.
+
+    Takes (T,) arrays for one pair or (n, T) arrays for n trials, time on
+    the last axis, and returns (sync, lone, dep_u, dep_v, want_u, want_v):
+
+    * sync: both devices harvest and are active, a synchronous edge;
+    * lone: active harvesters outside a synchronous edge, counted along the
+      last axis;
+    * dep_u, dep_v: a sleeping harvester banks its unit, unless it pairs;
+    * want_u, want_v: the device's fresh unit pairs with the partner's most
+      recent banked unit, if that bank is not empty.
+
+    Everything but the banks depends on the current slot only; a bank walk
+    carries the banks from slot to slot.
+    """
+    sync = b_u & b_v & d_u & d_v
+    lone = np.count_nonzero(b_u & d_u & ~sync, axis=-1)
+    lone += np.count_nonzero(b_v & d_v & ~sync, axis=-1)
+    dep_u = b_u & ~d_u
+    dep_v = b_v & ~d_v
+    if mode == OnlineMode.MATCHING:
+        # a sleeper pairs only if the partner is active
+        want_u, want_v = dep_u & d_v, dep_v & d_u
+    else:
+        # both active, one harvests and the other debits its bank
+        joint = d_u & d_v
+        want_u, want_v = b_u & ~b_v & joint, b_v & ~b_u & joint
+    return sync, lone, dep_u, dep_v, want_u, want_v
+
+
+def _wasted(lone, banked, asyn, mode: OnlineMode):
+    """Harvested units never spent on CAT: lone spends plus banked leftovers."""
+    if mode == OnlineMode.SLOT_SIM:
+        return lone + banked - asyn  # the lone harvester of an async edge was not wasted
+    return lone + banked
+
+
 def simulate_arrays(
     b_u: np.ndarray,
     b_v: np.ndarray,
@@ -156,25 +199,12 @@ def simulate_arrays(
 
     Takes boolean (n, T) arrays of arrivals and activation decisions, row i
     being trial i, and returns the per-trial (sync, async, wasted) counts as
-    float64 arrays of shape (n,). Sync edges and lone-active spends depend on
-    the current slot only. The banks carry state from slot to slot, so they
-    are integer counters of shape (n,), updated one slot at a time for all
-    trials together. OnlineSimulator applies the same rules to a single
-    trial and records the edges; the test suite holds the two to equal
-    counts.
+    float64 arrays of shape (n,). The rules come from _slot_rules; this walk
+    keeps each bank as an integer counter of shape (n,), updated one slot at
+    a time for all trials together. online_duty_cycle walks the same rules
+    for one pair and records the edges.
     """
-    sync = b_u & b_v & d_u & d_v
-    lone = np.count_nonzero(b_u & d_u & ~sync, axis=1)
-    lone += np.count_nonzero(b_v & d_v & ~sync, axis=1)
-    dep_u = b_u & ~d_u  # a sleeping harvester banks its unit
-    dep_v = b_v & ~d_v
-    if mode == OnlineMode.MATCHING:
-        # ...unless the partner is active and has a banked vertex to pair with
-        want_u, want_v = dep_u & d_v, dep_v & d_u
-    else:
-        # both active, one harvests and the other debits its bank
-        joint = d_u & d_v
-        want_u, want_v = b_u & ~b_v & joint, b_v & ~b_u & joint
+    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
     bank_u = np.zeros(b_u.shape[0], dtype=np.int64)
     bank_v = np.zeros_like(bank_u)
     asyn = np.zeros_like(bank_u)
@@ -187,10 +217,51 @@ def simulate_arrays(
         bank_v += dep_v[:, t] & ~pair_v
         asyn += pair_u
         asyn += pair_v
-    wasted = lone + bank_u + bank_v
-    if mode == OnlineMode.SLOT_SIM:
-        wasted -= asyn  # the lone harvester of an async edge was not wasted
+    wasted = _wasted(lone, bank_u + bank_v, asyn, mode)
     return np.count_nonzero(sync, axis=1).astype(float), asyn.astype(float), wasted.astype(float)
+
+
+def _walk_pair(
+    b_u: np.ndarray, b_v: np.ndarray, d_u: np.ndarray, d_v: np.ndarray, cfg: OnlineConfig
+) -> OnlineResult:
+    """Walk one pair's (T,) arrivals and decisions and record the edges.
+
+    Each bank is a list of harvest slots, so a pairing pops the partner's
+    most recent banked unit. Only slots that bank or may pair are visited.
+    As in simulate_arrays, a slot's pair decisions read the banks as they
+    stood before the slot; then the pairing pops, then the sleeper pushes.
+    """
+    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, cfg.mode)
+    edges = [Edge(t, t) for t in (np.flatnonzero(sync) + 1).tolist()]
+    sync_count = len(edges)
+    visit = np.flatnonzero(dep_u | dep_v | want_u | want_v)
+    bank_u: list[int] = []
+    bank_v: list[int] = []
+    masks = (m[visit].tolist() for m in (dep_u, dep_v, want_u, want_v))
+    for t, dep_u_t, dep_v_t, want_u_t, want_v_t in zip((visit + 1).tolist(), *masks):
+        pair_u = want_u_t and len(bank_v) > 0
+        pair_v = want_v_t and len(bank_u) > 0
+        if pair_u:
+            edges.append(Edge(t, bank_v.pop()))
+        if pair_v:
+            edges.append(Edge(bank_u.pop(), t))
+        if dep_u_t and not pair_u:
+            bank_u.append(t)
+        if dep_v_t and not pair_v:
+            bank_v.append(t)
+    async_count = len(edges) - sync_count
+    matching = Matching(edges=tuple(edges))
+    return OnlineResult(
+        matching=matching,
+        eta=cfg.eta,
+        mode=cfg.mode,
+        period_len=b_u.shape[0],
+        sync_count=sync_count,
+        async_count=async_count,
+        cat_total=matching.total_weight(cfg.eta),
+        sat_total=float(sync_count),
+        wasted_units=_wasted(int(lone), len(bank_u) + len(bank_v), async_count, cfg.mode),
+    )
 
 
 def online_duty_cycle(
@@ -198,139 +269,13 @@ def online_duty_cycle(
 ) -> OnlineResult:
     """Run the online scheduler over a trace pair.
 
-    Draws every slot's decisions in bulk from the sub-streams that
-    OnlineSimulator.step draws from one slot at a time, then feeds the slots
-    in order through the simulator's per-slot rules. The energy state of
-    slot t is thus only ever combined with decisions drawn at slot t and
-    with bank contents from earlier slots.
+    Draws every slot's decisions in bulk, each from the state of its own
+    slot and the device's history, then walks the mode's rules over the
+    slots in order. The energy state of slot t is thus only ever combined
+    with decisions drawn at slot t and with bank contents from earlier
+    slots.
     """
-    period = pair_period(trace_u, trace_v)
+    pair_period(trace_u, trace_v)
     b_u, b_v = trace_u.states, trace_v.states
     d_u, d_v = _decision_arrays(b_u, b_v, cfg, trace_u.device_id, trace_v.device_id)
-    sim = OnlineSimulator(period, cfg, trace_u.device_id, trace_v.device_id)
-    for slot in zip(b_u.tolist(), b_v.tolist(), d_u.tolist(), d_v.tolist()):
-        sim._advance(*slot)
-    return sim.result()
-
-
-class OnlineSimulator:
-    """Slot-by-slot online scheduler.
-
-    Call step(b_u_t, b_v_t) once per slot with just that slot's energy
-    states; the simulator cannot see further. After period_len steps,
-    result() returns the same OnlineResult as online_duty_cycle, which draws
-    the same decisions in bulk and applies the same per-slot rules.
-    """
-
-    def __init__(
-        self,
-        period_len: int,
-        cfg: OnlineConfig,
-        id_u: str = "u",
-        id_v: str = "v",
-    ) -> None:
-        if period_len < 0:
-            raise ValueError(f"period_len must be non-negative, got {period_len}")
-        self.cfg = cfg
-        self.period_len = period_len
-        self._rng_u = device_stream(cfg.seed, id_u, purpose=1)
-        self._rng_v = device_stream(cfg.seed, id_v, purpose=2)
-        self._probs = cfg.device_probs()
-        self._rule = (
-            self._step_matching if cfg.mode == OnlineMode.MATCHING else self._step_slot_sim
-        )
-        self._t = 0
-        self._harvest_count = [0, 0]  # history for estimated probabilities
-        # stored one-slot units, remembered by their harvest slot
-        self.bank_u: list[int] = []
-        self.bank_v: list[int] = []
-        self._sync_slots: list[int] = []
-        self._async_pairs: list[tuple[int, int]] = []
-        self._spent = 0
-
-    def _prob(self, device: int, b_t: int) -> float:
-        """Activation probability for the next slot, whose state is b_t."""
-        if self._probs is not None:
-            return self._probs[device]
-        if self._t < self.cfg.warmup:
-            self._harvest_count[device] += b_t
-        return self._harvest_count[device] / min(self._t + 1, self.cfg.warmup)
-
-    def step(self, b_u_t: int, b_v_t: int) -> None:
-        if self._t >= self.period_len:
-            raise RuntimeError("period already complete")
-        b_u = bool(b_u_t)
-        b_v = bool(b_v_t)
-        d_u = self._rng_u.random() < self._prob(0, int(b_u))
-        d_v = self._rng_v.random() < self._prob(1, int(b_v))
-        self._advance(b_u, b_v, d_u, d_v)
-
-    def _advance(self, b_u: bool, b_v: bool, d_u: bool, d_v: bool) -> None:
-        """Apply the mode's rules to the next slot, given its decisions."""
-        self._t += 1
-        self._rule(self._t, b_u, b_v, d_u, d_v)
-
-    def _step_matching(self, t: int, b_u: bool, b_v: bool, d_u: bool, d_v: bool) -> None:
-        if b_u and b_v and d_u and d_v:
-            self._sync_slots.append(t)
-            return
-        if b_u and d_u:
-            self._spent += 1
-        if b_v and d_v:
-            self._spent += 1
-        if b_u and not d_u:
-            if d_v and self.bank_v:
-                self._async_pairs.append((t, self.bank_v.pop()))
-            else:
-                self.bank_u.append(t)
-        if b_v and not d_v:
-            if d_u and self.bank_u:
-                self._async_pairs.append((self.bank_u.pop(), t))
-            else:
-                self.bank_v.append(t)
-
-    def _step_slot_sim(self, t: int, b_u: bool, b_v: bool, d_u: bool, d_v: bool) -> None:
-        eff_u = d_u and (b_u or bool(self.bank_u))
-        eff_v = d_v and (b_v or bool(self.bank_v))
-        u_participates = False
-        v_participates = False
-        if eff_u and eff_v:
-            if b_u and b_v:
-                self._sync_slots.append(t)
-                u_participates = v_participates = True
-            elif b_u:
-                self._async_pairs.append((t, self.bank_v.pop()))
-                u_participates = True
-            elif b_v:
-                self._async_pairs.append((self.bank_u.pop(), t))
-                v_participates = True
-            # both running on stored energy carries no weight; banks stay put
-        if b_u and d_u and not u_participates:
-            self._spent += 1
-        if b_v and d_v and not v_participates:
-            self._spent += 1
-        if b_u and not d_u:
-            self.bank_u.append(t)
-        if b_v and not d_v:
-            self.bank_v.append(t)
-
-    def result(self) -> OnlineResult:
-        if self._t != self.period_len:
-            raise RuntimeError(
-                f"period incomplete: {self._t} of {self.period_len} slots stepped"
-            )
-        edges = [Edge(t, t) for t in self._sync_slots]
-        edges.extend(Edge(u, v) for u, v in self._async_pairs)
-        matching = Matching(edges=tuple(edges))
-        sync_count = len(self._sync_slots)
-        return OnlineResult(
-            matching=matching,
-            eta=self.cfg.eta,
-            mode=self.cfg.mode,
-            period_len=self.period_len,
-            sync_count=sync_count,
-            async_count=len(self._async_pairs),
-            cat_total=matching.total_weight(self.cfg.eta),
-            sat_total=float(sync_count),
-            wasted_units=self._spent + len(self.bank_u) + len(self.bank_v),
-        )
+    return _walk_pair(b_u, b_v, d_u, d_v, cfg)

@@ -15,7 +15,6 @@ from dutycycle import (
     build_graph,
     compute_cat,
     energy_feasible,
-    matching_weight,
     offline_duty_cycle,
     schedule_from_matching,
 )
@@ -69,17 +68,17 @@ def test_state_graph_invariants():
 
 def test_matching_weight_examples():
     edges = (Edge(1, 1), Edge(6, 6), Edge(4, 3), Edge(8, 9))
-    assert matching_weight(edges, eta=0.75) == 3.5
-    assert matching_weight((), eta=0.75) == 0.0
+    assert Matching(edges=edges).total_weight(eta=0.75) == 3.5
+    assert Matching(edges=()).total_weight(eta=0.75) == 0.0
     sync_only = tuple(Edge(t, t) for t in range(1, 6))
-    assert matching_weight(sync_only, eta=0.3) == 5.0
+    assert Matching(edges=sync_only).total_weight(eta=0.3) == 5.0
 
 
 def test_matching_rejects_duplicate_vertex():
     with pytest.raises(ExclusivityError):
         Matching(edges=(Edge(1, 1), Edge(1, 2)))
     with pytest.raises(ExclusivityError):
-        matching_weight((Edge(2, 5), Edge(3, 5)), eta=0.75)
+        Matching(edges=(Edge(2, 5), Edge(3, 5))).total_weight(eta=0.75)
 
 
 def test_matching_counts_and_sorting():

@@ -235,3 +235,18 @@ def test_heterogeneity_sweep_shape_and_trends():
     assert by_combo[(1.0, 1.0)]["mean_heterogeneity"] == 0.0
     # the homogeneous strong pair beats the weak one on CAT
     assert by_combo[(1.0, 1.0)]["mean_offline_cat"] > by_combo[(0.3, 0.3)]["mean_offline_cat"]
+
+
+@pytest.mark.parametrize(
+    "p_values, period_len, trials, eta",
+    [
+        pytest.param((1.5,), 10, 10, 0.75, id="p-above-one"),
+        pytest.param((), 10, 10, 0.75, id="no-p"),
+        pytest.param((0.5,), 0, 10, 0.75, id="zero-period"),
+        pytest.param((0.5,), 10, 0, 0.75, id="zero-trials"),
+        pytest.param((0.5,), 10, 10, 0.0, id="zero-eta"),
+    ],
+)
+def test_heterogeneity_sweep_validation(p_values, period_len, trials, eta):
+    with pytest.raises(ValueError):
+        heterogeneity_sweep(p_values, period_len, trials, eta=eta)

@@ -7,7 +7,6 @@ from dutycycle import (
     EnergyTrace,
     OnlineConfig,
     OnlineMode,
-    OnlineSimulator,
     approx_ratio_bound,
     assert_energy_feasible,
     build_graph,
@@ -15,7 +14,7 @@ from dutycycle import (
     offline_duty_cycle,
     online_duty_cycle,
 )
-from dutycycle.online import _decision_arrays, simulate_arrays
+from dutycycle.online import _decision_arrays, _estimated_probs, _walk_pair, simulate_arrays
 
 
 def trace(states, device_id="u"):
@@ -76,6 +75,10 @@ def test_config_validation():
         OnlineConfig(prob_active=0.5, eta=0.0)
     with pytest.raises(ValueError):
         OnlineConfig(prob_active=0.5, warmup=0)
+    with pytest.raises(ValueError, match="prob_active"):
+        OnlineConfig(prob_active=(0.5,))
+    with pytest.raises(ValueError, match="prob_active"):
+        OnlineConfig(prob_active=(0.1, 0.2, 0.3))
     assert OnlineConfig(prob_active=0.5, mode="slotsim").mode is OnlineMode.SLOT_SIM
 
 
@@ -89,12 +92,10 @@ def test_estimated_probability_is_causal_and_exact_for_constant_traces():
 
 def test_estimated_probability_freezes_after_warmup():
     # harvests only in the warm-up prefix: the frozen estimate stays 1/2
-    states = [1, 0] * 4 + [0] * 20
-    trace_u, trace_v = trace(states), trace(states, "v")
-    sim = OnlineSimulator(len(states), cfg(p=None, warmup=8))
-    for t in range(len(states)):
-        sim.step(states[t], states[t])
-    assert sim._harvest_count == [4, 4]
+    states = np.array([1, 0] * 4 + [0] * 20, dtype=bool)
+    probs = _estimated_probs(states, warmup=8)
+    assert probs[6] == 4 / 7
+    assert (probs[7:] == 0.5).all()
 
 
 @pytest.mark.parametrize("mode", list(OnlineMode))
@@ -123,32 +124,26 @@ def random_runs(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(run=random_runs())
-def test_batch_equals_stepwise_with_poisoned_future(run):
-    # the no-lookahead contract: feeding slots one at a time, with every
-    # future slot overwritten by garbage, reproduces the batch result bit
-    # for bit
+def test_prefix_run_forms_the_full_runs_early_edges(run):
+    # the no-lookahead contract: a run cut after k slots never sees the
+    # rest, so it must form exactly the full run's edges that activate by
+    # slot k, for every k
     trace_u, trace_v, p, seed, mode, warmup = run
     config = cfg(p=p, seed=seed, mode=mode, warmup=warmup)
-    batch = online_duty_cycle(trace_u, trace_v, config)
-
-    poisoned_u = [9] * trace_u.period_len
-    poisoned_v = [9] * trace_v.period_len
-    sim = OnlineSimulator(trace_u.period_len, config)
-    for t in range(trace_u.period_len):
-        poisoned_u[t] = trace_u.states[t]
-        poisoned_v[t] = trace_v.states[t]
-        sim.step(poisoned_u[t], poisoned_v[t])
-        poisoned_u[t] = 9  # the simulator must not hold references
-        poisoned_v[t] = 9
-    assert sim.result() == batch
+    full = online_duty_cycle(trace_u, trace_v, config).matching.edges
+    for k in range(trace_u.period_len + 1):
+        prefix = online_duty_cycle(
+            trace(trace_u.states[:k]), trace(trace_v.states[:k], "v"), config
+        )
+        assert prefix.matching.edges == tuple(e for e in full if e.active_slot <= k)
 
 
 @settings(max_examples=250, deadline=None)
 @given(run=random_runs())
 def test_count_kernel_equals_stepwise_rules(run):
-    # the vectorized count kernel and OnlineSimulator's per-slot rules are
-    # two implementations of one scheduler: each row of one 2-D call must
-    # give the counts of the single-pair path on the same decisions
+    # the count kernel and the single-pair path walk the banks of one rule
+    # set in two ways: each row of one 2-D call must give the counts of the
+    # single-pair path on the same decisions
     trace_u, trace_v, p, seed, mode, warmup = run
     # rotated traces and shifted seeds make the five rows differ
     pairs = [
@@ -169,6 +164,38 @@ def test_count_kernel_equals_stepwise_rules(run):
             result.async_count,
             result.wasted_units,
         )
+
+
+M, S = OnlineMode.MATCHING, OnlineMode.SLOT_SIM
+# one row per rule clause, with fixed decisions: mode, b_u, b_v, d_u, d_v,
+# the expected (u_slot, v_slot) edges and wasted_units, worked out by hand
+RULE_TABLE = {
+    "matching-joint-active-harvest-is-sync": (M, [1], [1], [1], [1], [(1, 1)], 0),
+    "slotsim-joint-active-harvest-is-sync": (S, [1], [1], [1], [1], [(1, 1)], 0),
+    "matching-sleeper-pairs-with-active-partner": (M, [0, 1], [1, 0], [0, 0], [0, 1], [(2, 1)], 0),
+    "matching-sleeper-skips-sleeping-partner": (M, [0, 1], [1, 0], [0, 0], [0, 0], [], 2),
+    "matching-active-harvester-spends-alone": (M, [0, 1], [1, 0], [0, 1], [0, 1], [], 2),
+    "slotsim-harvester-pairs-with-active-partner": (S, [0, 1], [1, 0], [1, 1], [0, 1], [(2, 1)], 0),
+    "slotsim-harvester-skips-sleeping-partner": (S, [0, 1], [1, 0], [1, 1], [0, 0], [], 2),
+    "matching-stored-energy-on-both-sides": (M, [1, 0], [1, 0], [0, 1], [0, 1], [], 2),
+    "slotsim-stored-energy-on-both-sides": (S, [1, 0], [1, 0], [0, 1], [0, 1], [], 2),
+    "matching-u-takes-latest-bank": (M, [0, 0, 1], [1, 1, 0], [0, 0, 0], [0, 0, 1], [(3, 2)], 1),
+    "matching-v-takes-latest-bank": (M, [1, 1, 0], [0, 0, 1], [0, 0, 1], [0, 0, 0], [(2, 3)], 1),
+    "slotsim-u-takes-latest-bank": (S, [0, 0, 1], [1, 1, 0], [0, 0, 1], [0, 0, 1], [(3, 2)], 1),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, b_u, b_v, d_u, d_v, edges, wasted", RULE_TABLE.values(), ids=RULE_TABLE
+)
+def test_rule_table(mode, b_u, b_v, d_u, d_v, edges, wasted):
+    arrays = [np.array(x, dtype=bool) for x in (b_u, b_v, d_u, d_v)]
+    result = _walk_pair(*arrays, cfg(mode=mode))
+    assert [(e.u_slot, e.v_slot) for e in result.matching.edges] == edges
+    assert result.wasted_units == wasted
+    n_sync = sum(u == v for u, v in edges)
+    sync, asyn, waste = simulate_arrays(*(a[None, :] for a in arrays), mode)
+    assert (sync[0], asyn[0], waste[0]) == (n_sync, len(edges) - n_sync, wasted)
 
 
 @settings(max_examples=250, deadline=None)
@@ -220,17 +247,6 @@ def test_result_json_payload():
         {"u": 1, "v": 1, "kind": "sync"},
         {"u": 2, "v": 2, "kind": "sync"},
     ]
-
-
-def test_simulator_guards():
-    sim = OnlineSimulator(2, cfg(p=0.5))
-    sim.step(1, 0)
-    with pytest.raises(RuntimeError, match="incomplete"):
-        sim.result()
-    sim.step(0, 1)
-    sim.result()
-    with pytest.raises(RuntimeError, match="complete"):
-        sim.step(0, 0)
 
 
 def test_mismatched_periods_rejected():

@@ -32,9 +32,7 @@ from .graph import (
     Matching,
     Schedule,
     ScheduleConflictError,
-    StateGraph,
     assert_energy_feasible,
-    build_graph,
     energy_feasible,
     schedule_from_matching,
 )
@@ -94,12 +92,10 @@ __all__ = [
     "RunReport",
     "Schedule",
     "ScheduleConflictError",
-    "StateGraph",
     "TraceFormatError",
     "approx_ratio_bound",
     "assert_energy_feasible",
     "brute_force_matching",
-    "build_graph",
     "check_balls_in_bins",
     "closed_form_optimum",
     "compute_cat",

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 
-from .graph import build_graph
 from .harness import (
     verify_bins,
     verify_expected_cat,
@@ -32,7 +31,6 @@ from .online import OnlineConfig, OnlineMode, online_duty_cycle
 from .traces import (
     DEFAULT_SEED,
     ArrivalModel,
-    TraceFormatError,
     generate_pair,
     read_pair_csv,
     read_raw_csv,
@@ -160,12 +158,9 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     try:
-        raws = read_raw_csv(args.raw)
+        raws = read_raw_csv(args.raw, args.period)
     except OSError as exc:
         print(f"error: cannot read {args.raw}: {exc}", file=sys.stderr)
-        return 2
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     if len(raws) != 2:
         print(
@@ -175,13 +170,10 @@ def cmd_ingest(args) -> int:
         )
         return 2
     id_u, id_v = sorted(raws)
+    trace_u = threshold_trace(raws[id_u], args.threshold, args.period)
+    trace_v = threshold_trace(raws[id_v], args.threshold, args.period)
     try:
-        trace_u = threshold_trace(raws[id_u], args.threshold, args.period)
-        trace_v = threshold_trace(raws[id_v], args.threshold, args.period)
         write_pair_csv(trace_u, trace_v, args.out)
-    except ValueError as exc:  # TraceFormatError included
-        print(f"error: {args.raw}: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -200,9 +192,6 @@ def cmd_run(args) -> int:
             trace_u, trace_v = read_pair_csv(args.trace)
         except OSError as exc:
             print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
-            return 2
-        except TraceFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
             return 2
         prob_active = None  # estimate from each device's own history
         source = {"trace": args.trace, "period": trace_u.period_len}
@@ -226,7 +215,7 @@ def cmd_run(args) -> int:
 
     offline = None
     if args.algo in ("offline", "both"):
-        offline = offline_duty_cycle(build_graph(trace_u, trace_v, args.eta))
+        offline = offline_duty_cycle(trace_u, trace_v, args.eta)
         payload["offline"] = offline.to_json_dict()
         runs.append(("pair1/offline", offline.cat_total, offline.sat_total))
     online = None
@@ -323,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_verify(args)
-    except ValueError as exc:
+    except ValueError as exc:  # bad data or environment; TraceFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

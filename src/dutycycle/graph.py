@@ -1,11 +1,11 @@
 """Energy-state graph, matchings and schedules for one device pair.
 
-The graph's two vertex sets are the harvest slots of the two devices. A
-matching edge pairs one slot per side; same-slot edges are synchronous
-(weight 1, both devices run on freshly harvested energy) and cross-slot
-edges are asynchronous (weight eta, the earlier unit is stored and spent at
-the later slot). Each vertex may carry at most one edge, and no two edges
-may activate the devices in the same slot.
+A vertex is one harvest slot of one device, read straight from the pair's
+traces. A matching edge pairs one slot per side; same-slot edges are
+synchronous (weight 1, both devices run on freshly harvested energy) and
+cross-slot edges are asynchronous (weight eta, the earlier unit is stored
+and spent at the later slot). Each vertex may carry at most one edge, and no
+two edges may activate the devices in the same slot.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import EnergyTrace, pair_period
+from .traces import EnergyTrace
 
 SYNC = "sync"
 ASYNC = "async"
@@ -63,23 +63,10 @@ class Edge:
         return 1.0 if self.is_sync else eta
 
 
-@dataclass(frozen=True)
-class StateGraph:
-    """Vertex sets (harvest slots) of a device pair plus the experiment eta."""
-
-    set_a: tuple[int, ...]
-    set_b: tuple[int, ...]
-    eta: float
-    period_len: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        for name, slots in (("set_a", self.set_a), ("set_b", self.set_b)):
-            if list(slots) != sorted(set(slots)):
-                raise ValueError(f"{name} must contain distinct slots sorted ascending")
-            if slots and (slots[0] < 1 or slots[-1] > self.period_len):
-                raise ValueError(f"{name} slots must lie in 1..{self.period_len}")
+def check_eta(eta: float) -> None:
+    """ValueError unless the charging efficiency eta lies in (0, 1]."""
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
 
 @dataclass(frozen=True)
@@ -123,16 +110,6 @@ class Matching:
 
     def to_json(self, eta: float) -> str:
         return json.dumps(self.to_json_dict(eta), sort_keys=True)
-
-
-def build_graph(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> StateGraph:
-    """Collect each device's harvest slots into the bipartite vertex sets."""
-    return StateGraph(
-        set_a=trace_u.harvest_slots(),
-        set_b=trace_v.harvest_slots(),
-        eta=eta,
-        period_len=pair_period(trace_u, trace_v),
-    )
 
 
 @dataclass(frozen=True)

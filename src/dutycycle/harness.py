@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import build_graph
+from .graph import check_eta
 from .metrics import (
     PairMetrics,
     heterogeneity,
@@ -70,8 +70,7 @@ class ExperimentSpec:
             raise ValueError(f"period_len must be at least 1, got {self.period_len}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+        check_eta(self.eta)
         if not self.p_values:
             raise ValueError("p_values must not be empty")
         for p in self.p_values:
@@ -198,8 +197,7 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
             oracle_cat = np.empty(spec.trials)
             oracle_equal = True
             for i in range(spec.trials):
-                graph = build_graph(EnergyTrace("u", b_u[i]), EnergyTrace("v", b_v[i]), eta)
-                ores = brute_force_matching(graph)
+                ores = brute_force_matching(EnergyTrace("u", b_u[i]), EnergyTrace("v", b_v[i]), eta)
                 oracle_cat[i] = ores.best_weight
                 if (ores.best_sync_count, ores.best_async_count) != (sync[i], asyn[i]):
                     oracle_equal = False
@@ -382,7 +380,7 @@ def run_trace_pairs(
                 f"{pair_id}: traces disagree on period length: "
                 f"{trace_u.period_len} vs {trace_v.period_len}"
             )
-        offline = offline_duty_cycle(build_graph(trace_u, trace_v, eta))
+        offline = offline_duty_cycle(trace_u, trace_v, eta)
         online = online_duty_cycle(trace_u, trace_v, online_cfg)
         ratio = ratio_online_to_offline(online, offline)
         rows = pair_rows(
@@ -467,9 +465,8 @@ def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 
     for i in range(trials):
         p = T1_P_GRID[i % len(T1_P_GRID)]
         trace_u, trace_v = random_instance(seed, i, T1_PERIOD, p)
-        graph = build_graph(trace_u, trace_v, eta)
-        off = offline_duty_cycle(graph)
-        ora = brute_force_matching(graph)
+        off = offline_duty_cycle(trace_u, trace_v, eta)
+        ora = brute_force_matching(trace_u, trace_v, eta)
         if (off.sync_count, off.async_count) != (ora.best_sync_count, ora.best_async_count):
             mismatches.append(
                 {

@@ -4,8 +4,8 @@ With both traces known in advance the scheduler first pairs every common
 harvest slot synchronously, then lets each leftover vertex search backward
 for the nearest unmatched vertex on the other side (device U's leftovers
 first, then device V's). The result is a maximum-weight matching of the
-energy-state graph whenever eta <= 1; the oracle module certifies this
-exhaustively in the test suite.
+energy-state graph (one vertex per harvest slot of each trace) whenever
+eta <= 1; the oracle module certifies this exhaustively in the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, Matching, Schedule, StateGraph, schedule_from_matching
+from .graph import Edge, Matching, Schedule, check_eta, schedule_from_matching
+from .traces import EnergyTrace, pair_period
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,12 @@ def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
     return sync, edges - sync
 
 
-def offline_duty_cycle(graph: StateGraph) -> OfflineResult:
-    """Run the offline scheduler on an energy-state graph."""
-    b_u = np.zeros(graph.period_len, dtype=bool)
-    b_v = np.zeros(graph.period_len, dtype=bool)
-    if graph.set_a:
-        b_u[np.asarray(graph.set_a) - 1] = True
-    if graph.set_b:
-        b_v[np.asarray(graph.set_b) - 1] = True
-    sync_slots, step2, step3 = duty_cycle_arrays(b_u, b_v)
+def offline_duty_cycle(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> OfflineResult:
+    """Run the offline scheduler on a trace pair, whose harvest slots are the
+    graph's vertexes; ValueError on a period mismatch or an eta outside (0, 1]."""
+    period_len = pair_period(trace_u, trace_v)
+    check_eta(eta)
+    sync_slots, step2, step3 = duty_cycle_arrays(trace_u.states, trace_v.states)
 
     edges = [Edge(int(t), int(t)) for t in sync_slots]
     edges.extend(Edge(u, v) for u, v in step2)
@@ -123,11 +121,11 @@ def offline_duty_cycle(graph: StateGraph) -> OfflineResult:
     sync_count = len(sync_slots)
     return OfflineResult(
         matching=matching,
-        eta=graph.eta,
-        period_len=graph.period_len,
+        eta=eta,
+        period_len=period_len,
         sync_count=sync_count,
         async_count=len(step2) + len(step3),
-        cat_total=matching.total_weight(graph.eta),
+        cat_total=matching.total_weight(eta),
         sat_total=float(sync_count),
     )
 
@@ -135,8 +133,7 @@ def offline_duty_cycle(graph: StateGraph) -> OfflineResult:
 def _check_reference_args(period_len: int, p: float, eta: float) -> None:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    check_eta(eta)
     if period_len < 0:
         raise ValueError(f"period_len must be non-negative, got {period_len}")
 

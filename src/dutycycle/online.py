@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Edge, Matching, Schedule, schedule_from_matching
+from .graph import Edge, Matching, Schedule, check_eta, schedule_from_matching
 from .traces import DEFAULT_SEED, EnergyTrace, device_stream, pair_period
 
 
@@ -61,8 +61,7 @@ class OnlineConfig:
     warmup: int = 60
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+        check_eta(self.eta)
         if self.warmup < 1:
             raise ValueError(f"warmup must be at least 1, got {self.warmup}")
         object.__setattr__(self, "mode", OnlineMode(self.mode))

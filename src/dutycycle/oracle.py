@@ -1,16 +1,16 @@
 """Exhaustive maximum-weight matching oracle for small instances.
 
 Deliberately dumb certification tool: it considers every vertex-exclusive
-matching of the energy-state graph (same-slot edges weight 1, cross-slot
-weight eta) with a layered dynamic program over U-vertexes, with no greedy
-shortcuts shared with the production scheduler. Layer i holds, for every
-subset (mask) of V-vertexes, the best score of a matching of the first i
-U-vertexes that covers exactly that subset; numpy computes each layer over
-all 2^|set_b| masks at once. At the size cap that is a 13 x 4097 int32 score
-table (about 213 kB). Ties break first by weight, then by synchronous edge
-count, then by the lowest final mask, and the witness prefers leaving a
-U-vertex unmatched, then its lowest V partner. Sizes are capped so the
-search stays cheap; anything larger is refused rather than approximated.
+matching of the energy-state graph (a vertex per harvest slot; same-slot
+edges weight 1, cross-slot weight eta) with a layered dynamic program over
+U-vertexes, with no greedy shortcuts shared with the production scheduler.
+Layer i holds, for every subset (mask) of V-vertexes, the best score of a
+matching of the first i U-vertexes that covers exactly that subset; numpy
+computes each layer over all 2^|V| masks at once, a 13 x 4097 int32 score
+table (about 213 kB) at the size cap. Ties break first by weight, then by
+synchronous edge count, then by the lowest final mask, and the witness
+prefers leaving a U-vertex unmatched, then its lowest V partner. Sizes are
+capped so the search stays cheap; larger ones are refused, not approximated.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Edge, Matching, StateGraph
+from .graph import Edge, Matching, check_eta
+from .traces import EnergyTrace, pair_period
 
-# Upper bound on |set_a| and |set_b| for the exhaustive search. 12 keeps the
+# Upper bound on each side's vertex count for the exhaustive search. 12 keeps the
 # layered table at 13 layers of 4096 masks (about 53k states), enough for
 # period-12 certification runs at high harvest probabilities.
 ORACLE_MAX_VERTEXES = 12
@@ -72,7 +73,7 @@ def _predecessors(nb: int) -> np.ndarray:
     return table
 
 
-def brute_force_matching(graph: StateGraph) -> OracleResult:
+def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> OracleResult:
     """Search every matching; maximize weight, then synchronous edge count.
 
     U-vertexes are taken in ascending order; each is either left unmatched
@@ -82,17 +83,20 @@ def brute_force_matching(graph: StateGraph) -> OracleResult:
     mask keeps the search exhaustive. Each layer is one numpy pull over all
     masks through the predecessor table: the best of leaving u_i unmatched
     and of each v_j it could take. Weights are compared in exact integer
-    arithmetic (eta as a rational) so ties break deterministically.
+    arithmetic (eta as a rational) so ties break deterministically. The
+    vertexes are the traces' harvest slots; ValueError on a period mismatch
+    or an eta outside (0, 1].
     """
-    A = list(graph.set_a)
-    B = list(graph.set_b)
+    pair_period(trace_u, trace_v)
+    check_eta(eta)
+    A, B = trace_u.harvest_slots(), trace_v.harvest_slots()
     na, nb = len(A), len(B)
     if na > ORACLE_MAX_VERTEXES or nb > ORACLE_MAX_VERTEXES:
         raise OracleBudgetError(
             f"instance has {na}x{nb} vertexes; exhaustive search is capped at "
             f"{ORACLE_MAX_VERTEXES}x{ORACLE_MAX_VERTEXES}"
         )
-    frac = _eta_as_fraction(graph.eta)
+    frac = _eta_as_fraction(eta)
     w_sync = frac.denominator  # weight 1 in eta-denominator units
     w_async = frac.numerator
 
@@ -134,7 +138,7 @@ def brute_force_matching(graph: StateGraph) -> OracleResult:
 
     witness = Matching(edges=tuple(edges))
     return OracleResult(
-        best_weight=witness.total_weight(graph.eta),
+        best_weight=witness.total_weight(eta),
         best_sync_count=witness.sync_count,
         best_async_count=witness.async_count,
         witness=witness,
@@ -153,6 +157,5 @@ def closed_form_optimum(n_sync: int, n_a_only: int, n_b_only: int, eta: float) -
     """
     if min(n_sync, n_a_only, n_b_only) < 0:
         raise ValueError("counts must be non-negative")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    check_eta(eta)
     return n_sync + eta * min(n_a_only, n_b_only)

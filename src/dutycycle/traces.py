@@ -75,7 +75,7 @@ class EnergyTrace:
 
     def harvest_slots(self) -> tuple[int, ...]:
         """1-based slots where the device can harvest."""
-        return tuple((np.flatnonzero(self.states) + 1).tolist())
+        return tuple((self.states.nonzero()[0] + 1).tolist())
 
 
 def pair_period(trace_u: EnergyTrace, trace_v: EnergyTrace) -> int:
@@ -188,11 +188,12 @@ def write_raw_csv(traces: list[RawTrace], path) -> None:
                 writer.writerow([slot, raw.device_id, repr(float(reading))])
 
 
-def read_raw_csv(path) -> dict[str, RawTrace]:
+def read_raw_csv(path, period_len: int | None = None) -> dict[str, RawTrace]:
     """Read raw samples grouped by device; errors name the file and its row.
 
-    Each device's slots must start at 1 or later and rise strictly from row
-    to row; rows of different devices may interleave.
+    Each device's slots must start at 1 or later (and end by period_len, if
+    given) and rise strictly from row to row; rows of different devices may
+    interleave. Readings must be finite and non-negative.
     """
     by_device: dict[str, list[tuple[int, float]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -212,6 +213,12 @@ def read_raw_csv(path) -> dict[str, RawTrace]:
                 raise TraceFormatError(f"{path}: row {row_no}: {exc}") from exc
             if slot < 1:
                 raise TraceFormatError(f"{path}: row {row_no}: slot {slot} is below 1")
+            if period_len is not None and slot > period_len:
+                raise TraceFormatError(f"{path}: row {row_no}: slot {slot} outside 1..{period_len}")
+            if not math.isfinite(reading) or reading < 0.0:
+                raise TraceFormatError(
+                    f"{path}: row {row_no}: reading {reading!r} must be finite and non-negative"
+                )
             samples = by_device.setdefault(row[1], [])
             if samples and slot <= samples[-1][0]:
                 raise TraceFormatError(

@@ -25,10 +25,8 @@ from dutycycle import (
     EnergyTrace,
     OnlineConfig,
     OnlineMode,
-    StateGraph,
     assert_energy_feasible,
     brute_force_matching,
-    build_graph,
     exact_expected_cat,
     offline_duty_cycle,
     online_duty_cycle,
@@ -56,17 +54,17 @@ def test_criterion_1_offline_optimality_exhaustive_and_random():
     t0 = time.time()
     eta = 0.75
     masks = [np.array([(m >> k) & 1 for k in range(8)], dtype=bool) for m in range(256)]
-    slot_sets = [tuple(int(k) + 1 for k in np.flatnonzero(arr)) for arr in masks]
+    traces_u = [EnergyTrace("u", arr) for arr in masks]
+    traces_v = [EnergyTrace("v", arr) for arr in masks]
 
     mismatches = 0
     for mu in range(256):
         b_u = masks[mu]
-        set_a = slot_sets[mu]
+        trace_u = traces_u[mu]
         for mv in range(256):
             sync_slots, s2, s3 = duty_cycle_arrays(b_u, masks[mv])
             greedy = (len(sync_slots), len(s2) + len(s3))
-            graph = StateGraph(set_a=set_a, set_b=slot_sets[mv], eta=eta, period_len=8)
-            ora = brute_force_matching(graph)
+            ora = brute_force_matching(trace_u, traces_v[mv], eta)
             if greedy != (ora.best_sync_count, ora.best_async_count):
                 mismatches += 1
 
@@ -154,7 +152,7 @@ def test_criterion_5_energy_feasibility_everywhere():
     for i in range(1000):
         p = P_GRID[i % len(P_GRID)]
         trace_u, trace_v = random_instance(seed=SEED + 1, index=i, period_len=200, p=p)
-        offline = offline_duty_cycle(build_graph(trace_u, trace_v, 0.75))
+        offline = offline_duty_cycle(trace_u, trace_v, 0.75)
         schedules = [offline.schedule()]
         for mode in OnlineMode:
             cfg = OnlineConfig(prob_active=p, eta=0.75, seed=SEED + i, mode=mode)
@@ -177,7 +175,7 @@ def test_criterion_5_energy_feasibility_everywhere():
 def test_criterion_6_worked_example():
     trace_u = EnergyTrace("u", (1, 0, 0, 1, 0, 1, 0, 1, 0))
     trace_v = EnergyTrace("v", (1, 0, 1, 0, 0, 1, 0, 0, 1))
-    result = offline_duty_cycle(build_graph(trace_u, trace_v, eta=0.75))
+    result = offline_duty_cycle(trace_u, trace_v, eta=0.75)
     expected_edges = {Edge(1, 1), Edge(6, 6), Edge(4, 3), Edge(8, 9)}
     ok = (
         result.cat_total == 3.5

@@ -171,12 +171,16 @@ def test_ingest_errors_name_the_file_and_row(tmp_path, capsys):
     raw.write_text("slot,device_id,reading\n1,a,3.5\n1,b,1.0\n2,b,3.0\n9,a,9\n", encoding="utf-8")
     code, stdout, stderr = run_cli(argv, capsys)
     assert code == 2 and stdout == ""
-    assert stderr.startswith(f"error: {raw}: ")
-    assert "slot 9 outside 1..4" in stderr
+    assert stderr == f"error: {raw}: row 5: slot 9 outside 1..4\n"
     raw.write_text("slot,device_id,reading\n1,a,3.5\n1,b,1.0\n1,a,2.0\n", encoding="utf-8")
     code, stdout, stderr = run_cli(argv, capsys)
     assert code == 2 and stdout == ""
     assert stderr.startswith(f"error: {raw}: row 4: slot 1 of device 'a'")
+    for reading in ("nan", "-1.0", "inf"):
+        raw.write_text(f"slot,device_id,reading\n1,a,3.5\n1,b,1.0\n2,b,{reading}\n", encoding="utf-8")
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {raw}: row 4: reading {reading} must be finite and non-negative\n"
 
 
 def test_ingest_thresholds_raw_pair(tmp_path, capsys):

@@ -10,9 +10,8 @@ from dutycycle import (
     ExclusivityError,
     Matching,
     ScheduleConflictError,
-    StateGraph,
     assert_energy_feasible,
-    build_graph,
+    brute_force_matching,
     compute_cat,
     energy_feasible,
     offline_duty_cycle,
@@ -33,37 +32,24 @@ def test_edge_properties():
     assert asyn.weight(0.75) == 0.75
 
 
-def test_build_graph_walkthrough_sets():
+def test_harvest_slots_are_the_vertex_sets():
     trace_u = trace([1, 0, 0, 1, 0, 1, 0, 1, 0])
     trace_v = trace([1, 0, 1, 0, 0, 1, 0, 0, 1], "v")
-    graph = build_graph(trace_u, trace_v, eta=0.75)
-    assert graph.set_a == (1, 4, 6, 8)
-    assert graph.set_b == (1, 3, 6, 9)
+    assert trace_u.harvest_slots() == (1, 4, 6, 8)
+    assert trace_v.harvest_slots() == (1, 3, 6, 9)
+    assert trace([0, 0, 0]).harvest_slots() == trace([0, 0, 0], "v").harvest_slots() == ()
+    assert trace([1, 0, 1]).harvest_slots() == trace([1, 0, 1], "v").harvest_slots() == (1, 3)
 
 
-def test_build_graph_empty_and_identical():
-    zero = trace([0, 0, 0])
-    graph = build_graph(zero, trace([0, 0, 0], "v"), eta=0.5)
-    assert graph.set_a == () and graph.set_b == ()
-    same = trace([1, 0, 1])
-    graph = build_graph(same, trace([1, 0, 1], "v"), eta=0.5)
-    assert graph.set_a == graph.set_b == (1, 3)
-
-
-def test_build_graph_rejects_period_mismatch():
-    with pytest.raises(ValueError, match="period"):
-        build_graph(trace([1, 0]), trace([1, 0, 0], "v"), eta=0.75)
-
-
-def test_state_graph_invariants():
-    with pytest.raises(ValueError):
-        StateGraph(set_a=(2, 1), set_b=(), eta=0.75, period_len=3)
-    with pytest.raises(ValueError):
-        StateGraph(set_a=(1, 1), set_b=(), eta=0.75, period_len=3)
-    with pytest.raises(ValueError):
-        StateGraph(set_a=(1,), set_b=(4,), eta=0.75, period_len=3)
-    with pytest.raises(ValueError):
-        StateGraph(set_a=(), set_b=(), eta=0.0, period_len=3)
+def test_pair_algorithms_reject_period_mismatch_and_bad_eta():
+    # bool traces cannot hold unsorted, repeated or out-of-period slots, so
+    # the period and eta are all that is left to check
+    for algorithm in (offline_duty_cycle, brute_force_matching):
+        with pytest.raises(ValueError, match="period"):
+            algorithm(trace([1, 0]), trace([1, 0, 0], "v"), 0.75)
+        for eta in (0.0, 1.5):
+            with pytest.raises(ValueError, match=rf"^eta must lie in \(0, 1\], got {eta}$"):
+                algorithm(trace([1, 0, 1]), trace([0, 1, 1], "v"), eta)
 
 
 def test_matching_weight_examples():
@@ -144,7 +130,7 @@ def trace_pairs(draw):
 @given(pair=trace_pairs(), eta=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
 def test_offline_schedule_cat_equals_matching_weight_exactly(pair, eta):
     trace_u, trace_v = pair
-    result = offline_duty_cycle(build_graph(trace_u, trace_v, eta))
+    result = offline_duty_cycle(trace_u, trace_v, eta)
     sched = result.schedule()
     assert compute_cat(sched) == result.matching.total_weight(eta) == result.cat_total
 
@@ -153,7 +139,7 @@ def test_offline_schedule_cat_equals_matching_weight_exactly(pair, eta):
 @given(pair=trace_pairs())
 def test_offline_schedule_is_energy_feasible(pair):
     trace_u, trace_v = pair
-    result = offline_duty_cycle(build_graph(trace_u, trace_v, 0.75))
+    result = offline_duty_cycle(trace_u, trace_v, 0.75)
     sched = result.schedule()
     assert energy_feasible(sched, trace_u, trace_v)
     assert_energy_feasible(sched, trace_u, trace_v)

@@ -6,7 +6,6 @@ from dutycycle import (
     EnergyTrace,
     Matching,
     OnlineConfig,
-    build_graph,
     compute_cat,
     compute_heterogeneity,
     compute_sat,
@@ -28,7 +27,7 @@ WORKED_V = trace([1, 0, 1, 0, 0, 1, 0, 0, 1], "v")
 
 
 def test_compute_cat_on_worked_example():
-    result = offline_duty_cycle(build_graph(WORKED_U, WORKED_V, 0.75))
+    result = offline_duty_cycle(WORKED_U, WORKED_V, 0.75)
     assert compute_cat(result.schedule()) == 3.5
     assert compute_sat(result.schedule()) == 2.0
 
@@ -61,20 +60,20 @@ def test_heterogeneity_examples():
 
 
 def test_ratio_examples():
-    offline = offline_duty_cycle(build_graph(WORKED_U, WORKED_V, 0.75))
+    offline = offline_duty_cycle(WORKED_U, WORKED_V, 0.75)
     online_same = online_duty_cycle(WORKED_U, WORKED_V, OnlineConfig(prob_active=1.0, seed=1))
     # p = 1 on a heterogeneous pair still loses the asynchronous edges
     assert 0.0 <= ratio_online_to_offline(online_same, offline) <= 1.0
 
     ones = trace([1] * 8)
     ones_v = trace([1] * 8, "v")
-    off1 = offline_duty_cycle(build_graph(ones, ones_v, 0.75))
+    off1 = offline_duty_cycle(ones, ones_v, 0.75)
     on1 = online_duty_cycle(ones, ones_v, OnlineConfig(prob_active=1.0, seed=1))
     assert ratio_online_to_offline(on1, off1) == 1.0
 
     zeros = trace([0] * 4)
     zeros_v = trace([0] * 4, "v")
-    off0 = offline_duty_cycle(build_graph(zeros, zeros_v, 0.75))
+    off0 = offline_duty_cycle(zeros, zeros_v, 0.75)
     on0 = online_duty_cycle(zeros, zeros_v, OnlineConfig(prob_active=0.5, seed=1))
     assert ratio_online_to_offline(on0, off0) == 1.0  # both zero
 
@@ -83,7 +82,7 @@ def test_ratio_examples():
 
 
 def test_pair_metrics_row():
-    result = offline_duty_cycle(build_graph(WORKED_U, WORKED_V, 0.75))
+    result = offline_duty_cycle(WORKED_U, WORKED_V, 0.75)
     (row,) = pair_rows(WORKED_U, WORKED_V, [("pair1/offline", result.cat_total, result.sat_total)])
     assert row.cat == 3.5 and row.sat == 2.0
     assert row.cat_pct == pytest.approx(3.5 / 9)
@@ -106,7 +105,7 @@ def trace_pairs(draw):
 @given(pair=trace_pairs())
 def test_sat_bounded_by_cat_bounded_by_period(pair):
     trace_u, trace_v = pair
-    result = offline_duty_cycle(build_graph(trace_u, trace_v, 0.75))
+    result = offline_duty_cycle(trace_u, trace_v, 0.75)
     sched = result.schedule()
     cat = compute_cat(sched)
     sat = compute_sat(sched)
@@ -119,6 +118,6 @@ def test_sat_bounded_by_cat_bounded_by_period(pair):
 def test_zero_heterogeneity_means_all_sync(pair):
     trace_u, trace_v = pair
     if compute_heterogeneity(trace_u, trace_v) == 0.0:
-        result = offline_duty_cycle(build_graph(trace_u, trace_v, 0.75))
+        result = offline_duty_cycle(trace_u, trace_v, 0.75)
         assert result.async_count == 0
         assert result.cat_total == float(len(trace_u.harvest_slots()))

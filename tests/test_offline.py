@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dutycycle import (
     Edge,
-    StateGraph,
+    EnergyTrace,
     brute_force_matching,
-    build_graph,
     exact_expected_cat,
     expected_cat,
     offline_duty_cycle,
@@ -19,13 +18,16 @@ from dutycycle.offline import duty_cycle_arrays, optimum_counts
 
 
 def graph(set_a, set_b, eta=0.75, period=None):
+    """The trace pair whose harvest slots are set_a and set_b, then eta."""
     slots = list(set_a) + list(set_b)
     period = period or (max(slots) if slots else 1)
-    return StateGraph(set_a=tuple(set_a), set_b=tuple(set_b), eta=eta, period_len=period)
+    trace_u = EnergyTrace("u", [t in set_a for t in range(1, period + 1)])
+    trace_v = EnergyTrace("v", [t in set_b for t in range(1, period + 1)])
+    return trace_u, trace_v, eta
 
 
 def test_worked_example_exact_edges():
-    result = offline_duty_cycle(graph([1, 4, 6, 8], [1, 3, 6, 9]))
+    result = offline_duty_cycle(*graph([1, 4, 6, 8], [1, 3, 6, 9]))
     assert set(result.matching.edges) == {Edge(1, 1), Edge(6, 6), Edge(4, 3), Edge(8, 9)}
     assert result.sync_count == 2 and result.async_count == 2
     assert result.cat_total == 3.5
@@ -34,30 +36,30 @@ def test_worked_example_exact_edges():
 
 def test_full_overlap_gives_all_sync():
     k = 7
-    result = offline_duty_cycle(graph(range(1, k + 1), range(1, k + 1)))
+    result = offline_duty_cycle(*graph(range(1, k + 1), range(1, k + 1)))
     assert result.sync_count == k and result.async_count == 0
     assert result.cat_total == float(k)
 
 
 def test_empty_graph_gives_empty_matching():
-    result = offline_duty_cycle(graph([], [], period=5))
+    result = offline_duty_cycle(*graph([], [], period=5))
     assert result.matching.edges == ()
     assert result.cat_total == 0.0
 
 
 def test_lone_vertex_matches_only_backward():
     # V's vertex at 2 can reach back to U's 1; the reverse instance cannot
-    fwd = offline_duty_cycle(graph([1], [2]))
+    fwd = offline_duty_cycle(*graph([1], [2]))
     assert fwd.matching.edges == (Edge(1, 2),)
-    rev = offline_duty_cycle(graph([2], [1]))
+    rev = offline_duty_cycle(*graph([2], [1]))
     assert rev.matching.edges == (Edge(2, 1),)
-    stranded = offline_duty_cycle(graph([1], [], period=2))
+    stranded = offline_duty_cycle(*graph([1], [], period=2))
     assert stranded.matching.edges == ()
 
 
 def test_nearest_backward_skips_matched_vertexes():
     # u=4 takes v=3; v=9 must then settle for u=8 even though u=6 is nearer
-    result = offline_duty_cycle(graph([4, 6, 8], [3, 6, 9]))
+    result = offline_duty_cycle(*graph([4, 6, 8], [3, 6, 9]))
     assert Edge(4, 3) in result.matching.edges
     assert Edge(6, 6) in result.matching.edges
     assert Edge(8, 9) in result.matching.edges
@@ -88,7 +90,7 @@ def test_exact_expected_cat_matches_oracle_enumeration():
             for subset in itertools.combinations(range(1, period + 1), size)
         ]
         optima = [
-            (len(a) + len(b), brute_force_matching(graph(a, b, eta=eta, period=period)).best_weight)
+            (len(a) + len(b), brute_force_matching(*graph(a, b, eta, period)).best_weight)
             for a, b in itertools.product(slot_sets, repeat=2)
         ]
         for p in (0.0, 0.3, 0.5, 1.0):
@@ -127,13 +129,12 @@ def test_exact_expected_cat_validation():
 def test_matches_oracle_on_random_instances():
     for i in range(150):
         trace_u, trace_v = random_instance(seed=5, index=i, period_len=10, p=0.5)
-        g = build_graph(trace_u, trace_v, 0.75)
-        off = offline_duty_cycle(g)
-        ora = brute_force_matching(g)
+        off = offline_duty_cycle(trace_u, trace_v, 0.75)
+        ora = brute_force_matching(trace_u, trace_v, 0.75)
         assert (off.sync_count, off.async_count) == (
             ora.best_sync_count,
             ora.best_async_count,
-        ), f"instance {i}: {g.set_a} {g.set_b}"
+        ), f"instance {i}: {trace_u.harvest_slots()} {trace_v.harvest_slots()}"
 
 
 @st.composite
@@ -148,11 +149,11 @@ def slot_sets(draw):
 @given(sets=slot_sets(), eta=st.sampled_from([0.3, 0.75, 1.0]))
 def test_adding_a_harvest_slot_never_decreases_cat(sets, eta):
     set_a, set_b, period = sets
-    base = offline_duty_cycle(graph(set_a, set_b, eta=eta, period=period)).cat_total
+    base = offline_duty_cycle(*graph(set_a, set_b, eta=eta, period=period)).cat_total
     missing = [t for t in range(1, period + 1) if t not in set_a]
     if missing:
         grown = sorted(set_a + missing[:1])
-        bigger = offline_duty_cycle(graph(grown, set_b, eta=eta, period=period)).cat_total
+        bigger = offline_duty_cycle(*graph(grown, set_b, eta=eta, period=period)).cat_total
         assert bigger >= base - 1e-12
 
 
@@ -160,7 +161,7 @@ def test_adding_a_harvest_slot_never_decreases_cat(sets, eta):
 @given(sets=slot_sets())
 def test_exclusivity_and_result_invariants(sets):
     set_a, set_b, period = sets
-    result = offline_duty_cycle(graph(set_a, set_b, period=period))
+    result = offline_duty_cycle(*graph(set_a, set_b, period=period))
     # Matching construction enforces exclusivity; re-check the totals
     assert result.cat_total == pytest.approx(result.sync_count + 0.75 * result.async_count)
     assert result.sat_total == result.sync_count
@@ -190,7 +191,7 @@ def test_optimum_counts_rows_match_greedy():
 
 
 def test_json_payload_shape():
-    payload = offline_duty_cycle(graph([1, 4, 6, 8], [1, 3, 6, 9])).to_json_dict()
+    payload = offline_duty_cycle(*graph([1, 4, 6, 8], [1, 3, 6, 9])).to_json_dict()
     assert payload["sync"] == 2 and payload["async"] == 2
     assert payload["cat"] == 3.5 and payload["sat"] == 2.0
     assert {"u": 1, "v": 1, "kind": "sync"} in payload["edges"]

@@ -9,7 +9,6 @@ from dutycycle import (
     OnlineMode,
     approx_ratio_bound,
     assert_energy_feasible,
-    build_graph,
     generate_pair,
     offline_duty_cycle,
     online_duty_cycle,
@@ -35,7 +34,7 @@ def test_p_one_identical_traces_matches_offline(mode):
     assert result.sync_count == 12 and result.async_count == 0
     assert result.cat_total == 12.0
     assert result.wasted_units == 0
-    offline = offline_duty_cycle(build_graph(trace_u, trace_v, 0.75))
+    offline = offline_duty_cycle(trace_u, trace_v, 0.75)
     assert result.cat_total == offline.cat_total
 
 
@@ -209,7 +208,7 @@ def test_online_invariants(run):
     assert result.sat_total == result.sync_count
     assert_energy_feasible(result.schedule(), trace_u, trace_v)
     # offline is optimal, so it dominates every online outcome
-    offline = offline_duty_cycle(build_graph(trace_u, trace_v, 0.75))
+    offline = offline_duty_cycle(trace_u, trace_v, 0.75)
     assert offline.cat_total >= result.cat_total - 1e-9
     # every edge endpoint is a true harvest slot
     slots_u = set(trace_u.harvest_slots())

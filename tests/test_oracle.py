@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dutycycle import (
+    EnergyTrace,
     OracleBudgetError,
-    StateGraph,
     brute_force_matching,
     closed_form_optimum,
     offline_duty_cycle,
@@ -16,26 +16,29 @@ from dutycycle import (
 
 
 def graph(set_a, set_b, eta=0.75, period=None):
+    """The trace pair whose harvest slots are set_a and set_b, then eta."""
     slots = list(set_a) + list(set_b)
     period = period or (max(slots) if slots else 1)
-    return StateGraph(set_a=tuple(set_a), set_b=tuple(set_b), eta=eta, period_len=period)
+    trace_u = EnergyTrace("u", [t in set_a for t in range(1, period + 1)])
+    trace_v = EnergyTrace("v", [t in set_b for t in range(1, period + 1)])
+    return trace_u, trace_v, eta
 
 
 def test_worked_example():
-    result = brute_force_matching(graph([1, 4, 6, 8], [1, 3, 6, 9]))
+    result = brute_force_matching(*graph([1, 4, 6, 8], [1, 3, 6, 9]))
     assert result.best_weight == 3.5
     assert result.best_sync_count == 2
     assert result.best_async_count == 2
 
 
 def test_disjoint_singletons():
-    result = brute_force_matching(graph([1], [2], eta=0.6))
+    result = brute_force_matching(*graph([1], [2], eta=0.6))
     assert result.best_weight == 0.6
     assert result.best_async_count == 1
 
 
 def test_empty_sets():
-    result = brute_force_matching(graph([], [], period=3))
+    result = brute_force_matching(*graph([], [], period=3))
     assert result.best_weight == 0.0
     assert result.witness.edges == ()
 
@@ -43,20 +46,20 @@ def test_empty_sets():
 def test_budget_refusal():
     big = list(range(1, 14))
     with pytest.raises(OracleBudgetError):
-        brute_force_matching(graph(big, [1], period=13))
+        brute_force_matching(*graph(big, [1], period=13))
     with pytest.raises(OracleBudgetError):
-        brute_force_matching(graph([1], big, period=13))
+        brute_force_matching(*graph([1], big, period=13))
 
 
 def test_exotic_eta_is_rejected():
     with pytest.raises(ValueError, match="ratio"):
-        brute_force_matching(graph([1], [2], eta=0.123456789123))
+        brute_force_matching(*graph([1], [2], eta=0.123456789123))
 
 
 def test_sync_preferred_on_weight_ties():
     # at eta = 1 the sync edge (2,2) and the async edge (2,1) tie on weight;
     # the sync-count tie-break must pick the synchronous one
-    result = brute_force_matching(graph([2], [1, 2], eta=1.0))
+    result = brute_force_matching(*graph([2], [1, 2], eta=1.0))
     assert result.best_weight == 1.0
     assert result.best_sync_count == 1
     assert result.best_async_count == 0
@@ -84,8 +87,8 @@ def small_instances(draw):
 def test_oracle_dominates_offline_and_closed_form_bounds_it(inst):
     set_a, set_b, eta, period = inst
     g = graph(set_a, set_b, eta=eta, period=period)
-    off = offline_duty_cycle(g)
-    ora = brute_force_matching(g)
+    off = offline_duty_cycle(*g)
+    ora = brute_force_matching(*g)
     n_sync = len(set(set_a) & set(set_b))
     bound = closed_form_optimum(
         n_sync, len(set_a) - n_sync, len(set_b) - n_sync, eta
@@ -100,7 +103,7 @@ def test_oracle_dominates_offline_and_closed_form_bounds_it(inst):
 def test_witness_is_a_valid_optimal_matching(inst):
     set_a, set_b, eta, period = inst
     g = graph(set_a, set_b, eta=eta, period=period)
-    ora = brute_force_matching(g)
+    ora = brute_force_matching(*g)
     # Matching construction has already enforced exclusivity; check weight
     # consistency and membership of every endpoint
     assert ora.witness.total_weight(eta) == ora.best_weight
@@ -115,7 +118,7 @@ def test_witness_is_a_valid_optimal_matching(inst):
 def test_witness_is_schedulable(inst):
     # the sync-count tie-break keeps the witness free of active-slot clashes
     set_a, set_b, eta, period = inst
-    ora = brute_force_matching(graph(set_a, set_b, eta=eta, period=period))
+    ora = brute_force_matching(*graph(set_a, set_b, eta=eta, period=period))
     schedule_from_matching(ora.witness, period, eta)
 
 
@@ -153,7 +156,7 @@ def tiny_instances(draw):
 @given(inst=tiny_instances())
 def test_oracle_equals_literal_enumeration(inst):
     set_a, set_b, eta, period = inst
-    ora = brute_force_matching(graph(set_a, set_b, eta=eta, period=period))
+    ora = brute_force_matching(*graph(set_a, set_b, eta=eta, period=period))
     (weight, n_sync), maximizers = literal_optima(set_a, set_b, eta)
     assert ora.best_sync_count == n_sync
     assert ora.best_async_count == (weight - n_sync) / Fraction(str(eta))
@@ -167,17 +170,17 @@ def test_literal_enumeration_prefers_sync_on_weight_ties():
     (weight, n_sync), maximizers = literal_optima([1, 2, 3, 4], [1, 2, 3, 4], 1.0)
     assert (weight, n_sync) == (4, 4)
     assert maximizers == [frozenset((t, t) for t in range(1, 5))]
-    ora = brute_force_matching(graph([1, 2, 3, 4], [1, 2, 3, 4], eta=1.0))
+    ora = brute_force_matching(*graph([1, 2, 3, 4], [1, 2, 3, 4], eta=1.0))
     assert (ora.best_sync_count, ora.best_async_count) == (4, 0)
 
 
 def test_oracle_at_the_size_cap():
     full = list(range(1, 13))
-    both = brute_force_matching(graph(full, full, period=12))
+    both = brute_force_matching(*graph(full, full, period=12))
     assert (both.best_sync_count, both.best_async_count) == (12, 0)
     assert both.best_weight == 12.0
 
-    shifted = brute_force_matching(graph(full, list(range(2, 14)), eta=0.75, period=13))
+    shifted = brute_force_matching(*graph(full, list(range(2, 14)), eta=0.75, period=13))
     assert (shifted.best_sync_count, shifted.best_async_count) == (11, 1)
     assert shifted.best_weight == 11.75
     assert (1, 13) in {(e.u_slot, e.v_slot) for e in shifted.witness.edges}
@@ -185,7 +188,7 @@ def test_oracle_at_the_size_cap():
     rng = random.Random(12)
     set_a = sorted(rng.sample(range(1, 25), 12))
     set_b = sorted(rng.sample(range(1, 25), 11))
-    ora = brute_force_matching(graph(set_a, set_b, eta=0.6, period=24))
+    ora = brute_force_matching(*graph(set_a, set_b, eta=0.6, period=24))
     n_sync = len(set(set_a) & set(set_b))
     assert ora.best_sync_count == n_sync
     assert ora.best_weight == pytest.approx(
@@ -196,4 +199,4 @@ def test_oracle_at_the_size_cap():
 
     thirteen = list(range(1, 14))
     with pytest.raises(OracleBudgetError):
-        brute_force_matching(graph(thirteen, thirteen, period=13))
+        brute_force_matching(*graph(thirteen, thirteen, period=13))

@@ -195,6 +195,11 @@ def test_raw_csv_errors_name_the_row(tmp_path):
     )
     with pytest.raises(TraceFormatError, match=r"raw\.csv: row 5: slot 2 of device 'b'"):
         read_raw_csv(path)
+    # the period bound applies only when one is given
+    path.write_text("slot,device_id,reading\n1,a,2.0\n5,a,1.0\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match=r"raw\.csv: row 3: slot 5 outside 1\.\.4"):
+        read_raw_csv(path, period_len=4)
+    assert read_raw_csv(path)["a"].samples == ((1, 2.0), (5, 1.0))
 
 
 def test_as_array_matches_states():

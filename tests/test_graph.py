@@ -32,21 +32,31 @@ def test_edge_properties():
     assert asyn.weight(0.75) == 0.75
 
 
-def test_harvest_slots_are_the_vertex_sets():
+def test_build_graph_walkthrough_sets():
+    # the state graph's vertexes are each trace's harvest slots
     trace_u = trace([1, 0, 0, 1, 0, 1, 0, 1, 0])
     trace_v = trace([1, 0, 1, 0, 0, 1, 0, 0, 1], "v")
     assert trace_u.harvest_slots() == (1, 4, 6, 8)
     assert trace_v.harvest_slots() == (1, 3, 6, 9)
+
+
+def test_build_graph_empty_and_identical():
     assert trace([0, 0, 0]).harvest_slots() == trace([0, 0, 0], "v").harvest_slots() == ()
     assert trace([1, 0, 1]).harvest_slots() == trace([1, 0, 1], "v").harvest_slots() == (1, 3)
 
 
-def test_pair_algorithms_reject_period_mismatch_and_bad_eta():
-    # bool traces cannot hold unsorted, repeated or out-of-period slots, so
-    # the period and eta are all that is left to check
+def test_build_graph_rejects_period_mismatch():
     for algorithm in (offline_duty_cycle, brute_force_matching):
         with pytest.raises(ValueError, match="period"):
             algorithm(trace([1, 0]), trace([1, 0, 0], "v"), 0.75)
+
+
+def test_state_graph_invariants():
+    # a bool trace's harvest slots are sorted, distinct and within the period
+    # by construction, so the pair algorithms are left to check eta
+    slots = trace([0, 1, 1, 0, 1]).harvest_slots()
+    assert list(slots) == sorted(set(slots)) and all(1 <= s <= 5 for s in slots)
+    for algorithm in (offline_duty_cycle, brute_force_matching):
         for eta in (0.0, 1.5):
             with pytest.raises(ValueError, match=rf"^eta must lie in \(0, 1\], got {eta}$"):
                 algorithm(trace([1, 0, 1]), trace([0, 1, 1], "v"), eta)

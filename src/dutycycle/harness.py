@@ -2,10 +2,14 @@
 
 Runs seeded trials over synthetic i.i.d. trace pairs, aggregates CAT/SAT
 into reproducible reports, and hosts the four verification suites exposed by
-the CLI. A Monte Carlo cell draws its (n, T) trace arrays once; the offline
-counts of all n trials come from the closed form offline.optimum_counts,
-the online counts of each mode from one call of the slot-major count
-kernel online.simulate_arrays.
+the CLI. A Monte Carlo cell streams its n trials through fixed-size row
+blocks of about _CHUNK_SLOTS trial-slots each (_trial_blocks): every block's
+arrivals and decisions are drawn once and shared by all of the cell's
+algorithms, the offline counts come from the closed form
+offline.optimum_counts and the online counts of each mode from the count
+kernel online.simulate_arrays. Only the per-trial count vectors are kept
+whole, so memory does not grow with n beyond them, and since row i of every
+draw is trial i, results do not depend on the block size.
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle, instance by
@@ -145,33 +149,66 @@ def _stats(values: np.ndarray) -> dict:
     return {"mean": mean, "std": std, "stderr": std / math.sqrt(n) if n > 1 else 0.0, "n": n}
 
 
-def _draw_pair(seed: int, tag: int, cell: int, p_u: float, p_v: float, shape):
-    """One cell's boolean U and V draws of the given (n, T) shape; row i is
-    trial i, so each trial is a pure function of (seed, tag, cell, i)."""
-    return (
-        _stream(seed, tag, cell, 0).random(shape) < p_u,
-        _stream(seed, tag, cell, 1).random(shape) < p_v,
-    )
+# Trial-slots per row block of a Monte Carlo cell; bounds the draws' memory.
+_CHUNK_SLOTS = 2**16
+
+
+def _trial_blocks(
+    seed: int, cell: int, p_u: float, p_v: float, trials: int, period_len: int, decisions: bool
+):
+    """Yield one cell's trials as (block, [b_u, b_v, d_u, d_v]) row blocks.
+
+    block is the slice of trial indexes the rows stand for, and the list
+    holds their boolean arrivals and, when `decisions` is set, activation
+    decisions. Philox fills rows in order, so the blocks are the rows of one
+    (trials, period_len) draw per stream, whatever the block size, and each
+    trial is a pure function of (seed, tag, cell, trial index).
+    """
+    tags = (_TAG_TRACE, _TAG_DECISION) if decisions else (_TAG_TRACE,)
+    streams = [
+        (_stream(seed, tag, cell, side), p) for tag in tags for side, p in enumerate((p_u, p_v))
+    ]
+    step = max(1, _CHUNK_SLOTS // period_len)
+    for lo in range(0, trials, step):
+        shape = (min(step, trials - lo), period_len)
+        yield slice(lo, lo + shape[0]), [rng.random(shape) < p for rng, p in streams]
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     """Run every (p, algorithm) cell of the spec and aggregate CAT/SAT.
 
-    Traces and activation decisions for trial i occupy row i of bulk Philox
-    draws, so each trial is a pure function of (seed, cell, trial index) and
-    results do not depend on the number of trials run around them. Offline
-    cells count every trial's optimum with the closed form
-    offline.optimum_counts; the oracle cell, when requested, solves each
-    trial exhaustively and checks it against those counts. Online cells
-    count all trials of a mode with one call of online.simulate_arrays.
+    Traces and activation decisions for trial i occupy row i of Philox
+    draws made block by block (_trial_blocks), so each trial is a pure
+    function of (seed, cell, trial index), and results depend neither on
+    the number of trials run around them nor on the block size. Each block
+    feeds every algorithm of the cell: offline counts come from the closed
+    form offline.optimum_counts; the oracle, when requested, solves each
+    trial exhaustively and checks it against those counts; the online
+    counts of each mode come from online.simulate_arrays. Only the
+    per-trial count vectors outlive a block.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
-    shape = (spec.trials, spec.period_len)
+    run_online = "online" in spec.algorithms
+    modes = spec.modes if run_online else ()
     for cell_idx, p in enumerate(spec.p_values):
         cell_name = f"p={p:g}"
-        b_u, b_v = _draw_pair(spec.seed, _TAG_TRACE, cell_idx, p, p, shape)
-        sync, asyn = optimum_counts(b_u, b_v)
+        sync = np.empty(spec.trials, dtype=np.int64)
+        asyn = np.empty_like(sync)
+        oracle_cat = np.empty(spec.trials)
+        oracle_equal = True
+        online_counts = {mode: np.empty((3, spec.trials)) for mode in modes}
+        blocks = _trial_blocks(spec.seed, cell_idx, p, p, spec.trials, spec.period_len, run_online)
+        for block, (b_u, b_v, *decisions) in blocks:
+            sync[block], asyn[block] = optimum_counts(b_u, b_v)
+            if "oracle" in spec.algorithms:
+                for i, u, v in zip(range(block.start, block.stop), b_u, b_v):
+                    ores = brute_force_matching(EnergyTrace("u", u), EnergyTrace("v", v), eta)
+                    oracle_cat[i] = ores.best_weight
+                    if (ores.best_sync_count, ores.best_async_count) != (sync[i], asyn[i]):
+                        oracle_equal = False
+            for mode, counts in online_counts.items():
+                counts[:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
         off_sat = sync.astype(float)
         off_cat = off_sat + eta * asyn
 
@@ -194,13 +231,6 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
             )
 
         if "oracle" in spec.algorithms:
-            oracle_cat = np.empty(spec.trials)
-            oracle_equal = True
-            for i in range(spec.trials):
-                ores = brute_force_matching(EnergyTrace("u", b_u[i]), EnergyTrace("v", b_v[i]), eta)
-                oracle_cat[i] = ores.best_weight
-                if (ores.best_sync_count, ores.best_async_count) != (sync[i], asyn[i]):
-                    oracle_equal = False
             report.cells.append(
                 {
                     "cell": cell_name,
@@ -212,43 +242,38 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                 }
             )
 
-        if "online" in spec.algorithms:
-            d_u, d_v = _draw_pair(spec.seed, _TAG_DECISION, cell_idx, p, p, shape)
-            for mode in spec.modes:
-                on_sat, on_async, on_wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
-                on_cat = on_sat + eta * on_async
-                trial_ratios = np.where(
-                    off_cat > 0.0, on_cat / np.where(off_cat > 0.0, off_cat, 1.0), 1.0
-                )
-                ratio_stats = _stats(trial_ratios)
-                ratio_of_means = (
-                    float(on_cat.mean() / off_cat.mean()) if off_cat.mean() > 0 else 1.0
-                )
-                bound = approx_ratio_bound(p)
-                report.cells.append(
-                    {
-                        "cell": cell_name,
-                        "p": p,
-                        "eta": eta,
-                        "algorithm": f"online[{mode.value}]",
-                        "metrics": {
-                            "cat": _stats(on_cat),
-                            "sat": _stats(on_sat),
-                            "wasted_units": _stats(on_wasted),
-                            "ratio": ratio_stats,
-                        },
-                        "references": {"ratio_bound": bound},
-                        "checks": {
-                            "ratio_of_means": ratio_of_means,
-                            "bound_satisfied": bool(
-                                ratio_of_means >= bound - 3.0 * ratio_stats["stderr"]
-                            ),
-                            "offline_dominates": bool(
-                                np.all(off_cat >= on_cat - 1e-9)
-                            ),
-                        },
-                    }
-                )
+        for mode, (on_sat, on_async, on_wasted) in online_counts.items():
+            on_cat = on_sat + eta * on_async
+            trial_ratios = np.where(
+                off_cat > 0.0, on_cat / np.where(off_cat > 0.0, off_cat, 1.0), 1.0
+            )
+            ratio_stats = _stats(trial_ratios)
+            ratio_of_means = (
+                float(on_cat.mean() / off_cat.mean()) if off_cat.mean() > 0 else 1.0
+            )
+            bound = approx_ratio_bound(p)
+            report.cells.append(
+                {
+                    "cell": cell_name,
+                    "p": p,
+                    "eta": eta,
+                    "algorithm": f"online[{mode.value}]",
+                    "metrics": {
+                        "cat": _stats(on_cat),
+                        "sat": _stats(on_sat),
+                        "wasted_units": _stats(on_wasted),
+                        "ratio": ratio_stats,
+                    },
+                    "references": {"ratio_bound": bound},
+                    "checks": {
+                        "ratio_of_means": ratio_of_means,
+                        "bound_satisfied": bool(
+                            ratio_of_means >= bound - 3.0 * ratio_stats["stderr"]
+                        ),
+                        "offline_dominates": bool(np.all(off_cat >= on_cat - 1e-9)),
+                    },
+                }
+            )
     return report
 
 
@@ -425,14 +450,18 @@ def heterogeneity_sweep(
     """
     ExperimentSpec(period_len, tuple(p_values), trials, eta, seed)  # validates the arguments
     rows: list[dict] = []
-    shape = (trials, period_len)
     for combo_idx, (p_u, p_v) in enumerate(itertools.product(p_values, p_values)):
-        b_u, b_v = _draw_pair(seed, _TAG_TRACE, 1000 + combo_idx, p_u, p_v, shape)
-        d_u, d_v = _draw_pair(seed, _TAG_DECISION, 1000 + combo_idx, p_u, p_v, shape)
-        sync, asyn = optimum_counts(b_u, b_v)
-        off = sync + eta * asyn
-        on_sync, on_async, _ = simulate_arrays(b_u, b_v, d_u, d_v, OnlineMode.MATCHING)
-        onl = on_sync + eta * on_async
+        off = np.empty(trials)
+        onl = np.empty(trials)
+        het = np.empty(trials)
+        for block, (b_u, b_v, d_u, d_v) in _trial_blocks(
+            seed, 1000 + combo_idx, p_u, p_v, trials, period_len, decisions=True
+        ):
+            sync, asyn = optimum_counts(b_u, b_v)
+            off[block] = sync + eta * asyn
+            on_sync, on_async, _ = simulate_arrays(b_u, b_v, d_u, d_v, OnlineMode.MATCHING)
+            onl[block] = on_sync + eta * on_async
+            het[block] = heterogeneity(b_u, b_v)
         rows.append(
             {
                 "p_u": p_u,
@@ -441,7 +470,7 @@ def heterogeneity_sweep(
                 "mean_offline_cat": float(off.mean()),
                 "mean_online_cat": float(onl.mean()),
                 "ratio_of_means": float(onl.mean() / off.mean()) if off.mean() > 0 else 1.0,
-                "mean_heterogeneity": float(heterogeneity(b_u, b_v).mean()),
+                "mean_heterogeneity": float(het.mean()),
             }
         )
     return rows

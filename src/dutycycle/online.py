@@ -22,9 +22,13 @@ ever read the energy state of the current slot.
 
 Each mode's per-slot rules are written once, in _slot_rules, and walked
 twice. online_duty_cycle keeps each bank as a list of harvest slots and
-records one pair's edges. simulate_arrays, the slot-major count kernel of
-the Monte Carlo harness and the heterogeneity sweep, keeps each bank as an
-integer counter per trial and only counts.
+records one pair's edges. simulate_arrays, the count kernel of the Monte
+Carlo harness and the heterogeneity sweep, only counts, and needs no walk
+at all: a bank is the prefix sum of its deposits minus the partner's
+pairing attempts, lifted by the attempts that failed on an empty bank, so
+its end value and the number of failures follow from the sum's prefix
+minimum. Slotsim gives each bank its own floor; in matching mode a failed
+attempt banks the attempting unit, so both banks share one.
 """
 
 from __future__ import annotations
@@ -198,26 +202,42 @@ def simulate_arrays(
 
     Takes boolean (n, T) arrays of arrivals and activation decisions, row i
     being trial i, and returns the per-trial (sync, async, wasted) counts as
-    float64 arrays of shape (n,). The rules come from _slot_rules; this walk
-    keeps each bank as an integer counter of shape (n,), updated one slot at
-    a time for all trials together. online_duty_cycle walks the same rules
-    for one pair and records the edges.
+    float64 arrays of shape (n,). The rules come from _slot_rules, and the
+    bank walks have a closed form, so no slot is visited in Python.
+
+    Let s_u be the prefix sum of (dep_u & ~want_u) - want_v: +1 for each
+    unit bank u keeps, -1 for each pairing attempt by v on it. An attempt
+    on an empty bank fails, so bank_u is s_u lifted by the failures:
+
+    * slotsim: a failed harvester spends alone, so bank u is s_u reflected
+      at 0 and -low_u attempts on it failed, low_u = min(0, min s_u);
+    * matching: a failed sleeper banks its unit, so each failure lifts both
+      banks alike, bank_u - bank_v = s_u - s_v, and both banks share the
+      floor low = min(0, min s_u, min s_v), with -low failures in all.
+
+    Each bank ends at s[-1] minus its floor, and async is the number of
+    attempts plus the floors. online_duty_cycle walks the same rules slot
+    by slot for one pair and records the edges.
     """
     sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
-    bank_u = np.zeros(b_u.shape[0], dtype=np.int64)
-    bank_v = np.zeros_like(bank_u)
-    asyn = np.zeros_like(bank_u)
-    for t in range(b_u.shape[1]):
-        pair_u = want_u[:, t] & (bank_v > 0)
-        pair_v = want_v[:, t] & (bank_u > 0)
-        bank_v -= pair_u
-        bank_u -= pair_v
-        bank_u += dep_u[:, t] & ~pair_u
-        bank_v += dep_v[:, t] & ~pair_v
-        asyn += pair_u
-        asyn += pair_v
-    wasted = _wasted(lone, bank_u + bank_v, asyn, mode)
-    return np.count_nonzero(sync, axis=1).astype(float), asyn.astype(float), wasted.astype(float)
+    end_u, low_u = _prefix_walk(dep_u & ~want_u, want_v)
+    end_v, low_v = _prefix_walk(dep_v & ~want_v, want_u)
+    attempts = np.count_nonzero(want_u, axis=-1) + np.count_nonzero(want_v, axis=-1)
+    if mode == OnlineMode.MATCHING:
+        low_u = low_v = np.minimum(low_u, low_v)
+        asyn = attempts + low_u
+    else:
+        asyn = attempts + low_u + low_v
+    wasted = _wasted(lone, end_u - low_u + end_v - low_v, asyn, mode)
+    return np.count_nonzero(sync, axis=-1).astype(float), asyn.astype(float), wasted.astype(float)
+
+
+def _prefix_walk(up: np.ndarray, down: np.ndarray):
+    """End value and floor min(0, min prefix) of the walk cumsum(up - down)
+    along the last axis, for boolean up and down masks."""
+    walk = np.cumsum(up.view(np.int8) - down.view(np.int8), axis=-1, dtype=np.int32)
+    end = walk[..., -1] if walk.shape[-1] else np.zeros(walk.shape[:-1], np.int32)
+    return end, walk.min(axis=-1, initial=0)
 
 
 def _walk_pair(

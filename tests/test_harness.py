@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,7 @@ from dutycycle import (
     run_monte_carlo,
     run_trace_pairs,
 )
+from dutycycle import harness
 from dutycycle.harness import (
     heterogeneity_sweep,
     verify_bins,
@@ -100,6 +103,38 @@ def test_stderr_shrinks_with_trials():
     assert se_many > 0
     # 100x the trials should shrink the standard error by about 10x
     assert 5.0 <= se_few / se_many <= 20.0
+
+
+def _chunked_outputs():
+    oracle_spec = small_spec(period_len=12, trials=400, algorithms=("offline", "oracle", "online"))
+    online_spec = small_spec(period_len=1000, trials=23)
+    reports = [run_monte_carlo(spec) for spec in (oracle_spec, online_spec)]
+    sweep = heterogeneity_sweep((0.2, 0.6, 1.0), 1000, 23, seed=5)
+    return [r.to_json() for r in reports] + [r.to_csv() for r in reports] + [json.dumps(sweep)]
+
+
+@pytest.mark.parametrize("chunk_slots", [1, 3000], ids=["one-row", "rows-not-dividing"])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, chunk_slots):
+    # one row per block, then blocks of 250 rows at T = 12 and 3 rows at
+    # T = 1000, which divide neither trial count: every byte must match the
+    # default blocks
+    default = _chunked_outputs()
+    monkeypatch.setattr(harness, "_CHUNK_SLOTS", chunk_slots)
+    assert _chunked_outputs() == default
+
+
+@pytest.mark.parametrize("trials", [2_000, 20_000])
+def test_monte_carlo_memory_stays_bounded(trials):
+    # draws live one block at a time; only the per-trial count vectors
+    # grow with trials (about 1.5 MB of them at 20k)
+    spec = small_spec(period_len=1000, p_values=(0.5,), trials=trials)
+    tracemalloc.start()
+    try:
+        run_monte_carlo(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,34 @@ def test_count_kernel_equals_stepwise_rules(run):
         )
 
 
+@st.composite
+def decision_batches(draw):
+    # arrivals and decisions are independent Bernoulli masks of drawn
+    # densities, so the decisions need not follow _decision_arrays
+    n = draw(st.integers(min_value=1, max_value=7))
+    period_len = draw(st.integers(min_value=0, max_value=149))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=4, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = rng.random((4, n, period_len)) < np.array(probs)[:, None, None]
+    return (*masks, draw(st.sampled_from(list(OnlineMode))))
+
+
+@settings(max_examples=250, deadline=None)
+@given(batch=decision_batches())
+def test_count_kernel_rows_equal_the_walk_on_arbitrary_decisions(batch):
+    # decisions drawn apart from _decision_arrays: the kernel's prefix-sum
+    # form must give every row's per-slot walk counts
+    b_u, b_v, d_u, d_v, mode = batch
+    sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
+    for j in range(b_u.shape[0]):
+        result = _walk_pair(b_u[j], b_v[j], d_u[j], d_v[j], cfg(mode=mode))
+        assert (sync[j], asyn[j], wasted[j]) == (
+            result.sync_count,
+            result.async_count,
+            result.wasted_units,
+        )
+
+
 M, S = OnlineMode.MATCHING, OnlineMode.SLOT_SIM
 # one row per rule clause, with fixed decisions: mode, b_u, b_v, d_u, d_v,
 # the expected (u_slot, v_slot) edges and wasted_units, worked out by hand
@@ -181,6 +209,12 @@ RULE_TABLE = {
     "matching-u-takes-latest-bank": (M, [0, 0, 1], [1, 1, 0], [0, 0, 0], [0, 0, 1], [(3, 2)], 1),
     "matching-v-takes-latest-bank": (M, [1, 1, 0], [0, 0, 1], [0, 0, 1], [0, 0, 0], [(2, 3)], 1),
     "slotsim-u-takes-latest-bank": (S, [0, 0, 1], [1, 1, 0], [0, 0, 1], [0, 0, 1], [(3, 2)], 1),
+    # a failed matching attempt banks the sleeper's unit, which the partner
+    # then takes: both banks share one floor
+    "matching-failed-pair-banks-for-partner": (M, [1, 0], [0, 1], [0, 1], [1, 0], [(1, 2)], 0),
+    # a failed slotsim attempt spends the harvester's unit alone: each bank
+    # has its own floor
+    "slotsim-failed-pair-spends-alone": (S, [1], [0], [1], [1], [], 1),
 }
 
 

@@ -30,6 +30,7 @@ from .graph import (
     ExclusivityError,
     FeasibilityError,
     Matching,
+    PairResult,
     Schedule,
     ScheduleConflictError,
     assert_energy_feasible,
@@ -88,6 +89,7 @@ __all__ = [
     "OracleBudgetError",
     "OracleResult",
     "PairMetrics",
+    "PairResult",
     "RawTrace",
     "RunReport",
     "Schedule",

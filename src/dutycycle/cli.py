@@ -27,7 +27,7 @@ from .harness import (
 )
 from .metrics import pair_rows, ratio_online_to_offline
 from .offline import offline_duty_cycle
-from .online import OnlineConfig, OnlineMode, online_duty_cycle
+from .online import OnlineConfig, online_duty_cycle
 from .traces import (
     DEFAULT_SEED,
     ArrivalModel,
@@ -220,10 +220,8 @@ def cmd_run(args) -> int:
         runs.append(("pair1/offline", offline.cat_total, offline.sat_total))
     online = None
     if args.algo in ("online", "both"):
-        cfg = OnlineConfig(
-            prob_active=prob_active, eta=args.eta, seed=seed, mode=OnlineMode(args.mode)
-        )
-        online = online_duty_cycle(trace_u, trace_v, cfg)
+        cfg = OnlineConfig(prob_active=prob_active, seed=seed, mode=args.mode)
+        online = online_duty_cycle(trace_u, trace_v, args.eta, cfg)
         payload["online"] = online.to_json_dict()
         runs.append((f"pair1/online[{args.mode}]", online.cat_total, online.sat_total))
     rows = pair_rows(trace_u, trace_v, runs)
@@ -287,15 +285,17 @@ def cmd_verify(args) -> int:
     config = {"command": "verify", "suite": args.suite, "trials": args.trials, "seed": seed}
     print(f"# config: {json.dumps(config, sort_keys=True)}")
     suites = {
-        "t1": lambda: verify_optimality(trials=args.trials or 500, seed=seed),
-        "t2": lambda: verify_expected_cat(trials=args.trials or 10_000, seed=seed),
-        "t4": lambda: verify_ratio_bound(trials=args.trials or 10_000, seed=seed),
-        "bins": lambda: verify_bins(trials=args.trials or 10_000, seed=seed),
+        "t1": verify_optimality,
+        "t2": verify_expected_cat,
+        "t4": verify_ratio_bound,
+        "bins": verify_bins,
     }
+    # each suite keeps its own default trial count unless --trials is given
+    kwargs = {"seed": seed} if args.trials is None else {"seed": seed, "trials": args.trials}
     names = list(suites) if args.suite == "all" else [args.suite]
     all_pass = True
     for name in names:
-        result = suites[name]()
+        result = suites[name](**kwargs)
         _print_suite(result)
         all_pass = all_pass and result["passed"]
     return 0 if all_pass else 1

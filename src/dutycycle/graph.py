@@ -1,18 +1,20 @@
-"""Energy-state graph, matchings and schedules for one device pair.
+"""Energy-state graph, matchings, schedules and results for one device pair.
 
 A vertex is one harvest slot of one device, read straight from the pair's
 traces. A matching edge pairs one slot per side; same-slot edges are
 synchronous (weight 1, both devices run on freshly harvested energy) and
 cross-slot edges are asynchronous (weight eta, the earlier unit is stored
 and spent at the later slot). Each vertex may carry at most one edge, and no
-two edges may activate the devices in the same slot.
+two edges may activate the devices in the same slot. PairResult, a
+matching with the totals it fixes, is the offline and online schedulers'
+shared result type.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,11 +91,11 @@ class Matching:
 
     @property
     def sync_count(self) -> int:
-        return sum(1 for e in self.edges if e.is_sync)
+        return sum(1 for e in self.edges if e.u_slot == e.v_slot)
 
     @property
     def async_count(self) -> int:
-        return sum(1 for e in self.edges if not e.is_sync)
+        return len(self.edges) - self.sync_count
 
     def total_weight(self, eta: float) -> float:
         return math.fsum(e.weight(eta) for e in self.edges)
@@ -154,6 +156,43 @@ def schedule_from_matching(matching: Matching, period_len: int, eta: float) -> S
         a_v[t - 1] = 1
         cat[t - 1] = 1.0 if e.is_sync else eta
     return Schedule(period_len=period_len, a_u=tuple(a_u), a_v=tuple(a_v), cat=tuple(cat))
+
+
+@dataclass(frozen=True)
+class PairResult:
+    """A scheduler's matching on one trace pair, with its totals.
+
+    The totals are derived from the matching once, at construction: the
+    sync and async edge counts, the CAT (each edge's weight at eta, summed
+    with correct rounding) and the SAT (the sync edges' weight).
+    """
+
+    matching: Matching
+    eta: float
+    period_len: int
+    sync_count: int = field(init=False)
+    async_count: int = field(init=False)
+    cat_total: float = field(init=False)
+    sat_total: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        sync = self.matching.sync_count
+        object.__setattr__(self, "sync_count", sync)
+        object.__setattr__(self, "async_count", self.matching.async_count)
+        object.__setattr__(self, "cat_total", self.matching.total_weight(self.eta))
+        object.__setattr__(self, "sat_total", float(sync))
+
+    def schedule(self) -> Schedule:
+        return schedule_from_matching(self.matching, self.period_len, self.eta)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "sync": self.sync_count,
+            "async": self.async_count,
+            "cat": self.cat_total,
+            "sat": self.sat_total,
+            "edges": self.matching.to_json_dict(self.eta)["edges"],
+        }
 
 
 def energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: EnergyTrace) -> bool:

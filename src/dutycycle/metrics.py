@@ -7,9 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Schedule
-from .offline import OfflineResult
-from .online import OnlineResult
+from .graph import PairResult, Schedule
 from .traces import EnergyTrace, estimate_prob, pair_period
 
 
@@ -71,7 +69,7 @@ def compute_heterogeneity(trace_u: EnergyTrace, trace_v: EnergyTrace) -> float:
     return float(heterogeneity(trace_u.states, trace_v.states))
 
 
-def ratio_online_to_offline(online: OnlineResult, offline: OfflineResult) -> float:
+def ratio_online_to_offline(online: PairResult, offline: PairResult) -> float:
     """online CAT / offline CAT for the same trace pair; 1 when both are 0."""
     if offline.cat_total == 0.0:
         return 1.0 if online.cat_total == 0.0 else math.inf

@@ -11,37 +11,14 @@ eta <= 1; the oracle module certifies this exhaustively in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, Matching, Schedule, check_eta, schedule_from_matching
+from .graph import Edge, Matching, PairResult, check_eta
 from .traces import EnergyTrace, pair_period
 
 
-@dataclass(frozen=True)
-class OfflineResult:
-    """Matching plus derived totals for one offline run."""
-
-    matching: Matching
-    eta: float
-    period_len: int
-    sync_count: int
-    async_count: int
-    cat_total: float
-    sat_total: float
-
-    def schedule(self) -> Schedule:
-        return schedule_from_matching(self.matching, self.period_len, self.eta)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sync": self.sync_count,
-            "async": self.async_count,
-            "cat": self.cat_total,
-            "sat": self.sat_total,
-            "edges": self.matching.to_json_dict(self.eta)["edges"],
-        }
+OfflineResult = PairResult  # the offline scheduler's result type, kept by name
 
 
 def _pair_backward(
@@ -106,7 +83,7 @@ def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
     return sync, edges - sync
 
 
-def offline_duty_cycle(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> OfflineResult:
+def offline_duty_cycle(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> PairResult:
     """Run the offline scheduler on a trace pair, whose harvest slots are the
     graph's vertexes; ValueError on a period mismatch or an eta outside (0, 1]."""
     period_len = pair_period(trace_u, trace_v)
@@ -116,18 +93,7 @@ def offline_duty_cycle(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -
     edges = [Edge(int(t), int(t)) for t in sync_slots]
     edges.extend(Edge(u, v) for u, v in step2)
     edges.extend(Edge(u, v) for v, u in step3)
-    matching = Matching(edges=tuple(edges))
-
-    sync_count = len(sync_slots)
-    return OfflineResult(
-        matching=matching,
-        eta=eta,
-        period_len=period_len,
-        sync_count=sync_count,
-        async_count=len(step2) + len(step3),
-        cat_total=matching.total_weight(eta),
-        sat_total=float(sync_count),
-    )
+    return PairResult(Matching(edges=tuple(edges)), eta, period_len)
 
 
 def _check_reference_args(period_len: int, p: float, eta: float) -> None:

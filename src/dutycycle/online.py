@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Edge, Matching, Schedule, check_eta, schedule_from_matching
+from .graph import Edge, Matching, PairResult, check_eta
 from .traces import DEFAULT_SEED, EnergyTrace, device_stream, pair_period
 
 
@@ -50,7 +50,8 @@ class OnlineMode(str, Enum):
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Parameters of one online run.
+    """Policy of one online run; the charging efficiency eta is an argument
+    of online_duty_cycle, as it is of the offline scheduler.
 
     prob_active may be a single probability for both devices, a (p_u, p_v)
     pair, or None to estimate each device's probability causally from its
@@ -59,13 +60,11 @@ class OnlineConfig:
     """
 
     prob_active: float | tuple[float, float] | None = None
-    eta: float = 0.75
     seed: int = DEFAULT_SEED
     mode: OnlineMode = OnlineMode.MATCHING
     warmup: int = 60
 
     def __post_init__(self) -> None:
-        check_eta(self.eta)
         if self.warmup < 1:
             raise ValueError(f"warmup must be at least 1, got {self.warmup}")
         object.__setattr__(self, "mode", OnlineMode(self.mode))
@@ -86,32 +85,16 @@ class OnlineConfig:
 
 
 @dataclass(frozen=True)
-class OnlineResult:
-    """Matching and waste accounting for one online run."""
+class OnlineResult(PairResult):
+    """An online run's matching and totals, its mode and its wasted units."""
 
-    matching: Matching
-    eta: float
     mode: OnlineMode
-    period_len: int
-    sync_count: int
-    async_count: int
-    cat_total: float
-    sat_total: float
     wasted_units: int
 
-    def schedule(self) -> Schedule:
-        return schedule_from_matching(self.matching, self.period_len, self.eta)
-
     def to_json_dict(self) -> dict:
-        return {
-            "sync": self.sync_count,
-            "async": self.async_count,
-            "cat": self.cat_total,
-            "sat": self.sat_total,
-            "edges": self.matching.to_json_dict(self.eta)["edges"],
-            "wasted_units": self.wasted_units,
-            "mode": self.mode.value,
-        }
+        payload = super().to_json_dict()
+        payload.update(wasted_units=self.wasted_units, mode=self.mode.value)
+        return payload
 
 
 def approx_ratio_bound(p: float) -> float:
@@ -241,7 +224,12 @@ def _prefix_walk(up: np.ndarray, down: np.ndarray):
 
 
 def _walk_pair(
-    b_u: np.ndarray, b_v: np.ndarray, d_u: np.ndarray, d_v: np.ndarray, cfg: OnlineConfig
+    b_u: np.ndarray,
+    b_v: np.ndarray,
+    d_u: np.ndarray,
+    d_v: np.ndarray,
+    mode: OnlineMode,
+    eta: float,
 ) -> OnlineResult:
     """Walk one pair's (T,) arrivals and decisions and record the edges.
 
@@ -250,9 +238,9 @@ def _walk_pair(
     As in simulate_arrays, a slot's pair decisions read the banks as they
     stood before the slot; then the pairing pops, then the sleeper pushes.
     """
-    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, cfg.mode)
+    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
     edges = [Edge(t, t) for t in (np.flatnonzero(sync) + 1).tolist()]
-    sync_count = len(edges)
+    n_sync = len(edges)
     visit = np.flatnonzero(dep_u | dep_v | want_u | want_v)
     bank_u: list[int] = []
     bank_v: list[int] = []
@@ -268,33 +256,28 @@ def _walk_pair(
             bank_u.append(t)
         if dep_v_t and not pair_v:
             bank_v.append(t)
-    async_count = len(edges) - sync_count
-    matching = Matching(edges=tuple(edges))
     return OnlineResult(
-        matching=matching,
-        eta=cfg.eta,
-        mode=cfg.mode,
-        period_len=b_u.shape[0],
-        sync_count=sync_count,
-        async_count=async_count,
-        cat_total=matching.total_weight(cfg.eta),
-        sat_total=float(sync_count),
-        wasted_units=_wasted(int(lone), len(bank_u) + len(bank_v), async_count, cfg.mode),
+        Matching(edges=tuple(edges)),
+        eta,
+        b_u.shape[0],
+        mode=mode,
+        wasted_units=_wasted(int(lone), len(bank_u) + len(bank_v), len(edges) - n_sync, mode),
     )
 
 
 def online_duty_cycle(
-    trace_u: EnergyTrace, trace_v: EnergyTrace, cfg: OnlineConfig
+    trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float, cfg: OnlineConfig
 ) -> OnlineResult:
-    """Run the online scheduler over a trace pair.
+    """Run the online scheduler over a trace pair at charging efficiency eta.
 
     Draws every slot's decisions in bulk, each from the state of its own
     slot and the device's history, then walks the mode's rules over the
     slots in order. The energy state of slot t is thus only ever combined
     with decisions drawn at slot t and with bank contents from earlier
-    slots.
+    slots. ValueError on a period mismatch or an eta outside (0, 1].
     """
     pair_period(trace_u, trace_v)
+    check_eta(eta)
     b_u, b_v = trace_u.states, trace_v.states
     d_u, d_v = _decision_arrays(b_u, b_v, cfg, trace_u.device_id, trace_v.device_id)
-    return _walk_pair(b_u, b_v, d_u, d_v, cfg)
+    return _walk_pair(b_u, b_v, d_u, d_v, cfg.mode, eta)

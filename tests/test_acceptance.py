@@ -155,8 +155,8 @@ def test_criterion_5_energy_feasibility_everywhere():
         offline = offline_duty_cycle(trace_u, trace_v, 0.75)
         schedules = [offline.schedule()]
         for mode in OnlineMode:
-            cfg = OnlineConfig(prob_active=p, eta=0.75, seed=SEED + i, mode=mode)
-            schedules.append(online_duty_cycle(trace_u, trace_v, cfg).schedule())
+            cfg = OnlineConfig(prob_active=p, seed=SEED + i, mode=mode)
+            schedules.append(online_duty_cycle(trace_u, trace_v, 0.75, cfg).schedule())
         for sched in schedules:
             checked += 1
             try:

@@ -5,10 +5,12 @@ import tracemalloc
 import pytest
 
 from dutycycle import (
+    ArrivalModel,
     EnergyTrace,
     ExperimentSpec,
     OnlineConfig,
     check_balls_in_bins,
+    generate_pair,
     run_monte_carlo,
     run_trace_pairs,
 )
@@ -230,6 +232,17 @@ def test_mismatched_pair_is_named():
     pair = (trace([1, 0]), trace([0, 1, 1], "v"))
     with pytest.raises(ValueError, match="pair1"):
         run_trace_pairs([pair], eta=0.75, online_cfg=OnlineConfig(prob_active=0.5))
+
+
+def test_pair_report_runs_both_schedulers_at_one_eta():
+    # eta is passed once and weights the online CAT too: online forms 5
+    # sync and 10 async edges, 5 + 0.5 * 10 = 10.0 at eta 0.5
+    pair = generate_pair(ArrivalModel(0.5, 60, 3))
+    report = run_trace_pairs([pair], eta=0.5, online_cfg=OnlineConfig(prob_active=0.5, seed=1))
+    metrics = report.cells[0]["metrics"]
+    assert metrics["online_cat"]["mean"] == 10.0
+    assert metrics["offline_cat"]["mean"] == 21.5
+    assert metrics["ratio"]["mean"] == 10.0 / 21.5
 
 
 def test_pair_report_rows():

@@ -61,23 +61,23 @@ def test_heterogeneity_examples():
 
 def test_ratio_examples():
     offline = offline_duty_cycle(WORKED_U, WORKED_V, 0.75)
-    online_same = online_duty_cycle(WORKED_U, WORKED_V, OnlineConfig(prob_active=1.0, seed=1))
+    online_same = online_duty_cycle(WORKED_U, WORKED_V, 0.75, OnlineConfig(prob_active=1.0, seed=1))
     # p = 1 on a heterogeneous pair still loses the asynchronous edges
     assert 0.0 <= ratio_online_to_offline(online_same, offline) <= 1.0
 
     ones = trace([1] * 8)
     ones_v = trace([1] * 8, "v")
     off1 = offline_duty_cycle(ones, ones_v, 0.75)
-    on1 = online_duty_cycle(ones, ones_v, OnlineConfig(prob_active=1.0, seed=1))
+    on1 = online_duty_cycle(ones, ones_v, 0.75, OnlineConfig(prob_active=1.0, seed=1))
     assert ratio_online_to_offline(on1, off1) == 1.0
 
     zeros = trace([0] * 4)
     zeros_v = trace([0] * 4, "v")
     off0 = offline_duty_cycle(zeros, zeros_v, 0.75)
-    on0 = online_duty_cycle(zeros, zeros_v, OnlineConfig(prob_active=0.5, seed=1))
+    on0 = online_duty_cycle(zeros, zeros_v, 0.75, OnlineConfig(prob_active=0.5, seed=1))
     assert ratio_online_to_offline(on0, off0) == 1.0  # both zero
 
-    on_zero = online_duty_cycle(WORKED_U, WORKED_V, OnlineConfig(prob_active=0.0, seed=1))
+    on_zero = online_duty_cycle(WORKED_U, WORKED_V, 0.75, OnlineConfig(prob_active=0.0, seed=1))
     assert ratio_online_to_offline(on_zero, offline) == 0.0
 
 

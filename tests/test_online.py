@@ -20,8 +20,11 @@ def trace(states, device_id="u"):
     return EnergyTrace(device_id=device_id, states=states)
 
 
-def cfg(p=0.5, mode=OnlineMode.MATCHING, seed=11, eta=0.75, warmup=60):
-    return OnlineConfig(prob_active=p, eta=eta, seed=seed, mode=mode, warmup=warmup)
+ETA = 0.75
+
+
+def cfg(p=0.5, mode=OnlineMode.MATCHING, seed=11, warmup=60):
+    return OnlineConfig(prob_active=p, seed=seed, mode=mode, warmup=warmup)
 
 
 ALL_ONES = [1] * 12
@@ -30,7 +33,7 @@ ALL_ONES = [1] * 12
 @pytest.mark.parametrize("mode", list(OnlineMode))
 def test_p_one_identical_traces_matches_offline(mode):
     trace_u, trace_v = trace(ALL_ONES), trace(ALL_ONES, "v")
-    result = online_duty_cycle(trace_u, trace_v, cfg(p=1.0, mode=mode))
+    result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=1.0, mode=mode))
     assert result.sync_count == 12 and result.async_count == 0
     assert result.cat_total == 12.0
     assert result.wasted_units == 0
@@ -41,7 +44,7 @@ def test_p_one_identical_traces_matches_offline(mode):
 @pytest.mark.parametrize("mode", list(OnlineMode))
 def test_p_zero_never_active(mode):
     trace_u, trace_v = trace(ALL_ONES), trace(ALL_ONES, "v")
-    result = online_duty_cycle(trace_u, trace_v, cfg(p=0.0, mode=mode))
+    result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.0, mode=mode))
     assert result.matching.edges == ()
     assert result.cat_total == 0.0
     assert result.wasted_units == 24  # every harvested unit banked, never spent
@@ -50,10 +53,10 @@ def test_p_zero_never_active(mode):
 def test_determinism_per_seed():
     model = ArrivalModel(prob_harvest=0.6, period_len=300, seed=2)
     trace_u, trace_v = generate_pair(model)
-    a = online_duty_cycle(trace_u, trace_v, cfg(p=0.6, seed=5))
-    b = online_duty_cycle(trace_u, trace_v, cfg(p=0.6, seed=5))
+    a = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.6, seed=5))
+    b = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.6, seed=5))
     assert a == b
-    c = online_duty_cycle(trace_u, trace_v, cfg(p=0.6, seed=6))
+    c = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.6, seed=6))
     assert a.matching.edges != c.matching.edges
 
 
@@ -71,7 +74,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OnlineConfig(prob_active=(0.5, -0.1))
     with pytest.raises(ValueError):
-        OnlineConfig(prob_active=0.5, eta=0.0)
+        online_duty_cycle(trace([1]), trace([1], "v"), 0.0, cfg())
     with pytest.raises(ValueError):
         OnlineConfig(prob_active=0.5, warmup=0)
     with pytest.raises(ValueError, match="prob_active"):
@@ -85,7 +88,7 @@ def test_estimated_probability_is_causal_and_exact_for_constant_traces():
     # all-one traces estimate p_hat = 1 from the very first slot, so the
     # online run must equal the offline one
     trace_u, trace_v = trace([1] * 30), trace([1] * 30, "v")
-    result = online_duty_cycle(trace_u, trace_v, cfg(p=None, warmup=10))
+    result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=None, warmup=10))
     assert result.cat_total == 30.0
 
 
@@ -103,7 +106,7 @@ def test_disjoint_single_slot_pair_enumerates_to_zero_or_eta(mode):
     trace_v = trace([0, 1], "v")
     seen = set()
     for seed in range(40):
-        result = online_duty_cycle(trace_u, trace_v, cfg(p=0.5, mode=mode, seed=seed))
+        result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.5, mode=mode, seed=seed))
         seen.add(result.cat_total)
     assert seen <= {0.0, 0.75}
     assert seen == {0.0, 0.75}  # both outcomes occur across 40 seeds
@@ -129,10 +132,10 @@ def test_prefix_run_forms_the_full_runs_early_edges(run):
     # slot k, for every k
     trace_u, trace_v, p, seed, mode, warmup = run
     config = cfg(p=p, seed=seed, mode=mode, warmup=warmup)
-    full = online_duty_cycle(trace_u, trace_v, config).matching.edges
+    full = online_duty_cycle(trace_u, trace_v, ETA, config).matching.edges
     for k in range(trace_u.period_len + 1):
         prefix = online_duty_cycle(
-            trace(trace_u.states[:k]), trace(trace_v.states[:k], "v"), config
+            trace(trace_u.states[:k]), trace(trace_v.states[:k], "v"), ETA, config
         )
         assert prefix.matching.edges == tuple(e for e in full if e.active_slot <= k)
 
@@ -157,7 +160,7 @@ def test_count_kernel_equals_stepwise_rules(run):
     )
     sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
     for j, ((tr_u, tr_v), config) in enumerate(zip(pairs, configs)):
-        result = online_duty_cycle(tr_u, tr_v, config)
+        result = online_duty_cycle(tr_u, tr_v, ETA, config)
         assert (sync[j], asyn[j], wasted[j]) == (
             result.sync_count,
             result.async_count,
@@ -185,7 +188,7 @@ def test_count_kernel_rows_equal_the_walk_on_arbitrary_decisions(batch):
     b_u, b_v, d_u, d_v, mode = batch
     sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
     for j in range(b_u.shape[0]):
-        result = _walk_pair(b_u[j], b_v[j], d_u[j], d_v[j], cfg(mode=mode))
+        result = _walk_pair(b_u[j], b_v[j], d_u[j], d_v[j], mode, ETA)
         assert (sync[j], asyn[j], wasted[j]) == (
             result.sync_count,
             result.async_count,
@@ -223,7 +226,7 @@ RULE_TABLE = {
 )
 def test_rule_table(mode, b_u, b_v, d_u, d_v, edges, wasted):
     arrays = [np.array(x, dtype=bool) for x in (b_u, b_v, d_u, d_v)]
-    result = _walk_pair(*arrays, cfg(mode=mode))
+    result = _walk_pair(*arrays, mode, ETA)
     assert [(e.u_slot, e.v_slot) for e in result.matching.edges] == edges
     assert result.wasted_units == wasted
     n_sync = sum(u == v for u, v in edges)
@@ -235,7 +238,7 @@ def test_rule_table(mode, b_u, b_v, d_u, d_v, edges, wasted):
 @given(run=random_runs())
 def test_online_invariants(run):
     trace_u, trace_v, p, seed, mode, warmup = run
-    result = online_duty_cycle(trace_u, trace_v, cfg(p=p, seed=seed, mode=mode, warmup=warmup))
+    result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=p, seed=seed, mode=mode, warmup=warmup))
     # exclusivity is enforced by Matching itself; check accounting and
     # feasibility against the raw traces
     assert result.cat_total == pytest.approx(result.sync_count + 0.75 * result.async_count)
@@ -256,24 +259,24 @@ def test_online_invariants(run):
 def test_modes_agree_on_sync_count(run):
     trace_u, trace_v, p, seed, _, warmup = run
     matching = online_duty_cycle(
-        trace_u, trace_v, cfg(p=p, seed=seed, mode=OnlineMode.MATCHING, warmup=warmup)
+        trace_u, trace_v, ETA, cfg(p=p, seed=seed, mode=OnlineMode.MATCHING, warmup=warmup)
     )
     slotsim = online_duty_cycle(
-        trace_u, trace_v, cfg(p=p, seed=seed, mode=OnlineMode.SLOT_SIM, warmup=warmup)
+        trace_u, trace_v, ETA, cfg(p=p, seed=seed, mode=OnlineMode.SLOT_SIM, warmup=warmup)
     )
     assert matching.sync_count == slotsim.sync_count
 
 
 def test_per_device_probabilities():
     trace_u, trace_v = trace(ALL_ONES), trace(ALL_ONES, "v")
-    result = online_duty_cycle(trace_u, trace_v, cfg(p=(1.0, 0.0)))
+    result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=(1.0, 0.0)))
     assert result.sync_count == 0
     assert result.cat_total == 0.0
 
 
 def test_result_json_payload():
     trace_u, trace_v = trace([1, 1]), trace([1, 1], "v")
-    payload = online_duty_cycle(trace_u, trace_v, cfg(p=1.0)).to_json_dict()
+    payload = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=1.0)).to_json_dict()
     assert payload["mode"] == "matching"
     assert payload["sync"] == 2 and payload["wasted_units"] == 0
     assert payload["edges"] == [
@@ -284,4 +287,4 @@ def test_result_json_payload():
 
 def test_mismatched_periods_rejected():
     with pytest.raises(ValueError, match="period"):
-        online_duty_cycle(trace([1, 0]), trace([1, 0, 1], "v"), cfg())
+        online_duty_cycle(trace([1, 0]), trace([1, 0, 1], "v"), ETA, cfg())

@@ -1,7 +1,8 @@
-"""Byte pins of the CLI reports.
+"""Byte pins of the CLI reports and of the library's trace-pair report.
 
-Each case runs `cli.main` in-process and compares the sha256 of its stdout
-with a digest recorded when the case was added, so any change to any byte
+Each case runs `cli.main` in-process, or `run_trace_pairs` directly, and
+compares the sha256 of its output with a digest recorded when the case was
+added, so any change to any byte
 of a report fails here. A deliberate report change updates the digest and
 says so in CHANGES.md.
 """
@@ -11,6 +12,7 @@ import json
 
 import pytest
 
+from dutycycle import ArrivalModel, OnlineConfig, generate_pair, run_trace_pairs
 from dutycycle.cli import ENV_SEED, main
 from dutycycle.harness import verify_bins
 
@@ -51,6 +53,26 @@ GOLDEN_RUNS = {
         RUN_PROB + ["--format", "csv", "--mode", "slotsim"],
         0,
         "b412871a44711393a4e8cfb71e9c4c77276a39a91d8997b2e8f9a7dfc7d54421",
+    ),
+    "run-json-offline": (
+        RUN_PROB + ["--format", "json", "--algo", "offline"],
+        0,
+        "f56deeb7433a71e2e62133a5ce3d4763a8c0f0634da29e5869cf34196a60897a",
+    ),
+    "run-csv-offline": (
+        RUN_PROB + ["--format", "csv", "--algo", "offline"],
+        0,
+        "d357f1b97c75b38564b934af507cfa0121189e45fcb0251b6fdb63c22ed991e0",
+    ),
+    "run-json-online": (
+        RUN_PROB + ["--format", "json", "--algo", "online"],
+        0,
+        "b66197dad9712987469cd3113b181ef8c2ecb734ca845ee83dc18ff9f4e8ee69",
+    ),
+    "run-csv-online": (
+        RUN_PROB + ["--format", "csv", "--algo", "online"],
+        0,
+        "712e1b6f960f62029cf59117c4a7e5e975a3bf178440c86c15131ed8899e3a91",
     ),
     "verify-t1": (
         ["verify", "--suite", "t1", "--trials", "40"],
@@ -93,3 +115,34 @@ def test_verify_bins_payload_bytes():
     assert _sha(payload) == (
         "71a1f5933512a101ed07d19cd64db00e7d85ca88b4047e82eeee3e0f0bb4d71f"
     )
+
+
+# (mode, prob_active) -> (sha256 of to_json(), sha256 of to_csv())
+TRACE_PAIR_REPORTS = {
+    ("matching", None): (
+        "fec8ebb7c806a5b7a886e757fad6b8d75e2f42719e192153812e55e66427356c",
+        "0d5c57a2ce8fc28a8071b109b3ed212ff01d83b962d9518088b886d42d02a26d",
+    ),
+    ("matching", (0.4, 0.7)): (
+        "2d27a00a05a4c7b5cccf92201b58c4cf52b5d2d07fb427645ae80cf963b1ced9",
+        "3957dea89d7a449ef75e026c6e03230608230744cb41485945f35abc7dae9f2e",
+    ),
+    ("slotsim", None): (
+        "3cccb1651309587b5afd9680a43333d876385f1da574aa803153c98054f31805",
+        "11fef8a78488764bd90fd0f656333e57277f476ae538b733c4cf27787bb40226",
+    ),
+    ("slotsim", (0.4, 0.7)): (
+        "f1840f8a83280f9249b94adb0ac8d423955c163a55e6d0145a5c050ddc8c2763",
+        "632ce74c34b68863a996efef9bb063c4eecabe86023b902eb079218dd21e4def",
+    ),
+}
+
+
+def test_run_trace_pairs_report_bytes():
+    pairs = [generate_pair(ArrivalModel(p, 150, s)) for p, s in ((0.3, 1), (0.5, 2), (0.8, 3))]
+    digests = {}
+    for mode, prob_active in TRACE_PAIR_REPORTS:
+        cfg = OnlineConfig(prob_active=prob_active, seed=5, mode=mode)
+        report = run_trace_pairs(pairs, 0.6, cfg)
+        digests[mode, prob_active] = (_sha(report.to_json()), _sha(report.to_csv()))
+    assert digests == TRACE_PAIR_REPORTS

@@ -34,7 +34,6 @@ from .graph import (
     Schedule,
     ScheduleConflictError,
     assert_energy_feasible,
-    energy_feasible,
     schedule_from_matching,
 )
 from .offline import OfflineResult, exact_expected_cat, expected_cat, offline_duty_cycle
@@ -54,9 +53,7 @@ from .oracle import (
 )
 from .metrics import (
     PairMetrics,
-    compute_cat,
     compute_heterogeneity,
-    compute_sat,
     pair_rows,
     ratio_online_to_offline,
 )
@@ -100,10 +97,7 @@ __all__ = [
     "brute_force_matching",
     "check_balls_in_bins",
     "closed_form_optimum",
-    "compute_cat",
     "compute_heterogeneity",
-    "compute_sat",
-    "energy_feasible",
     "estimate_prob",
     "exact_expected_cat",
     "expected_cat",

@@ -20,14 +20,13 @@ import os
 import sys
 
 from .harness import (
+    evaluate_pair,
     verify_bins,
     verify_expected_cat,
     verify_optimality,
     verify_ratio_bound,
 )
-from .metrics import pair_rows, ratio_online_to_offline
-from .offline import offline_duty_cycle
-from .online import OnlineConfig, online_duty_cycle
+from .online import OnlineConfig
 from .traces import (
     DEFAULT_SEED,
     ArrivalModel,
@@ -210,24 +209,18 @@ def cmd_run(args) -> int:
         "format": args.format,
         **source,
     }
+    algorithms = ("offline", "online") if args.algo == "both" else (args.algo,)
+    cfg = OnlineConfig(prob_active=prob_active, seed=seed, mode=args.mode)
+    offline, online, rows, ratio = evaluate_pair(
+        "pair1", trace_u, trace_v, args.eta, cfg, algorithms
+    )
     payload: dict = {"config": config}
-    runs = []
-
-    offline = None
-    if args.algo in ("offline", "both"):
-        offline = offline_duty_cycle(trace_u, trace_v, args.eta)
-        payload["offline"] = offline.to_json_dict()
-        runs.append(("pair1/offline", offline.cat_total, offline.sat_total))
-    online = None
-    if args.algo in ("online", "both"):
-        cfg = OnlineConfig(prob_active=prob_active, seed=seed, mode=args.mode)
-        online = online_duty_cycle(trace_u, trace_v, args.eta, cfg)
-        payload["online"] = online.to_json_dict()
-        runs.append((f"pair1/online[{args.mode}]", online.cat_total, online.sat_total))
-    rows = pair_rows(trace_u, trace_v, runs)
-    if offline is not None and online is not None:
+    for name, result in (("offline", offline), ("online", online)):
+        if result is not None:
+            payload[name] = result.to_json_dict()
+    if ratio is not None:
         payload["pair"] = {
-            "ratio": ratio_online_to_offline(online, offline),
+            "ratio": ratio,
             "heterogeneity": rows[0].heterogeneity,
             "p_hat_u": rows[0].p_hat_u,
             "p_hat_v": rows[0].p_hat_v,
@@ -240,8 +233,8 @@ def cmd_run(args) -> int:
         print(rows[0].CSV_HEADER)
         for row in rows:
             print(row.to_csv_row())
-        if "pair" in payload:
-            print(f"# ratio: {payload['pair']['ratio']!r}")
+        if ratio is not None:
+            print(f"# ratio: {ratio!r}")
     return 0
 
 

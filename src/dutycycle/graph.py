@@ -12,7 +12,6 @@ shared result type.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -100,19 +99,6 @@ class Matching:
     def total_weight(self, eta: float) -> float:
         return math.fsum(e.weight(eta) for e in self.edges)
 
-    def to_json_dict(self, eta: float) -> dict:
-        return {
-            "edges": [{"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.edges],
-            "eta": eta,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "Matching":
-        return cls(edges=tuple(Edge(int(e["u"]), int(e["v"])) for e in payload["edges"]))
-
-    def to_json(self, eta: float) -> str:
-        return json.dumps(self.to_json_dict(eta), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -191,17 +177,8 @@ class PairResult:
             "async": self.async_count,
             "cat": self.cat_total,
             "sat": self.sat_total,
-            "edges": self.matching.to_json_dict(self.eta)["edges"],
+            "edges": [{"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.matching.edges],
         }
-
-
-def energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: EnergyTrace) -> bool:
-    """Whether assert_energy_feasible accepts the schedule."""
-    try:
-        assert_energy_feasible(schedule, trace_u, trace_v)
-    except FeasibilityError:
-        return False
-    return True
 
 
 def assert_energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: EnergyTrace) -> None:
@@ -219,14 +196,3 @@ def assert_energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: En
                 f"device {name} overspends by slot {t}: "
                 f"{int(spent[bad[0]])} active slots vs {int(gained[bad[0]])} harvested units"
             )
-
-
-def write_schedule_csv(schedule: Schedule, path) -> None:
-    """Schedule CSV with header slot,a_u,a_v,cat."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "a_u", "a_v", "cat"])
-        for t in range(schedule.period_len):
-            writer.writerow([t + 1, schedule.a_u[t], schedule.a_v[t], repr(schedule.cat[t])])

@@ -1,15 +1,16 @@
-"""Monte Carlo experiment runner and verification suites.
+"""Monte Carlo experiment runner, trace-pair evaluation and verification suites.
 
 Runs seeded trials over synthetic i.i.d. trace pairs, aggregates CAT/SAT
 into reproducible reports, and hosts the four verification suites exposed by
-the CLI. A Monte Carlo cell streams its n trials through fixed-size row
-blocks of about _CHUNK_SLOTS trial-slots each (_trial_blocks): every block's
-arrivals and decisions are drawn once and shared by all of the cell's
-algorithms, the offline counts come from the closed form
-offline.optimum_counts and the online counts of each mode from the count
-kernel online.simulate_arrays. Only the per-trial count vectors are kept
-whole, so memory does not grow with n beyond them, and since row i of every
-draw is trial i, results do not depend on the block size.
+the CLI. evaluate_pair is the one single-pair path: run_trace_pairs and the
+CLI's `run` both call it. A Monte Carlo cell streams its n trials through
+fixed-size row blocks of about _CHUNK_SLOTS trial-slots each
+(_trial_blocks): every block's arrivals and decisions are drawn once and
+shared by all of the cell's algorithms, the offline counts come from the
+closed form offline.optimum_counts and the online counts of each mode from
+the count kernel online.simulate_arrays. Only the per-trial count vectors
+are kept whole, so memory does not grow with n beyond them, and since row i
+of every draw is trial i, results do not depend on the block size.
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle, instance by
@@ -46,7 +47,7 @@ from .metrics import (
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
 from .oracle import ORACLE_MAX_VERTEXES, brute_force_matching
-from .traces import DEFAULT_SEED, EnergyTrace, _stream
+from .traces import DEFAULT_SEED, EnergyTrace, _stream, pair_period
 
 # Stream tags keep the harness's random draws on disjoint Philox sub-streams.
 _TAG_TRACE = 1
@@ -372,6 +373,33 @@ def check_balls_in_bins(
 # ---------------------------------------------------------------------------
 
 
+def evaluate_pair(
+    pair_id: str,
+    trace_u: EnergyTrace,
+    trace_v: EnergyTrace,
+    eta: float,
+    online_cfg: OnlineConfig,
+    algorithms: tuple[str, ...] = ("offline", "online"),
+) -> tuple:
+    """Run the requested schedulers on one trace pair at one eta.
+
+    Returns (offline, online, rows, ratio): a result is None when its
+    scheduler is not in `algorithms`, rows holds one report row per result
+    that ran, and ratio is online CAT over offline CAT when both ran, else None.
+    """
+    offline = online = ratio = None
+    runs = []
+    if "offline" in algorithms:
+        offline = offline_duty_cycle(trace_u, trace_v, eta)
+        runs.append((f"{pair_id}/offline", offline.cat_total, offline.sat_total))
+    if "online" in algorithms:
+        online = online_duty_cycle(trace_u, trace_v, eta, online_cfg)
+        runs.append((f"{pair_id}/online[{online.mode.value}]", online.cat_total, online.sat_total))
+    if offline is not None and online is not None:
+        ratio = ratio_online_to_offline(online, offline)
+    return offline, online, pair_rows(trace_u, trace_v, runs), ratio
+
+
 def run_trace_pairs(
     pairs: list[tuple[EnergyTrace, EnergyTrace]],
     eta: float,
@@ -394,22 +422,11 @@ def run_trace_pairs(
     )
     for idx, (trace_u, trace_v) in enumerate(pairs):
         pair_id = f"pair{idx + 1}"
-        if trace_u.period_len != trace_v.period_len:
-            raise ValueError(
-                f"{pair_id}: traces disagree on period length: "
-                f"{trace_u.period_len} vs {trace_v.period_len}"
-            )
-        offline = offline_duty_cycle(trace_u, trace_v, eta)
-        online = online_duty_cycle(trace_u, trace_v, eta, online_cfg)
-        ratio = ratio_online_to_offline(online, offline)
-        rows = pair_rows(
-            trace_u,
-            trace_v,
-            [
-                (f"{pair_id}/offline", offline.cat_total, offline.sat_total),
-                (f"{pair_id}/online[{online.mode.value}]", online.cat_total, online.sat_total),
-            ],
-        )
+        try:
+            pair_period(trace_u, trace_v)
+        except ValueError as exc:
+            raise ValueError(f"{pair_id}: {exc}") from exc
+        offline, online, rows, ratio = evaluate_pair(pair_id, trace_u, trace_v, eta, online_cfg)
         report.pairs.extend(rows)
         report.cells.append(
             {

@@ -1,4 +1,4 @@
-"""Pair metrics: CAT, SAT, heterogeneity and online/offline ratios."""
+"""Pair metrics: report rows, heterogeneity and online/offline ratios."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PairResult, Schedule
+from .graph import PairResult
 from .traces import EnergyTrace, estimate_prob, pair_period
 
 
@@ -39,16 +39,6 @@ class PairMetrics:
                 repr(self.p_hat_v),
             ]
         )
-
-
-def compute_cat(schedule: Schedule) -> float:
-    """Total CAT of a schedule: correctly rounded sum of the per-slot values."""
-    return math.fsum(schedule.cat)
-
-
-def compute_sat(schedule: Schedule) -> float:
-    """Synchronous part of the CAT: the weight-1 slots only."""
-    return math.fsum(c for c in schedule.cat if c == 1.0)
 
 
 def heterogeneity(b_u: np.ndarray, b_v: np.ndarray):

@@ -2,9 +2,8 @@
 
 Each case runs `cli.main` in-process, or `run_trace_pairs` directly, and
 compares the sha256 of its output with a digest recorded when the case was
-added, so any change to any byte
-of a report fails here. A deliberate report change updates the digest and
-says so in CHANGES.md.
+added, so any change to any byte of a report fails here. A deliberate report
+change updates the digest and says so in CHANGES.md.
 """
 
 import hashlib

@@ -230,8 +230,9 @@ def test_empty_pair_list():
 
 def test_mismatched_pair_is_named():
     pair = (trace([1, 0]), trace([0, 1, 1], "v"))
-    with pytest.raises(ValueError, match="pair1"):
+    with pytest.raises(ValueError, match="pair1") as excinfo:
         run_trace_pairs([pair], eta=0.75, online_cfg=OnlineConfig(prob_active=0.5))
+    assert str(excinfo.value) == "pair1: traces disagree on period length: 2 vs 3"
 
 
 def test_pair_report_runs_both_schedulers_at_one_eta():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,7 @@ from dutycycle import (
     EnergyTrace,
     Matching,
     OnlineConfig,
-    compute_cat,
     compute_heterogeneity,
-    compute_sat,
     offline_duty_cycle,
     online_duty_cycle,
     pair_rows,
@@ -28,13 +28,21 @@ WORKED_V = trace([1, 0, 1, 0, 0, 1, 0, 0, 1], "v")
 
 def test_compute_cat_on_worked_example():
     result = offline_duty_cycle(WORKED_U, WORKED_V, 0.75)
-    assert compute_cat(result.schedule()) == 3.5
-    assert compute_sat(result.schedule()) == 2.0
+    assert math.fsum(result.schedule().cat) == result.cat_total == 3.5
+    assert result.sat_total == 2.0
 
 
 def test_compute_cat_all_sleep():
     sched = schedule_from_matching(Matching(edges=()), period_len=6, eta=0.75)
-    assert compute_cat(sched) == 0.0
+    assert math.fsum(sched.cat) == 0.0
+
+
+def test_sat_counts_sync_edges_only_at_eta_one():
+    # at eta = 1 an asynchronous slot's CAT is 1.0 too, yet it adds no SAT
+    result = offline_duty_cycle(trace([1, 0, 0]), trace([0, 1, 0], "v"), 1.0)
+    assert result.sat_total == 0.0
+    assert result.cat_total == 1.0
+    assert math.fsum(result.schedule().cat) == 1.0
 
 
 def test_heterogeneity_examples():
@@ -106,9 +114,9 @@ def trace_pairs(draw):
 def test_sat_bounded_by_cat_bounded_by_period(pair):
     trace_u, trace_v = pair
     result = offline_duty_cycle(trace_u, trace_v, 0.75)
-    sched = result.schedule()
-    cat = compute_cat(sched)
-    sat = compute_sat(sched)
+    cat = math.fsum(result.schedule().cat)
+    sat = result.sat_total
+    assert cat == result.cat_total
     assert 0.0 <= sat <= cat <= trace_u.period_len
     assert 0.0 <= cat / trace_u.period_len <= 1.0
 

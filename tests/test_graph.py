@@ -117,7 +117,7 @@ def test_schedule_rejects_out_of_period_edge():
 
 
 def test_matching_json_round_trip():
-    m = Matching(edges=(Edge(8, 9), Edge(1, 1)))
+    m = Matching(edges=(Edge(1, 1), Edge(8, 9)))
     edges = json.loads(json.dumps(PairResult(m, 0.75, 9).to_json_dict()))["edges"]
     assert edges == [
         {"u": 1, "v": 1, "kind": "sync"},

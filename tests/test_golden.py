@@ -73,6 +73,26 @@ GOLDEN_RUNS = {
         0,
         "712e1b6f960f62029cf59117c4a7e5e975a3bf178440c86c15131ed8899e3a91",
     ),
+    "run-json-prob0": (
+        ["run", "--prob", "0", "--period", "5", "--seed", "99"],
+        0,
+        "af1eaad5dd709689239861ced9cc0f37e427e360894c878f366c01dffb1d29f0",
+    ),
+    "run-json-prob1": (
+        ["run", "--prob", "1", "--period", "4", "--seed", "99"],
+        0,
+        "84fb7448643ffcdb08c026aef9987a57e5de2829b4c8722d48cc7f3875c84f52",
+    ),
+    "run-json-period1": (
+        ["run", "--prob", "0.5", "--period", "1", "--seed", "99"],
+        0,
+        "22d53a61cae859f103f6ef8d9e5c0e0c1f11a8bdd4ccd072cecbac092d8fe5bd",
+    ),
+    "run-json-eta1": (
+        RUN_PROB + ["--eta", "1"],
+        0,
+        "f956f18e9d9c3011634bf27e2d5c6e956d584c5451684c1ea92bde488bdf079b",
+    ),
     "verify-t1": (
         ["verify", "--suite", "t1", "--trials", "40"],
         0,

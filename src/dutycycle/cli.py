@@ -19,6 +19,7 @@ import json
 import os
 import sys
 
+from .graph import PairResult
 from .harness import (
     evaluate_pair,
     verify_bins,
@@ -40,6 +41,9 @@ from .traces import (
 ENV_SEED = "DUTYCYCLE_SEED"
 DEFAULT_ETA = 0.75
 DEFAULT_PERIOD = 600  # ten hours of one-minute slots, the usual field setup
+# One edge of a result's "edges" list, as json.dumps(..., sort_keys=True,
+# indent=2) writes it at that list's depth in a `run` report.
+_EDGE_JSON = '      {\n        "kind": "%s",\n        "u": %d,\n        "v": %d\n      }'
 
 
 def _probability(text: str) -> float:
@@ -184,6 +188,32 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def report_json(payload: dict, results: dict[str, PairResult]) -> str:
+    """A `run` report's text: the payload with each named result's
+    to_json_dict() added, as json.dumps(..., sort_keys=True, indent=2)
+    writes it.
+
+    An edge list has a fixed shape at a fixed depth, so it is rendered by
+    _EDGE_JSON, far faster than json.dumps's pure-Python indenting encoder
+    and without a dict per edge. json.dumps writes the rest with each list
+    replaced by its result's name, and the lists are spliced in after. The
+    search text `"edges": "<name>"` can only match a real "edges" key,
+    because json.dumps escapes every quote inside a string.
+    """
+    shell = dict(payload)
+    for name, result in results.items():
+        shell[name] = {**result.summary_dict(), "edges": name}
+    text = json.dumps(shell, sort_keys=True, indent=2)
+    for name, result in results.items():
+        edges = result.matching.edges
+        rendered = "[]"
+        if edges:
+            rows = [_EDGE_JSON % (e.kind, e.u_slot, e.v_slot) for e in edges]
+            rendered = "[\n" + ",\n".join(rows) + "\n    ]"
+        text = text.replace(f'"edges": "{name}"', f'"edges": {rendered}', 1)
+    return text
+
+
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.trace is not None:
@@ -214,20 +244,18 @@ def cmd_run(args) -> int:
     offline, online, rows, ratio = evaluate_pair(
         "pair1", trace_u, trace_v, args.eta, cfg, algorithms
     )
-    payload: dict = {"config": config}
-    for name, result in (("offline", offline), ("online", online)):
-        if result is not None:
-            payload[name] = result.to_json_dict()
-    if ratio is not None:
-        payload["pair"] = {
-            "ratio": ratio,
-            "heterogeneity": rows[0].heterogeneity,
-            "p_hat_u": rows[0].p_hat_u,
-            "p_hat_v": rows[0].p_hat_v,
-        }
-
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        payload: dict = {"config": config}
+        if ratio is not None:
+            payload["pair"] = {
+                "ratio": ratio,
+                "heterogeneity": rows[0].heterogeneity,
+                "p_hat_u": rows[0].p_hat_u,
+                "p_hat_v": rows[0].p_hat_v,
+            }
+        results = {name: result for name, result in (("offline", offline), ("online", online))
+                   if result is not None}
+        print(report_json(payload, results))
     else:
         print(f"# config: {json.dumps(config, sort_keys=True)}")
         print(rows[0].CSV_HEADER)

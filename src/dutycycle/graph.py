@@ -12,8 +12,8 @@ shared result type.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class Edge:
         stored unit can only be spent after it was harvested."""
         return max(self.u_slot, self.v_slot)
 
-    def weight(self, eta: float) -> float:
-        return 1.0 if self.is_sync else eta
-
 
 def check_eta(eta: float) -> None:
     """ValueError unless the charging efficiency eta lies in (0, 1]."""
@@ -70,9 +67,21 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
 
+def cat_from_counts(sync: int, async_count: int, eta: float) -> float:
+    """The CAT of sync edges of weight 1 and async edges of weight eta.
+
+    The exact sum, rounded once to the nearest float: the value math.fsum
+    returns over the per-edge weights, without a per-edge walk. eta is
+    exactly num / den, and Python's int division rounds correctly.
+    """
+    num, den = eta.as_integer_ratio()
+    return (sync * den + async_count * num) / den
+
+
 @dataclass(frozen=True)
 class Matching:
-    """A set of vertex-exclusive edges, kept sorted for reproducibility."""
+    """A set of vertex-exclusive edges, sorted by (u_slot, v_slot) for
+    reproducibility: the order Edge's comparisons define."""
 
     edges: tuple[Edge, ...]
 
@@ -86,7 +95,9 @@ class Matching:
                 raise ExclusivityError(f"V-vertex at slot {e.v_slot} used by more than one edge")
             seen_u.add(e.u_slot)
             seen_v.add(e.v_slot)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        # a key tuple compares faster than the dataclass's generated __lt__
+        edges = tuple(sorted(self.edges, key=attrgetter("u_slot", "v_slot")))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def sync_count(self) -> int:
@@ -97,7 +108,8 @@ class Matching:
         return len(self.edges) - self.sync_count
 
     def total_weight(self, eta: float) -> float:
-        return math.fsum(e.weight(eta) for e in self.edges)
+        sync = self.sync_count
+        return cat_from_counts(sync, len(self.edges) - sync, eta)
 
 
 @dataclass(frozen=True)
@@ -148,9 +160,10 @@ def schedule_from_matching(matching: Matching, period_len: int, eta: float) -> S
 class PairResult:
     """A scheduler's matching on one trace pair, with its totals.
 
-    The totals are derived from the matching once, at construction: the
-    sync and async edge counts, the CAT (each edge's weight at eta, summed
-    with correct rounding) and the SAT (the sync edges' weight).
+    The totals are derived from the matching once, at construction, from
+    one count of its sync edges: the sync and async edge counts, the CAT
+    (each edge's weight at eta, summed with correct rounding) and the SAT
+    (the sync edges' weight).
     """
 
     matching: Matching
@@ -163,22 +176,27 @@ class PairResult:
 
     def __post_init__(self) -> None:
         sync = self.matching.sync_count
+        async_count = len(self.matching.edges) - sync
         object.__setattr__(self, "sync_count", sync)
-        object.__setattr__(self, "async_count", self.matching.async_count)
-        object.__setattr__(self, "cat_total", self.matching.total_weight(self.eta))
+        object.__setattr__(self, "async_count", async_count)
+        object.__setattr__(self, "cat_total", cat_from_counts(sync, async_count, self.eta))
         object.__setattr__(self, "sat_total", float(sync))
 
     def schedule(self) -> Schedule:
         return schedule_from_matching(self.matching, self.period_len, self.eta)
 
-    def to_json_dict(self) -> dict:
+    def summary_dict(self) -> dict:
+        """The fields of to_json_dict other than the edge list."""
         return {
             "sync": self.sync_count,
             "async": self.async_count,
             "cat": self.cat_total,
             "sat": self.sat_total,
-            "edges": [{"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.matching.edges],
         }
+
+    def to_json_dict(self) -> dict:
+        edges = [{"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.matching.edges]
+        return {**self.summary_dict(), "edges": edges}
 
 
 def assert_energy_feasible(schedule: Schedule, trace_u: EnergyTrace, trace_v: EnergyTrace) -> None:

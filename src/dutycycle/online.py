@@ -91,10 +91,9 @@ class OnlineResult(PairResult):
     mode: OnlineMode
     wasted_units: int
 
-    def to_json_dict(self) -> dict:
-        payload = super().to_json_dict()
-        payload.update(wasted_units=self.wasted_units, mode=self.mode.value)
-        return payload
+    def summary_dict(self) -> dict:
+        summary = super().summary_dict()
+        return {**summary, "wasted_units": self.wasted_units, "mode": self.mode.value}
 
 
 def approx_ratio_bound(p: float) -> float:

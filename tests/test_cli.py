@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dutycycle.cli import main
+from dutycycle import Edge, Matching, OnlineMode, OnlineResult, PairResult
+from dutycycle.cli import main, report_json
 
 
 def run_cli(argv, capsys):
@@ -93,6 +95,53 @@ def test_run_csv_format(worked_trace, capsys):
     assert lines[0].startswith("# config:")
     assert lines[1] == "pair_id,cat,sat,cat_pct,sat_pct,heterogeneity,p_hat_u,p_hat_v"
     assert lines[2].startswith("pair1/offline,3.5,2.0,")
+
+
+@st.composite
+def matchings(draw):
+    # vertex-exclusive edges, many of them sync, over small and large slots
+    slots = st.one_of(st.integers(1, 50), st.integers(1, 10**9))
+    offsets = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
+    used_u, used_v, edges = set(), set(), []
+    for u, d in draw(st.lists(st.tuples(slots, offsets), max_size=40)):
+        v = max(1, u + d)
+        if u not in used_u and v not in used_v:
+            used_u.add(u)
+            used_v.add(v)
+            edges.append(Edge(u, v))
+    return Matching(edges=tuple(edges))
+
+
+# A report's only user text is the trace path; these need escaping, or look
+# like the writer's placeholder for an edge list.
+AWKWARD_PATHS = ['"edges": "offline"', 'a"b\\c.csv', "traces/\u00e9t\u00e9/\u8def\u5f84.csv"]
+
+
+@settings(max_examples=300)
+@given(
+    algo=st.sampled_from(["offline", "online", "both"]),
+    mode=st.sampled_from(["matching", "slotsim"]),
+    eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    path=st.one_of(st.sampled_from(AWKWARD_PATHS), st.text(), st.none()),
+    offline=matchings(),
+    online=matchings(),
+    wasted=st.integers(0, 10**6),
+    floats=st.lists(st.floats(allow_nan=False), min_size=4, max_size=4),
+)
+def test_report_json_matches_json_dumps(algo, mode, eta, path, offline, online, wasted, floats):
+    source = {"prob": floats[0]} if path is None else {"trace": path}
+    payload = {"config": {"command": "run", "algo": algo, "eta": eta, "mode": mode,
+                          "seed": wasted, "format": "json", "period": 600, **source}}
+    results = {}
+    if algo != "online":
+        results["offline"] = PairResult(offline, eta, 600)
+    if algo != "offline":
+        results["online"] = OnlineResult(online, eta, 600, mode=OnlineMode(mode),
+                                         wasted_units=wasted)
+    if algo == "both":
+        payload["pair"] = dict(zip(("ratio", "heterogeneity", "p_hat_u", "p_hat_v"), floats))
+    expected = {**payload, **{name: r.to_json_dict() for name, r in results.items()}}
+    assert report_json(payload, results) == json.dumps(expected, sort_keys=True, indent=2)
 
 
 def test_run_rejects_malformed_trace_with_row_number(tmp_path, capsys):

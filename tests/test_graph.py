@@ -18,6 +18,7 @@ from dutycycle import (
     offline_duty_cycle,
     schedule_from_matching,
 )
+from dutycycle.graph import cat_from_counts
 
 
 def trace(states, device_id="u"):
@@ -27,10 +28,10 @@ def trace(states, device_id="u"):
 def test_edge_properties():
     sync = Edge(3, 3)
     assert sync.is_sync and sync.kind == "sync" and sync.active_slot == 3
-    assert sync.weight(0.75) == 1.0
+    assert Matching(edges=(sync,)).total_weight(0.75) == 1.0
     asyn = Edge(8, 9)
     assert not asyn.is_sync and asyn.kind == "async" and asyn.active_slot == 9
-    assert asyn.weight(0.75) == 0.75
+    assert Matching(edges=(asyn,)).total_weight(0.75) == 0.75
 
 
 def test_build_graph_walkthrough_sets():
@@ -82,6 +83,28 @@ def test_matching_counts_and_sorting():
     m = Matching(edges=(Edge(4, 3), Edge(1, 1)))
     assert m.edges == (Edge(1, 1), Edge(4, 3))
     assert m.sync_count == 1 and m.async_count == 1
+
+
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), unique=True, max_size=30))
+def test_matching_sorts_in_edge_order(pairs):
+    # vertex-exclusive subset: the first edge to claim each slot
+    used_u, used_v, edges = set(), set(), []
+    for u, v in pairs:
+        if u not in used_u and v not in used_v:
+            used_u.add(u)
+            used_v.add(v)
+            edges.append(Edge(u, v))
+    assert Matching(edges=tuple(edges)).edges == tuple(sorted(edges))
+
+
+@given(
+    sync=st.integers(0, 3000),
+    async_count=st.integers(0, 3000),
+    eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_cat_from_counts_is_the_correctly_rounded_sum(sync, async_count, eta):
+    weights = [1.0] * sync + [eta] * async_count
+    assert cat_from_counts(sync, async_count, eta) == math.fsum(weights)
 
 
 def test_schedule_from_matching_hand_evaluated():

@@ -26,17 +26,14 @@ from .traces import (
     write_raw_csv,
 )
 from .graph import (
-    Edge,
     ExclusivityError,
     FeasibilityError,
-    Matching,
     PairResult,
     Schedule,
     ScheduleConflictError,
     assert_energy_feasible,
-    schedule_from_matching,
 )
-from .offline import OfflineResult, exact_expected_cat, expected_cat, offline_duty_cycle
+from .offline import exact_expected_cat, expected_cat, offline_duty_cycle
 from .online import (
     OnlineConfig,
     OnlineMode,
@@ -47,7 +44,6 @@ from .online import (
 from .oracle import (
     ORACLE_MAX_VERTEXES,
     OracleBudgetError,
-    OracleResult,
     brute_force_matching,
     closed_form_optimum,
 )
@@ -72,19 +68,15 @@ __all__ = [
     "ArrivalModel",
     "BinsReport",
     "DEFAULT_SEED",
-    "Edge",
     "EnergyTrace",
     "ExclusivityError",
     "ExperimentSpec",
     "FeasibilityError",
-    "Matching",
-    "OfflineResult",
     "OnlineConfig",
     "OnlineMode",
     "OnlineResult",
     "ORACLE_MAX_VERTEXES",
     "OracleBudgetError",
-    "OracleResult",
     "PairMetrics",
     "PairResult",
     "RawTrace",
@@ -111,7 +103,6 @@ __all__ = [
     "read_raw_csv",
     "run_monte_carlo",
     "run_trace_pairs",
-    "schedule_from_matching",
     "threshold_trace",
     "write_pair_csv",
     "write_raw_csv",

@@ -15,7 +15,9 @@ Every report embeds the fully resolved configuration for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -76,8 +78,8 @@ def _seed(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (0.0 < value < math.inf):  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -96,6 +98,7 @@ def _resolve_seed(seed: int | None) -> int:
     return DEFAULT_SEED
 
 
+@functools.cache  # building takes ~1 ms, parsing a tenth of that
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dutycycle",
@@ -205,10 +208,9 @@ def report_json(payload: dict, results: dict[str, PairResult]) -> str:
         shell[name] = {**result.summary_dict(), "edges": name}
     text = json.dumps(shell, sort_keys=True, indent=2)
     for name, result in results.items():
-        edges = result.matching.edges
         rendered = "[]"
-        if edges:
-            rows = [_EDGE_JSON % (e.kind, e.u_slot, e.v_slot) for e in edges]
+        if result.edges:
+            rows = [_EDGE_JSON % ("sync" if u == v else "async", u, v) for u, v in result.edges]
             rendered = "[\n" + ",\n".join(rows) + "\n    ]"
         text = text.replace(f'"edges": "{name}"', f'"edges": {rendered}', 1)
     return text

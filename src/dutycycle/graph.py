@@ -1,26 +1,23 @@
-"""Energy-state graph, matchings, schedules and results for one device pair.
+"""Energy-state graph, schedules and results for one device pair.
 
 A vertex is one harvest slot of one device, read straight from the pair's
-traces. A matching edge pairs one slot per side; same-slot edges are
-synchronous (weight 1, both devices run on freshly harvested energy) and
-cross-slot edges are asynchronous (weight eta, the earlier unit is stored
-and spent at the later slot). Each vertex may carry at most one edge, and no
-two edges may activate the devices in the same slot. PairResult, a
-matching with the totals it fixes, is the offline and online schedulers'
-shared result type.
+traces. A matching edge is a plain (u_slot, v_slot) pair of 1-based slots,
+one per side; same-slot edges are synchronous (weight 1, both devices run on
+freshly harvested energy) and cross-slot edges are asynchronous (weight eta,
+the earlier unit is stored and spent at the later slot). Each vertex may
+carry at most one edge, and no two edges may activate the devices in the
+same slot. PairResult, a matching with the totals it fixes, is the one
+result type of the offline scheduler, the online scheduler and the oracle.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from .traces import EnergyTrace
-
-SYNC = "sync"
-ASYNC = "async"
 
 
 class ExclusivityError(ValueError):
@@ -33,32 +30,6 @@ class ScheduleConflictError(ValueError):
 
 class FeasibilityError(ValueError):
     """A schedule spends more energy than harvested on some prefix."""
-
-
-@dataclass(frozen=True, order=True)
-class Edge:
-    """Matching edge between slot u_slot of device U and v_slot of device V."""
-
-    u_slot: int
-    v_slot: int
-
-    def __post_init__(self) -> None:
-        if self.u_slot < 1 or self.v_slot < 1:
-            raise ValueError(f"edge slots must be 1-based, got ({self.u_slot}, {self.v_slot})")
-
-    @property
-    def kind(self) -> str:
-        return SYNC if self.u_slot == self.v_slot else ASYNC
-
-    @property
-    def is_sync(self) -> bool:
-        return self.u_slot == self.v_slot
-
-    @property
-    def active_slot(self) -> int:
-        """Slot where both devices switch on: the later endpoint, because a
-        stored unit can only be spent after it was harvested."""
-        return max(self.u_slot, self.v_slot)
 
 
 def check_eta(eta: float) -> None:
@@ -79,40 +50,6 @@ def cat_from_counts(sync: int, async_count: int, eta: float) -> float:
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A set of vertex-exclusive edges, sorted by (u_slot, v_slot) for
-    reproducibility: the order Edge's comparisons define."""
-
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        seen_u: set[int] = set()
-        seen_v: set[int] = set()
-        for e in self.edges:
-            if e.u_slot in seen_u:
-                raise ExclusivityError(f"U-vertex at slot {e.u_slot} used by more than one edge")
-            if e.v_slot in seen_v:
-                raise ExclusivityError(f"V-vertex at slot {e.v_slot} used by more than one edge")
-            seen_u.add(e.u_slot)
-            seen_v.add(e.v_slot)
-        # a key tuple compares faster than the dataclass's generated __lt__
-        edges = tuple(sorted(self.edges, key=attrgetter("u_slot", "v_slot")))
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def sync_count(self) -> int:
-        return sum(1 for e in self.edges if e.u_slot == e.v_slot)
-
-    @property
-    def async_count(self) -> int:
-        return len(self.edges) - self.sync_count
-
-    def total_weight(self, eta: float) -> float:
-        sync = self.sync_count
-        return cat_from_counts(sync, len(self.edges) - sync, eta)
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Per-slot activation decisions and the CAT realized in each slot."""
 
@@ -129,44 +66,20 @@ class Schedule:
             raise ValueError("decisions must be 0 or 1")
 
 
-def schedule_from_matching(matching: Matching, period_len: int, eta: float) -> Schedule:
-    """Realize a matching as per-slot decisions.
-
-    Both devices switch on at each edge's active slot; the per-slot CAT is 1
-    at synchronous active slots and eta at asynchronous ones. Two edges
-    claiming the same active slot make the matching unrealizable and raise
-    ScheduleConflictError.
-    """
-    a_u = [0] * period_len
-    a_v = [0] * period_len
-    cat = [0.0] * period_len
-    claimed: dict[int, Edge] = {}
-    for e in matching.edges:
-        t = e.active_slot
-        if t > period_len:
-            raise ValueError(f"edge {e} activates at slot {t} beyond period_len {period_len}")
-        if t in claimed:
-            raise ScheduleConflictError(
-                f"edges {claimed[t]} and {e} both activate at slot {t}"
-            )
-        claimed[t] = e
-        a_u[t - 1] = 1
-        a_v[t - 1] = 1
-        cat[t - 1] = 1.0 if e.is_sync else eta
-    return Schedule(period_len=period_len, a_u=tuple(a_u), a_v=tuple(a_v), cat=tuple(cat))
-
-
 @dataclass(frozen=True)
 class PairResult:
     """A scheduler's matching on one trace pair, with its totals.
 
-    The totals are derived from the matching once, at construction, from
-    one count of its sync edges: the sync and async edge counts, the CAT
-    (each edge's weight at eta, summed with correct rounding) and the SAT
-    (the sync edges' weight).
+    `edges` takes any iterable of (u_slot, v_slot) int pairs and is stored
+    as a tuple sorted by (u_slot, v_slot), for reproducibility. Construction
+    rejects slots below 1 (ValueError) and a vertex used twice
+    (ExclusivityError). The totals are derived once, from one count of the
+    sync edges: the sync and async edge counts, the CAT (each edge's weight
+    at eta, summed with correct rounding) and the SAT (the sync edges'
+    weight).
     """
 
-    matching: Matching
+    edges: tuple[tuple[int, int], ...]
     eta: float
     period_len: int
     sync_count: int = field(init=False)
@@ -175,15 +88,51 @@ class PairResult:
     sat_total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        sync = self.matching.sync_count
-        async_count = len(self.matching.edges) - sync
+        edges = tuple(sorted(self.edges))
+        u_slots = [u for u, _ in edges]
+        v_slots = [v for _, v in edges]
+        if edges and min(u_slots[0], min(v_slots)) < 1:
+            bad = next(e for e in edges if min(e) < 1)
+            raise ValueError(f"edge slots must be 1-based, got {bad}")
+        for side, slots in (("U", u_slots), ("V", v_slots)):
+            if len(set(slots)) < len(slots):
+                ordered = sorted(slots)
+                dup = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+                raise ExclusivityError(f"{side}-vertex at slot {dup} used by more than one edge")
+        sync = sum(map(operator.eq, u_slots, v_slots))
+        async_count = len(edges) - sync
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "sync_count", sync)
         object.__setattr__(self, "async_count", async_count)
         object.__setattr__(self, "cat_total", cat_from_counts(sync, async_count, self.eta))
         object.__setattr__(self, "sat_total", float(sync))
 
     def schedule(self) -> Schedule:
-        return schedule_from_matching(self.matching, self.period_len, self.eta)
+        """Realize the matching as per-slot decisions.
+
+        Both devices switch on at each edge's active slot, the later
+        endpoint, because a stored unit can only be spent after it was
+        harvested. The per-slot CAT is 1 at synchronous active slots and eta
+        at asynchronous ones. Two edges claiming the same active slot make
+        the matching unrealizable and raise ScheduleConflictError.
+        """
+        active = [0] * self.period_len
+        cat = [0.0] * self.period_len
+        claimed: dict[int, tuple[int, int]] = {}
+        for edge in self.edges:
+            t = max(edge)
+            if t > self.period_len:
+                raise ValueError(
+                    f"edge {edge} activates at slot {t} beyond period_len {self.period_len}"
+                )
+            if t in claimed:
+                raise ScheduleConflictError(
+                    f"edges {claimed[t]} and {edge} both activate at slot {t}"
+                )
+            claimed[t] = edge
+            active[t - 1] = 1
+            cat[t - 1] = 1.0 if edge[0] == edge[1] else self.eta
+        return Schedule(self.period_len, tuple(active), tuple(active), tuple(cat))
 
     def summary_dict(self) -> dict:
         """The fields of to_json_dict other than the edge list."""
@@ -195,7 +144,7 @@ class PairResult:
         }
 
     def to_json_dict(self) -> dict:
-        edges = [{"u": e.u_slot, "v": e.v_slot, "kind": e.kind} for e in self.matching.edges]
+        edges = [{"u": u, "v": v, "kind": "sync" if u == v else "async"} for u, v in self.edges]
         return {**self.summary_dict(), "edges": edges}
 
 

@@ -202,8 +202,8 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
             if "oracle" in spec.algorithms:
                 for i, u, v in zip(range(block.start, block.stop), b_u, b_v):
                     ores = brute_force_matching(EnergyTrace("u", u), EnergyTrace("v", v), eta)
-                    oracle_cat[i] = ores.best_weight
-                    if (ores.best_sync_count, ores.best_async_count) != (sync[i], asyn[i]):
+                    oracle_cat[i] = ores.cat_total
+                    if (ores.sync_count, ores.async_count) != (sync[i], asyn[i]):
                         oracle_equal = False
             for mode, counts in online_counts.items():
                 counts[:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
@@ -507,12 +507,12 @@ def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 
         trace_u, trace_v = random_instance(seed, i, T1_PERIOD, p)
         off = offline_duty_cycle(trace_u, trace_v, eta)
         ora = brute_force_matching(trace_u, trace_v, eta)
-        if (off.sync_count, off.async_count) != (ora.best_sync_count, ora.best_async_count):
+        if (off.sync_count, off.async_count) != (ora.sync_count, ora.async_count):
             mismatches.append(
                 {
                     "instance": i,
                     "offline": [off.sync_count, off.async_count],
-                    "oracle": [ora.best_sync_count, ora.best_async_count],
+                    "oracle": [ora.sync_count, ora.async_count],
                 }
             )
     return {

@@ -6,6 +6,8 @@ for the nearest unmatched vertex on the other side (device U's leftovers
 first, then device V's). The result is a maximum-weight matching of the
 energy-state graph (one vertex per harvest slot of each trace) whenever
 eta <= 1; the oracle module certifies this exhaustively in the test suite.
+It comes back as a graph.PairResult, the result type the online scheduler
+and the oracle return too.
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ import math
 
 import numpy as np
 
-from .graph import Edge, Matching, PairResult, check_eta
+from .graph import PairResult, check_eta
 from .traces import EnergyTrace, pair_period
-
-
-OfflineResult = PairResult  # the offline scheduler's result type, kept by name
 
 
 def _pair_backward(
@@ -57,8 +56,8 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     unmatched; their banked unit is never spent.
 
     Returns (sync_slots, step2 (u, v) pairs, step3 (v, u) pairs); slots are
-    1-based. offline_duty_cycle wraps it with the domain types; callers that
-    need only the edge counts use optimum_counts.
+    1-based. offline_duty_cycle wraps it in a PairResult; callers that need
+    only the edge counts use optimum_counts.
     """
     sync_slots = np.flatnonzero(b_u & b_v) + 1
     u_rem = (np.flatnonzero(b_u & ~b_v) + 1).tolist()
@@ -90,10 +89,8 @@ def offline_duty_cycle(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -
     check_eta(eta)
     sync_slots, step2, step3 = duty_cycle_arrays(trace_u.states, trace_v.states)
 
-    edges = [Edge(int(t), int(t)) for t in sync_slots]
-    edges.extend(Edge(u, v) for u, v in step2)
-    edges.extend(Edge(u, v) for v, u in step3)
-    return PairResult(Matching(edges=tuple(edges)), eta, period_len)
+    edges = [(t, t) for t in sync_slots.tolist()] + step2 + [(u, v) for v, u in step3]
+    return PairResult(edges, eta, period_len)
 
 
 def _check_reference_args(period_len: int, p: float, eta: float) -> None:

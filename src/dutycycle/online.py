@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Edge, Matching, PairResult, check_eta
+from .graph import PairResult, check_eta
 from .traces import DEFAULT_SEED, EnergyTrace, device_stream, pair_period
 
 
@@ -238,7 +238,7 @@ def _walk_pair(
     stood before the slot; then the pairing pops, then the sleeper pushes.
     """
     sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
-    edges = [Edge(t, t) for t in (np.flatnonzero(sync) + 1).tolist()]
+    edges = [(t, t) for t in (np.flatnonzero(sync) + 1).tolist()]
     n_sync = len(edges)
     visit = np.flatnonzero(dep_u | dep_v | want_u | want_v)
     bank_u: list[int] = []
@@ -248,15 +248,15 @@ def _walk_pair(
         pair_u = want_u_t and len(bank_v) > 0
         pair_v = want_v_t and len(bank_u) > 0
         if pair_u:
-            edges.append(Edge(t, bank_v.pop()))
+            edges.append((t, bank_v.pop()))
         if pair_v:
-            edges.append(Edge(bank_u.pop(), t))
+            edges.append((bank_u.pop(), t))
         if dep_u_t and not pair_u:
             bank_u.append(t)
         if dep_v_t and not pair_v:
             bank_v.append(t)
     return OnlineResult(
-        Matching(edges=tuple(edges)),
+        edges,
         eta,
         b_u.shape[0],
         mode=mode,

@@ -9,19 +9,20 @@ matching of the first i U-vertexes that covers exactly that subset; numpy
 computes each layer over all 2^|V| masks at once, a 13 x 4097 int32 score
 table (about 213 kB) at the size cap. Ties break first by weight, then by
 synchronous edge count, then by the lowest final mask, and the witness
-prefers leaving a U-vertex unmatched, then its lowest V partner. Sizes are
+prefers leaving a U-vertex unmatched, then its lowest V partner. The
+witness comes back as a graph.PairResult, the schedulers' result type, so
+the optimum reads as its cat_total, sync_count and async_count. Sizes are
 capped so the search stays cheap; larger ones are refused, not approximated.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graph import Edge, Matching, check_eta
+from .graph import PairResult, check_eta
 from .traces import EnergyTrace, pair_period
 
 # Upper bound on each side's vertex count for the exhaustive search. 12 keeps the
@@ -36,14 +37,6 @@ _UNREACHABLE = np.iinfo(np.int32).min // 2
 
 class OracleBudgetError(ValueError):
     """Instance exceeds the exhaustive-search size budget."""
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    best_weight: float
-    best_sync_count: int
-    best_async_count: int
-    witness: Matching
 
 
 @functools.lru_cache(maxsize=64)
@@ -73,7 +66,7 @@ def _predecessors(nb: int) -> np.ndarray:
     return table
 
 
-def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> OracleResult:
+def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> PairResult:
     """Search every matching; maximize weight, then synchronous edge count.
 
     U-vertexes are taken in ascending order; each is either left unmatched
@@ -85,9 +78,10 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
     and of each v_j it could take. Weights are compared in exact integer
     arithmetic (eta as a rational) so ties break deterministically. The
     vertexes are the traces' harvest slots; ValueError on a period mismatch
-    or an eta outside (0, 1].
+    or an eta outside (0, 1]. Returns the witness matching as a PairResult,
+    whose totals are the optimum's.
     """
-    pair_period(trace_u, trace_v)
+    period_len = pair_period(trace_u, trace_v)
     check_eta(eta)
     A, B = trace_u.harvest_slots(), trace_v.harvest_slots()
     na, nb = len(A), len(B)
@@ -121,7 +115,7 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
     # Backtrack one witness, one layer at a time; among equal-score
     # predecessors prefer leaving u unmatched, then the lowest V index, which
     # makes the witness stable.
-    edges: list[Edge] = []
+    edges: list[tuple[int, int]] = []
     for i in range(na - 1, -1, -1):
         row = table[i]
         if row[mask] == score:
@@ -132,17 +126,11 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
                 break
         else:  # pragma: no cover - DP bookkeeping guarantees a path
             raise AssertionError("witness backtrack failed")
-        edges.append(Edge(A[i], B[j]))
+        edges.append((A[i], B[j]))
         mask ^= bit
         score -= gains[i][j + 1]
 
-    witness = Matching(edges=tuple(edges))
-    return OracleResult(
-        best_weight=witness.total_weight(eta),
-        best_sync_count=witness.sync_count,
-        best_async_count=witness.async_count,
-        witness=witness,
-    )
+    return PairResult(edges, eta, period_len)
 
 
 def closed_form_optimum(n_sync: int, n_a_only: int, n_b_only: int, eta: float) -> float:

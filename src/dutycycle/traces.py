@@ -144,8 +144,8 @@ def threshold_trace(raw: RawTrace, threshold: float, period_len: int) -> EnergyT
     The comparison is inclusive and slots without a sample map to 0 (no
     evidence of harvestable energy).
     """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not (0.0 < threshold < math.inf):  # NaN fails too
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     if period_len < 1:
         raise ValueError(f"period_len must be at least 1, got {period_len}")
     states = np.zeros(period_len, dtype=bool)
@@ -179,6 +179,15 @@ RAW_HEADER = ["slot", "device_id", "reading"]
 PAIR_HEADER = ["slot", "b_u", "b_v"]
 
 
+def _csv_rows(fh, path):
+    """csv.reader over the open file fh; a byte that is not UTF-8 raises
+    TraceFormatError naming path."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def write_raw_csv(traces: list[RawTrace], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -197,7 +206,7 @@ def read_raw_csv(path, period_len: int | None = None) -> dict[str, RawTrace]:
     """
     by_device: dict[str, list[tuple[int, float]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header != RAW_HEADER:
             raise TraceFormatError(
@@ -244,7 +253,7 @@ def read_pair_csv(path, id_u: str = "u", id_v: str = "v") -> tuple[EnergyTrace, 
     states_u: list[bool] = []
     states_v: list[bool] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header != PAIR_HEADER:
             raise TraceFormatError(

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dutycycle import Edge, Matching, OnlineMode, OnlineResult, PairResult
+from dutycycle import OnlineMode, OnlineResult, PairResult
 from dutycycle.cli import main, report_json
 
 
@@ -108,8 +108,8 @@ def matchings(draw):
         if u not in used_u and v not in used_v:
             used_u.add(u)
             used_v.add(v)
-            edges.append(Edge(u, v))
-    return Matching(edges=tuple(edges))
+            edges.append((u, v))
+    return tuple(edges)
 
 
 # A report's only user text is the trace path; these need escaping, or look
@@ -256,6 +256,37 @@ def test_ingest_requires_threshold(capsys):
         main(["ingest", "--raw", "raw.csv", "--period", "4", "--out", "o.csv"])
     assert exc.value.code == 2
     assert "--threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
+def test_ingest_rejects_non_finite_threshold(threshold, tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("slot,device_id,reading\n1,a,3.5\n1,b,1.0\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--raw", str(raw), "--threshold", threshold, "--period", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_readers_name_a_file_that_is_not_utf8(tmp_path, capsys):
+    pair = tmp_path / "pair.csv"
+    pair.write_bytes(b"slot,b_u,b_v\n1,0,1\n2,\xff,0\n")
+    code, stdout, stderr = run_cli(["run", "--trace", str(pair)], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {pair}: not UTF-8 text: ")
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b"slot,device_id,reading\n1,\xff,3.5\n")
+    out = tmp_path / "o.csv"
+    code, stdout, stderr = run_cli(
+        ["ingest", "--raw", str(raw), "--threshold", "1.0", "--period", "2", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {raw}: not UTF-8 text: ")
+    assert not out.exists()
 
 
 def test_ingest_rejects_single_device(tmp_path, capsys):

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dutycycle import (
-    Edge,
     EnergyTrace,
     ExclusivityError,
     FeasibilityError,
-    Matching,
     PairResult,
     Schedule,
     ScheduleConflictError,
     assert_energy_feasible,
     brute_force_matching,
     offline_duty_cycle,
-    schedule_from_matching,
 )
 from dutycycle.graph import cat_from_counts
 
@@ -26,12 +23,19 @@ def trace(states, device_id="u"):
 
 
 def test_edge_properties():
-    sync = Edge(3, 3)
-    assert sync.is_sync and sync.kind == "sync" and sync.active_slot == 3
-    assert Matching(edges=(sync,)).total_weight(0.75) == 1.0
-    asyn = Edge(8, 9)
-    assert not asyn.is_sync and asyn.kind == "async" and asyn.active_slot == 9
-    assert Matching(edges=(asyn,)).total_weight(0.75) == 0.75
+    # an edge is a plain (u_slot, v_slot) pair: its kind shows in the JSON
+    # dict and its active slot, the later endpoint, in the schedule
+    sync = PairResult(((3, 3),), 0.75, 9)
+    assert sync.to_json_dict()["edges"][0]["kind"] == "sync"
+    assert sync.schedule().a_u.index(1) + 1 == 3
+    assert sync.cat_total == 1.0
+    asyn = PairResult(((8, 9),), 0.75, 9)
+    assert asyn.to_json_dict()["edges"][0]["kind"] == "async"
+    assert asyn.schedule().a_u.index(1) + 1 == 9
+    assert asyn.cat_total == 0.75
+    for bad in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="1-based"):
+            PairResult((bad,), 0.75, 9)
 
 
 def test_build_graph_walkthrough_sets():
@@ -65,23 +69,23 @@ def test_state_graph_invariants():
 
 
 def test_matching_weight_examples():
-    edges = (Edge(1, 1), Edge(6, 6), Edge(4, 3), Edge(8, 9))
-    assert Matching(edges=edges).total_weight(eta=0.75) == 3.5
-    assert Matching(edges=()).total_weight(eta=0.75) == 0.0
-    sync_only = tuple(Edge(t, t) for t in range(1, 6))
-    assert Matching(edges=sync_only).total_weight(eta=0.3) == 5.0
+    edges = ((1, 1), (6, 6), (4, 3), (8, 9))
+    assert PairResult(edges, 0.75, 9).cat_total == 3.5
+    assert PairResult((), 0.75, 9).cat_total == 0.0
+    sync_only = tuple((t, t) for t in range(1, 6))
+    assert PairResult(sync_only, 0.3, 5).cat_total == 5.0
 
 
 def test_matching_rejects_duplicate_vertex():
-    with pytest.raises(ExclusivityError):
-        Matching(edges=(Edge(1, 1), Edge(1, 2)))
-    with pytest.raises(ExclusivityError):
-        Matching(edges=(Edge(2, 5), Edge(3, 5))).total_weight(eta=0.75)
+    with pytest.raises(ExclusivityError, match="^U-vertex at slot 1 used by more than one edge$"):
+        PairResult(((1, 1), (1, 2)), 0.75, 5)
+    with pytest.raises(ExclusivityError, match="^V-vertex at slot 5 used by more than one edge$"):
+        PairResult(((2, 5), (3, 5)), 0.75, 5)
 
 
 def test_matching_counts_and_sorting():
-    m = Matching(edges=(Edge(4, 3), Edge(1, 1)))
-    assert m.edges == (Edge(1, 1), Edge(4, 3))
+    m = PairResult(((4, 3), (1, 1)), 0.75, 4)
+    assert m.edges == ((1, 1), (4, 3))
     assert m.sync_count == 1 and m.async_count == 1
 
 
@@ -93,8 +97,8 @@ def test_matching_sorts_in_edge_order(pairs):
         if u not in used_u and v not in used_v:
             used_u.add(u)
             used_v.add(v)
-            edges.append(Edge(u, v))
-    assert Matching(edges=tuple(edges)).edges == tuple(sorted(edges))
+            edges.append((u, v))
+    assert PairResult(tuple(edges), 0.75, 30).edges == tuple(sorted(edges))
 
 
 @given(
@@ -108,45 +112,44 @@ def test_cat_from_counts_is_the_correctly_rounded_sum(sync, async_count, eta):
 
 
 def test_schedule_from_matching_hand_evaluated():
-    m = Matching(edges=(Edge(1, 1), Edge(4, 3)))
-    sched = schedule_from_matching(m, period_len=5, eta=0.75)
+    sched = PairResult(((1, 1), (4, 3)), 0.75, 5).schedule()
     assert sched.cat == (1.0, 0.0, 0.0, 0.75, 0.0)
     assert sched.a_u == (1, 0, 0, 1, 0)
     assert sched.a_v == (1, 0, 0, 1, 0)
 
 
 def test_schedule_empty_matching():
-    sched = schedule_from_matching(Matching(edges=()), period_len=4, eta=0.75)
+    sched = PairResult((), 0.75, 4).schedule()
     assert sched.cat == (0.0,) * 4
     assert sched.a_u == (0,) * 4
 
 
 def test_schedule_activates_at_later_endpoint():
-    sched = schedule_from_matching(Matching(edges=(Edge(8, 9),)), period_len=9, eta=0.75)
+    sched = PairResult(((8, 9),), 0.75, 9).schedule()
     assert sched.a_u[8] == 1 and sched.a_v[8] == 1
     assert sched.cat[8] == 0.75
     assert sum(sched.a_u) == 1
 
 
 def test_schedule_conflict_is_rejected():
-    m = Matching(edges=(Edge(5, 3), Edge(1, 5)))  # both would activate at slot 5
+    m = PairResult(((5, 3), (1, 5)), 0.75, 6)  # both would activate at slot 5
     with pytest.raises(ScheduleConflictError, match="slot 5"):
-        schedule_from_matching(m, period_len=6, eta=0.75)
+        m.schedule()
 
 
 def test_schedule_rejects_out_of_period_edge():
     with pytest.raises(ValueError, match="beyond"):
-        schedule_from_matching(Matching(edges=(Edge(3, 9),)), period_len=5, eta=0.75)
+        PairResult(((3, 9),), 0.75, 5).schedule()
 
 
 def test_matching_json_round_trip():
-    m = Matching(edges=(Edge(1, 1), Edge(8, 9)))
-    edges = json.loads(json.dumps(PairResult(m, 0.75, 9).to_json_dict()))["edges"]
+    m = PairResult(((1, 1), (8, 9)), 0.75, 9)
+    edges = json.loads(json.dumps(m.to_json_dict()))["edges"]
     assert edges == [
         {"u": 1, "v": 1, "kind": "sync"},
         {"u": 8, "v": 9, "kind": "async"},
     ]
-    assert Matching(edges=tuple(Edge(e["u"], e["v"]) for e in edges)) == m
+    assert PairResult(tuple((e["u"], e["v"]) for e in edges), 0.75, 9) == m
 
 
 @st.composite
@@ -163,7 +166,7 @@ def test_offline_schedule_cat_equals_matching_weight_exactly(pair, eta):
     trace_u, trace_v = pair
     result = offline_duty_cycle(trace_u, trace_v, eta)
     sched = result.schedule()
-    assert math.fsum(sched.cat) == result.matching.total_weight(eta) == result.cat_total
+    assert math.fsum(sched.cat) == result.cat_total
 
 
 @settings(max_examples=200)
@@ -187,8 +190,8 @@ def test_feasibility_catches_overspending():
 def test_total_weight_uses_correctly_rounded_sum():
     # 10 asynchronous edges at eta = 0.1: fsum keeps the identity with the
     # correctly rounded sum of the schedule's per-slot CAT
-    edges = tuple(Edge(2 * k, 2 * k + 1) for k in range(1, 11))
-    m = Matching(edges=edges)
-    sched = schedule_from_matching(m, period_len=25, eta=0.1)
-    assert math.fsum(sched.cat) == m.total_weight(0.1)
-    assert math.isclose(m.total_weight(0.1), 1.0, rel_tol=1e-12)
+    edges = tuple((2 * k, 2 * k + 1) for k in range(1, 11))
+    m = PairResult(edges, 0.1, 25)
+    sched = m.schedule()
+    assert math.fsum(sched.cat) == m.cat_total
+    assert math.isclose(m.cat_total, 1.0, rel_tol=1e-12)

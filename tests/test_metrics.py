@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from dutycycle import (
     EnergyTrace,
-    Matching,
     OnlineConfig,
+    PairResult,
     compute_heterogeneity,
     offline_duty_cycle,
     online_duty_cycle,
     pair_rows,
     ratio_online_to_offline,
-    schedule_from_matching,
 )
 from dutycycle.metrics import heterogeneity
 
@@ -33,7 +32,7 @@ def test_compute_cat_on_worked_example():
 
 
 def test_compute_cat_all_sleep():
-    sched = schedule_from_matching(Matching(edges=()), period_len=6, eta=0.75)
+    sched = PairResult((), 0.75, 6).schedule()
     assert math.fsum(sched.cat) == 0.0
 
 

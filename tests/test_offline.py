@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dutycycle import (
-    Edge,
     EnergyTrace,
     brute_force_matching,
     exact_expected_cat,
@@ -28,7 +27,7 @@ def graph(set_a, set_b, eta=0.75, period=None):
 
 def test_worked_example_exact_edges():
     result = offline_duty_cycle(*graph([1, 4, 6, 8], [1, 3, 6, 9]))
-    assert set(result.matching.edges) == {Edge(1, 1), Edge(6, 6), Edge(4, 3), Edge(8, 9)}
+    assert set(result.edges) == {(1, 1), (6, 6), (4, 3), (8, 9)}
     assert result.sync_count == 2 and result.async_count == 2
     assert result.cat_total == 3.5
     assert result.sat_total == 2.0
@@ -43,26 +42,26 @@ def test_full_overlap_gives_all_sync():
 
 def test_empty_graph_gives_empty_matching():
     result = offline_duty_cycle(*graph([], [], period=5))
-    assert result.matching.edges == ()
+    assert result.edges == ()
     assert result.cat_total == 0.0
 
 
 def test_lone_vertex_matches_only_backward():
     # V's vertex at 2 can reach back to U's 1; the reverse instance cannot
     fwd = offline_duty_cycle(*graph([1], [2]))
-    assert fwd.matching.edges == (Edge(1, 2),)
+    assert fwd.edges == ((1, 2),)
     rev = offline_duty_cycle(*graph([2], [1]))
-    assert rev.matching.edges == (Edge(2, 1),)
+    assert rev.edges == ((2, 1),)
     stranded = offline_duty_cycle(*graph([1], [], period=2))
-    assert stranded.matching.edges == ()
+    assert stranded.edges == ()
 
 
 def test_nearest_backward_skips_matched_vertexes():
     # u=4 takes v=3; v=9 must then settle for u=8 even though u=6 is nearer
     result = offline_duty_cycle(*graph([4, 6, 8], [3, 6, 9]))
-    assert Edge(4, 3) in result.matching.edges
-    assert Edge(6, 6) in result.matching.edges
-    assert Edge(8, 9) in result.matching.edges
+    assert (4, 3) in result.edges
+    assert (6, 6) in result.edges
+    assert (8, 9) in result.edges
 
 
 def test_expected_cat_formula_values():
@@ -90,7 +89,7 @@ def test_exact_expected_cat_matches_oracle_enumeration():
             for subset in itertools.combinations(range(1, period + 1), size)
         ]
         optima = [
-            (len(a) + len(b), brute_force_matching(*graph(a, b, eta, period)).best_weight)
+            (len(a) + len(b), brute_force_matching(*graph(a, b, eta, period)).cat_total)
             for a, b in itertools.product(slot_sets, repeat=2)
         ]
         for p in (0.0, 0.3, 0.5, 1.0):
@@ -132,8 +131,8 @@ def test_matches_oracle_on_random_instances():
         off = offline_duty_cycle(trace_u, trace_v, 0.75)
         ora = brute_force_matching(trace_u, trace_v, 0.75)
         assert (off.sync_count, off.async_count) == (
-            ora.best_sync_count,
-            ora.best_async_count,
+            ora.sync_count,
+            ora.async_count,
         ), f"instance {i}: {trace_u.harvest_slots()} {trace_v.harvest_slots()}"
 
 
@@ -162,12 +161,12 @@ def test_adding_a_harvest_slot_never_decreases_cat(sets, eta):
 def test_exclusivity_and_result_invariants(sets):
     set_a, set_b, period = sets
     result = offline_duty_cycle(*graph(set_a, set_b, period=period))
-    # Matching construction enforces exclusivity; re-check the totals
+    # PairResult construction enforces exclusivity; re-check the totals
     assert result.cat_total == pytest.approx(result.sync_count + 0.75 * result.async_count)
     assert result.sat_total == result.sync_count
     assert result.sat_total <= result.cat_total + 1e-12
-    used_u = [e.u_slot for e in result.matching.edges]
-    used_v = [e.v_slot for e in result.matching.edges]
+    used_u = [u for u, _ in result.edges]
+    used_v = [v for _, v in result.edges]
     assert len(used_u) == len(set(used_u))
     assert len(used_v) == len(set(used_v))
     b_u = np.zeros(period, dtype=bool)

@@ -45,7 +45,7 @@ def test_p_one_identical_traces_matches_offline(mode):
 def test_p_zero_never_active(mode):
     trace_u, trace_v = trace(ALL_ONES), trace(ALL_ONES, "v")
     result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.0, mode=mode))
-    assert result.matching.edges == ()
+    assert result.edges == ()
     assert result.cat_total == 0.0
     assert result.wasted_units == 24  # every harvested unit banked, never spent
 
@@ -57,7 +57,7 @@ def test_determinism_per_seed():
     b = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.6, seed=5))
     assert a == b
     c = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=0.6, seed=6))
-    assert a.matching.edges != c.matching.edges
+    assert a.edges != c.edges
 
 
 def test_approx_ratio_bound_values():
@@ -132,12 +132,12 @@ def test_prefix_run_forms_the_full_runs_early_edges(run):
     # slot k, for every k
     trace_u, trace_v, p, seed, mode, warmup = run
     config = cfg(p=p, seed=seed, mode=mode, warmup=warmup)
-    full = online_duty_cycle(trace_u, trace_v, ETA, config).matching.edges
+    full = online_duty_cycle(trace_u, trace_v, ETA, config).edges
     for k in range(trace_u.period_len + 1):
         prefix = online_duty_cycle(
             trace(trace_u.states[:k]), trace(trace_v.states[:k], "v"), ETA, config
         )
-        assert prefix.matching.edges == tuple(e for e in full if e.active_slot <= k)
+        assert prefix.edges == tuple(e for e in full if max(e) <= k)
 
 
 @settings(max_examples=250, deadline=None)
@@ -227,7 +227,7 @@ RULE_TABLE = {
 def test_rule_table(mode, b_u, b_v, d_u, d_v, edges, wasted):
     arrays = [np.array(x, dtype=bool) for x in (b_u, b_v, d_u, d_v)]
     result = _walk_pair(*arrays, mode, ETA)
-    assert [(e.u_slot, e.v_slot) for e in result.matching.edges] == edges
+    assert list(result.edges) == edges
     assert result.wasted_units == wasted
     n_sync = sum(u == v for u, v in edges)
     sync, asyn, waste = simulate_arrays(*(a[None, :] for a in arrays), mode)
@@ -239,7 +239,7 @@ def test_rule_table(mode, b_u, b_v, d_u, d_v, edges, wasted):
 def test_online_invariants(run):
     trace_u, trace_v, p, seed, mode, warmup = run
     result = online_duty_cycle(trace_u, trace_v, ETA, cfg(p=p, seed=seed, mode=mode, warmup=warmup))
-    # exclusivity is enforced by Matching itself; check accounting and
+    # exclusivity is enforced by PairResult itself; check accounting and
     # feasibility against the raw traces
     assert result.cat_total == pytest.approx(result.sync_count + 0.75 * result.async_count)
     assert result.sat_total == result.sync_count
@@ -250,8 +250,8 @@ def test_online_invariants(run):
     # every edge endpoint is a true harvest slot
     slots_u = set(trace_u.harvest_slots())
     slots_v = set(trace_v.harvest_slots())
-    for e in result.matching.edges:
-        assert e.u_slot in slots_u and e.v_slot in slots_v
+    for u, v in result.edges:
+        assert u in slots_u and v in slots_v
 
 
 @settings(max_examples=150, deadline=None)

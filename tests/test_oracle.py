@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from dutycycle import (
     brute_force_matching,
     closed_form_optimum,
     offline_duty_cycle,
-    schedule_from_matching,
 )
 
 
@@ -26,21 +26,21 @@ def graph(set_a, set_b, eta=0.75, period=None):
 
 def test_worked_example():
     result = brute_force_matching(*graph([1, 4, 6, 8], [1, 3, 6, 9]))
-    assert result.best_weight == 3.5
-    assert result.best_sync_count == 2
-    assert result.best_async_count == 2
+    assert result.cat_total == 3.5
+    assert result.sync_count == 2
+    assert result.async_count == 2
 
 
 def test_disjoint_singletons():
     result = brute_force_matching(*graph([1], [2], eta=0.6))
-    assert result.best_weight == 0.6
-    assert result.best_async_count == 1
+    assert result.cat_total == 0.6
+    assert result.async_count == 1
 
 
 def test_empty_sets():
     result = brute_force_matching(*graph([], [], period=3))
-    assert result.best_weight == 0.0
-    assert result.witness.edges == ()
+    assert result.cat_total == 0.0
+    assert result.edges == ()
 
 
 def test_budget_refusal():
@@ -60,9 +60,9 @@ def test_sync_preferred_on_weight_ties():
     # at eta = 1 the sync edge (2,2) and the async edge (2,1) tie on weight;
     # the sync-count tie-break must pick the synchronous one
     result = brute_force_matching(*graph([2], [1, 2], eta=1.0))
-    assert result.best_weight == 1.0
-    assert result.best_sync_count == 1
-    assert result.best_async_count == 0
+    assert result.cat_total == 1.0
+    assert result.sync_count == 1
+    assert result.async_count == 0
 
 
 def test_closed_form_examples():
@@ -93,9 +93,9 @@ def test_oracle_dominates_offline_and_closed_form_bounds_it(inst):
     bound = closed_form_optimum(
         n_sync, len(set_a) - n_sync, len(set_b) - n_sync, eta
     )
-    assert ora.best_weight >= off.cat_total - 1e-9
-    assert bound >= ora.best_weight - 1e-9
-    assert ora.best_weight == pytest.approx(bound)
+    assert ora.cat_total >= off.cat_total - 1e-9
+    assert bound >= ora.cat_total - 1e-9
+    assert ora.cat_total == pytest.approx(bound)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,13 +104,13 @@ def test_witness_is_a_valid_optimal_matching(inst):
     set_a, set_b, eta, period = inst
     g = graph(set_a, set_b, eta=eta, period=period)
     ora = brute_force_matching(*g)
-    # Matching construction has already enforced exclusivity; check weight
-    # consistency and membership of every endpoint
-    assert ora.witness.total_weight(eta) == ora.best_weight
-    assert ora.witness.sync_count == ora.best_sync_count
-    assert ora.witness.async_count == ora.best_async_count
-    for e in ora.witness.edges:
-        assert e.u_slot in set_a and e.v_slot in set_b
+    # PairResult construction has already enforced exclusivity; check the
+    # totals against the edges and membership of every endpoint
+    assert ora.cat_total == math.fsum(1.0 if u == v else eta for u, v in ora.edges)
+    assert ora.sync_count == sum(u == v for u, v in ora.edges)
+    assert ora.async_count == len(ora.edges) - ora.sync_count
+    for u, v in ora.edges:
+        assert u in set_a and v in set_b
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,7 +119,7 @@ def test_witness_is_schedulable(inst):
     # the sync-count tie-break keeps the witness free of active-slot clashes
     set_a, set_b, eta, period = inst
     ora = brute_force_matching(*graph(set_a, set_b, eta=eta, period=period))
-    schedule_from_matching(ora.witness, period, eta)
+    ora.schedule()
 
 
 def literal_optima(set_a, set_b, eta):
@@ -158,10 +158,10 @@ def test_oracle_equals_literal_enumeration(inst):
     set_a, set_b, eta, period = inst
     ora = brute_force_matching(*graph(set_a, set_b, eta=eta, period=period))
     (weight, n_sync), maximizers = literal_optima(set_a, set_b, eta)
-    assert ora.best_sync_count == n_sync
-    assert ora.best_async_count == (weight - n_sync) / Fraction(str(eta))
-    assert ora.best_weight == pytest.approx(float(weight), abs=1e-12)
-    assert frozenset((e.u_slot, e.v_slot) for e in ora.witness.edges) in maximizers
+    assert ora.sync_count == n_sync
+    assert ora.async_count == (weight - n_sync) / Fraction(str(eta))
+    assert ora.cat_total == pytest.approx(float(weight), abs=1e-12)
+    assert frozenset(ora.edges) in maximizers
 
 
 def test_literal_enumeration_prefers_sync_on_weight_ties():
@@ -171,31 +171,30 @@ def test_literal_enumeration_prefers_sync_on_weight_ties():
     assert (weight, n_sync) == (4, 4)
     assert maximizers == [frozenset((t, t) for t in range(1, 5))]
     ora = brute_force_matching(*graph([1, 2, 3, 4], [1, 2, 3, 4], eta=1.0))
-    assert (ora.best_sync_count, ora.best_async_count) == (4, 0)
+    assert (ora.sync_count, ora.async_count) == (4, 0)
 
 
 def test_oracle_at_the_size_cap():
     full = list(range(1, 13))
     both = brute_force_matching(*graph(full, full, period=12))
-    assert (both.best_sync_count, both.best_async_count) == (12, 0)
-    assert both.best_weight == 12.0
+    assert (both.sync_count, both.async_count) == (12, 0)
+    assert both.cat_total == 12.0
 
     shifted = brute_force_matching(*graph(full, list(range(2, 14)), eta=0.75, period=13))
-    assert (shifted.best_sync_count, shifted.best_async_count) == (11, 1)
-    assert shifted.best_weight == 11.75
-    assert (1, 13) in {(e.u_slot, e.v_slot) for e in shifted.witness.edges}
+    assert (shifted.sync_count, shifted.async_count) == (11, 1)
+    assert shifted.cat_total == 11.75
+    assert (1, 13) in shifted.edges
 
     rng = random.Random(12)
     set_a = sorted(rng.sample(range(1, 25), 12))
     set_b = sorted(rng.sample(range(1, 25), 11))
     ora = brute_force_matching(*graph(set_a, set_b, eta=0.6, period=24))
     n_sync = len(set(set_a) & set(set_b))
-    assert ora.best_sync_count == n_sync
-    assert ora.best_weight == pytest.approx(
+    assert ora.sync_count == n_sync
+    assert ora.cat_total == pytest.approx(
         closed_form_optimum(n_sync, 12 - n_sync, 11 - n_sync, 0.6)
     )
-    assert ora.witness.total_weight(0.6) == ora.best_weight
-    schedule_from_matching(ora.witness, 24, 0.6)
+    assert math.fsum(ora.schedule().cat) == ora.cat_total
 
     thirteen = list(range(1, 14))
     with pytest.raises(OracleBudgetError):

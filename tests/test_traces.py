@@ -97,9 +97,10 @@ def test_threshold_rejects_out_of_period_slot():
 
 
 def test_threshold_rejects_bad_threshold():
-    raw = RawTrace(device_id="a", samples=())
-    with pytest.raises(ValueError):
-        threshold_trace(raw, threshold=0.0, period_len=3)
+    raw = RawTrace(device_id="a", samples=((1, 3.0),))
+    for threshold in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^threshold must be finite and positive"):
+            threshold_trace(raw, threshold=threshold, period_len=3)
 
 
 def test_raw_trace_invariants():

@@ -24,8 +24,9 @@ The suites:
 * bins:          occupancy concentration for throwing n balls into m bins,
                  checked against the closed-form bound and the exact mean.
 
-Every quantity is a pure function of the experiment spec including its
-seed; running a spec twice yields byte-identical reports.
+The t1, t2 and t4 payloads share one header (_suite_report). Every
+quantity is a pure function of the experiment spec including its seed;
+running a spec twice yields byte-identical reports.
 """
 
 from __future__ import annotations
@@ -332,8 +333,8 @@ def check_balls_in_bins(
         raise ValueError(f"n must lie in 0..{m}, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not (0.0 <= epsilon < math.inf):  # NaN fails too
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
 
     rng = _stream(seed, _TAG_BINS)
     counts = np.empty(trials, dtype=np.int64)
@@ -499,6 +500,13 @@ T4_P_VALUES = (0.3, 0.5, 0.8)
 BINS_DEFAULTS = {"n": 500, "m": 1000, "subset_size": 300, "epsilon": 0.05}
 
 
+def _suite_report(
+    suite: str, trials: int, period_len: int, eta: float, seed: int, **results
+) -> dict:
+    """A verify suite's payload: its parameters, then its results."""
+    return dict(suite=suite, trials=trials, period_len=period_len, eta=eta, seed=seed, **results)
+
+
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
     """Offline totals must equal the exhaustive oracle on random instances."""
     mismatches = []
@@ -515,15 +523,8 @@ def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 
                     "oracle": [ora.sync_count, ora.async_count],
                 }
             )
-    return {
-        "suite": "t1",
-        "trials": trials,
-        "period_len": T1_PERIOD,
-        "eta": eta,
-        "seed": seed,
-        "mismatches": mismatches,
-        "passed": not mismatches,
-    }
+    passed = not mismatches
+    return _suite_report("t1", trials, T1_PERIOD, eta, seed, mismatches=mismatches, passed=passed)
 
 
 def verify_expected_cat(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
@@ -536,31 +537,19 @@ def verify_expected_cat(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: flo
         seed=seed,
         algorithms=("offline",),
     )
-    report = run_monte_carlo(spec)
-    cells = []
-    passed = True
-    for cell in report.cells:
-        ok = cell["checks"]["within_1pct_of_expected"]
-        passed = passed and ok
-        cells.append(
-            {
-                "p": cell["p"],
-                "mean_cat": cell["metrics"]["cat"]["mean"],
-                "stderr": cell["metrics"]["cat"]["stderr"],
-                "expected": cell["references"]["expected_cat"],
-                "relative_gap": cell["checks"]["relative_gap"],
-                "within_1pct": ok,
-            }
-        )
-    return {
-        "suite": "t2",
-        "trials": trials,
-        "period_len": T2_PERIOD,
-        "eta": eta,
-        "seed": seed,
-        "cells": cells,
-        "passed": passed,
-    }
+    cells = [
+        {
+            "p": cell["p"],
+            "mean_cat": cell["metrics"]["cat"]["mean"],
+            "stderr": cell["metrics"]["cat"]["stderr"],
+            "expected": cell["references"]["expected_cat"],
+            "relative_gap": cell["checks"]["relative_gap"],
+            "within_1pct": cell["checks"]["within_1pct_of_expected"],
+        }
+        for cell in run_monte_carlo(spec).cells
+    ]
+    passed = all(c["within_1pct"] for c in cells)
+    return _suite_report("t2", trials, T2_PERIOD, eta, seed, cells=cells, passed=passed)
 
 
 def verify_ratio_bound(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
@@ -573,46 +562,26 @@ def verify_ratio_bound(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: floa
         seed=seed,
         algorithms=("offline", "online"),
     )
-    report = run_monte_carlo(spec)
-    cells = []
-    passed = True
-    for cell in report.cells:
-        if not cell["algorithm"].startswith("online"):
-            continue
-        ok = cell["checks"]["bound_satisfied"] and cell["checks"]["offline_dominates"]
-        passed = passed and ok
-        cells.append(
-            {
-                "p": cell["p"],
-                "mode": cell["algorithm"],
-                "ratio_of_means": cell["checks"]["ratio_of_means"],
-                "mean_ratio": cell["metrics"]["ratio"]["mean"],
-                "ratio_stderr": cell["metrics"]["ratio"]["stderr"],
-                "bound": cell["references"]["ratio_bound"],
-                "bound_satisfied": cell["checks"]["bound_satisfied"],
-                "offline_dominates": cell["checks"]["offline_dominates"],
-            }
-        )
-    return {
-        "suite": "t4",
-        "trials": trials,
-        "period_len": T2_PERIOD,
-        "eta": eta,
-        "seed": seed,
-        "cells": cells,
-        "passed": passed,
-    }
+    cells = [
+        {
+            "p": cell["p"],
+            "mode": cell["algorithm"],
+            "ratio_of_means": cell["checks"]["ratio_of_means"],
+            "mean_ratio": cell["metrics"]["ratio"]["mean"],
+            "ratio_stderr": cell["metrics"]["ratio"]["stderr"],
+            "bound": cell["references"]["ratio_bound"],
+            "bound_satisfied": cell["checks"]["bound_satisfied"],
+            "offline_dominates": cell["checks"]["offline_dominates"],
+        }
+        for cell in run_monte_carlo(spec).cells
+        if cell["algorithm"].startswith("online")
+    ]
+    passed = all(c["bound_satisfied"] and c["offline_dominates"] for c in cells)
+    return _suite_report("t4", trials, T2_PERIOD, eta, seed, cells=cells, passed=passed)
 
 
 def verify_bins(trials: int = 10_000, seed: int = DEFAULT_SEED) -> dict:
     """Concentration and exact-mean checks for the occupancy experiment."""
-    rep = check_balls_in_bins(
-        n=BINS_DEFAULTS["n"],
-        m=BINS_DEFAULTS["m"],
-        subset_size=BINS_DEFAULTS["subset_size"],
-        epsilon=BINS_DEFAULTS["epsilon"],
-        trials=trials,
-        seed=seed,
-    )
+    rep = check_balls_in_bins(**BINS_DEFAULTS, trials=trials, seed=seed)
     passed = rep.freq_bound_satisfied and rep.mean_rel_error <= 0.02
     return {"suite": "bins", "seed": seed, "report": asdict(rep), "passed": passed}

@@ -2,8 +2,9 @@
 
 With both traces known in advance the scheduler first pairs every common
 harvest slot synchronously, then lets each leftover vertex search backward
-for the nearest unmatched vertex on the other side (device U's leftovers
-first, then device V's). The result is a maximum-weight matching of the
+for the nearest unmatched vertex on the other side: device U's leftovers
+first, in one stack pass, then device V's, whose search has a closed form
+(see duty_cycle_arrays). The result is a maximum-weight matching of the
 energy-state graph (one vertex per harvest slot of each trace) whenever
 eta <= 1; the oracle module certifies this exhaustively in the test suite.
 It comes back as a graph.PairResult, the result type the online scheduler
@@ -20,40 +21,18 @@ from .graph import PairResult, check_eta
 from .traces import EnergyTrace, pair_period
 
 
-def _pair_backward(
-    searchers: list[int], targets: list[int]
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Match each searcher (ascending) to the nearest unmatched target slot
-    strictly below it.
-
-    The nearest earlier unmatched target is always the most recently passed
-    one, so a stack over the merged timeline implements the rule exactly.
-    Returns (pairs, unmatched searchers, unmatched targets), all ascending.
-    """
-    pairs: list[tuple[int, int]] = []
-    unmatched: list[int] = []
-    stack: list[int] = []
-    ti = 0
-    nt = len(targets)
-    for s in searchers:
-        while ti < nt and targets[ti] < s:
-            stack.append(targets[ti])
-            ti += 1
-        if stack:
-            pairs.append((s, stack.pop()))
-        else:
-            unmatched.append(s)
-    return pairs, unmatched, stack + targets[ti:]
-
-
 def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     """Offline scheduler core on boolean state arrays.
 
     Step 1 pairs every slot present on both sides synchronously. Step 2 walks
     the remaining U-vertexes in ascending slot order, each taking the nearest
-    earlier unmatched V-vertex. Step 3 repeats for the remaining V-vertexes
-    against the remaining U-vertexes. Vertexes with no earlier partner stay
-    unmatched; their banked unit is never spent.
+    earlier unmatched V-vertex: the most recently passed one, so one stack
+    pass does it. Step 3 lets each remaining V-vertex take the nearest earlier
+    remaining U-vertex. A U-vertex is left over only when no V-vertex is free
+    before it, so every leftover U-vertex precedes every leftover V-vertex,
+    and step 3 is zip(v_left, reversed(u_left)). With X and Y the U-only and
+    V-only harvest counts, steps 2 and 3 thus make min(X, Y) async edges by
+    construction. Unmatched vertexes never spend their banked unit.
 
     Returns (sync_slots, step2 (u, v) pairs, step3 (v, u) pairs); slots are
     1-based. offline_duty_cycle wraps it in a PairResult; callers that need
@@ -62,9 +41,21 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     sync_slots = np.flatnonzero(b_u & b_v) + 1
     u_rem = (np.flatnonzero(b_u & ~b_v) + 1).tolist()
     v_rem = (np.flatnonzero(b_v & ~b_u) + 1).tolist()
-    step2, u_left, v_left = _pair_backward(u_rem, v_rem)
-    step3, _, _ = _pair_backward(v_left, u_left)
-    return sync_slots, step2, step3
+    step2: list[tuple[int, int]] = []
+    u_left: list[int] = []
+    stack: list[int] = []
+    vi = 0
+    nv = len(v_rem)
+    for u in u_rem:
+        while vi < nv and v_rem[vi] < u:
+            stack.append(v_rem[vi])
+            vi += 1
+        if stack:
+            step2.append((u, stack.pop()))
+        else:
+            u_left.append(u)
+    v_left = stack + v_rem[vi:]
+    return sync_slots, step2, list(zip(v_left, reversed(u_left)))
 
 
 def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):

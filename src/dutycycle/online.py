@@ -34,6 +34,7 @@ attempt banks the attempting unit, so both banks share one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,7 +76,7 @@ class OnlineConfig:
     def device_probs(self) -> tuple[float, float] | None:
         if self.prob_active is None:
             return None
-        if isinstance(self.prob_active, (int, float)):
+        if isinstance(self.prob_active, numbers.Real):  # numpy scalars too
             return (float(self.prob_active), float(self.prob_active))
         if len(self.prob_active) != 2:
             raise ValueError(

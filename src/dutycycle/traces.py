@@ -10,7 +10,9 @@ process or derived from raw power readings by thresholding.
 Randomness uses the counter-based Philox generator keyed through
 numpy.random.SeedSequence, so identical (seed, device_id) always reproduce
 identical traces on any platform. Each device of a pair gets an independent
-sub-stream derived from (seed, device_id).
+sub-stream derived from (seed, device_id). Seeds must be non-negative.
+Both CSV readers take their rows from _csv_rows, which owns the UTF-8,
+header and field-count checks.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ class TraceFormatError(ValueError):
 
 def _stream(seed: int, *tags: int) -> np.random.Generator:
     """Philox stream for (seed, tags); tags separate sub-streams."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(t) for t in tags))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -42,6 +46,8 @@ def device_stream(seed: int, device_id: str, purpose: int = 0) -> np.random.Gene
     `purpose` separates different uses of the same device identity, e.g.
     trace generation vs. online activation draws.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     tag = int.from_bytes(device_id.encode("utf-8"), "big") if device_id else 0
     ss = np.random.SeedSequence(entropy=(int(seed), tag), spawn_key=(int(purpose),))
     return np.random.Generator(np.random.Philox(ss))
@@ -131,11 +137,9 @@ def generate_trace(model: ArrivalModel, device_id: str = "u") -> EnergyTrace:
     return EnergyTrace(device_id, rng.random(model.period_len) < model.prob_harvest)
 
 
-def generate_pair(
-    model: ArrivalModel, id_u: str = "u", id_v: str = "v"
-) -> tuple[EnergyTrace, EnergyTrace]:
-    """Generate both devices of a pair from independent sub-streams."""
-    return generate_trace(model, id_u), generate_trace(model, id_v)
+def generate_pair(model: ArrivalModel) -> tuple[EnergyTrace, EnergyTrace]:
+    """Generate devices "u" and "v" of a pair from independent sub-streams."""
+    return generate_trace(model, "u"), generate_trace(model, "v")
 
 
 def threshold_trace(raw: RawTrace, threshold: float, period_len: int) -> EnergyTrace:
@@ -179,11 +183,26 @@ RAW_HEADER = ["slot", "device_id", "reading"]
 PAIR_HEADER = ["slot", "b_u", "b_v"]
 
 
-def _csv_rows(fh, path):
-    """csv.reader over the open file fh; a byte that is not UTF-8 raises
-    TraceFormatError naming path."""
+def _csv_rows(fh, path, header: list[str]):
+    """Yield (row_no, row) for each data row of the open CSV file fh.
+
+    Checks that row 1 is `header` and that every data row has as many
+    fields; a byte that is not UTF-8 raises TraceFormatError naming path.
+    """
     try:
-        yield from csv.reader(fh)
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            raise TraceFormatError(
+                f"{path}: row 1: expected header {','.join(header)!r}, got {first!r}"
+            )
+        n_fields = len(header)
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != n_fields:
+                raise TraceFormatError(
+                    f"{path}: row {row_no}: expected {n_fields} fields, got {len(row)}"
+                )
+            yield row_no, row
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -206,18 +225,10 @@ def read_raw_csv(path, period_len: int | None = None) -> dict[str, RawTrace]:
     """
     by_device: dict[str, list[tuple[int, float]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        header = next(reader, None)
-        if header != RAW_HEADER:
-            raise TraceFormatError(
-                f"{path}: row 1: expected header {','.join(RAW_HEADER)!r}, got {header!r}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise TraceFormatError(f"{path}: row {row_no}: expected 3 fields, got {len(row)}")
+        for row_no, (slot, device, reading) in _csv_rows(fh, path, RAW_HEADER):
             try:
-                slot = int(row[0])
-                reading = float(row[2])
+                slot = int(slot)
+                reading = float(reading)
             except ValueError as exc:
                 raise TraceFormatError(f"{path}: row {row_no}: {exc}") from exc
             if slot < 1:
@@ -228,10 +239,10 @@ def read_raw_csv(path, period_len: int | None = None) -> dict[str, RawTrace]:
                 raise TraceFormatError(
                     f"{path}: row {row_no}: reading {reading!r} must be finite and non-negative"
                 )
-            samples = by_device.setdefault(row[1], [])
+            samples = by_device.setdefault(device, [])
             if samples and slot <= samples[-1][0]:
                 raise TraceFormatError(
-                    f"{path}: row {row_no}: slot {slot} of device {row[1]!r} does not "
+                    f"{path}: row {row_no}: slot {slot} of device {device!r} does not "
                     f"rise above its previous slot {samples[-1][0]}"
                 )
             samples.append((slot, reading))
@@ -248,35 +259,27 @@ def write_pair_csv(trace_u: EnergyTrace, trace_v: EnergyTrace, path) -> None:
         writer.writerows(zip(range(1, period + 1), bits_u, bits_v))
 
 
-def read_pair_csv(path, id_u: str = "u", id_v: str = "v") -> tuple[EnergyTrace, EnergyTrace]:
-    """Read a two-device binary trace; errors name the offending row."""
+def read_pair_csv(path) -> tuple[EnergyTrace, EnergyTrace]:
+    """Read a binary trace pair as devices "u" and "v"; errors name the offending row."""
     states_u: list[bool] = []
     states_v: list[bool] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        header = next(reader, None)
-        if header != PAIR_HEADER:
-            raise TraceFormatError(
-                f"{path}: row 1: expected header {','.join(PAIR_HEADER)!r}, got {header!r}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise TraceFormatError(f"{path}: row {row_no}: expected 3 fields, got {len(row)}")
+        for row_no, (slot, b_u, b_v) in _csv_rows(fh, path, PAIR_HEADER):
             try:
-                slot = int(row[0])
+                slot_no = int(slot)
             except ValueError as exc:
-                raise TraceFormatError(f"{path}: row {row_no}: bad slot {row[0]!r}") from exc
-            if slot != row_no - 1:
+                raise TraceFormatError(f"{path}: row {row_no}: bad slot {slot!r}") from exc
+            if slot_no != row_no - 1:
                 raise TraceFormatError(
-                    f"{path}: row {row_no}: expected slot {row_no - 1}, got {slot}"
+                    f"{path}: row {row_no}: expected slot {row_no - 1}, got {slot_no}"
                 )
-            for col, val in (("b_u", row[1]), ("b_v", row[2])):
-                if val not in ("0", "1"):
-                    raise TraceFormatError(
-                        f"{path}: row {row_no}: column {col} must be 0 or 1, got {val!r}"
-                    )
-            states_u.append(row[1] == "1")
-            states_v.append(row[2] == "1")
+            if b_u not in ("0", "1") or b_v not in ("0", "1"):
+                col, val = ("b_u", b_u) if b_u not in ("0", "1") else ("b_v", b_v)
+                raise TraceFormatError(
+                    f"{path}: row {row_no}: column {col} must be 0 or 1, got {val!r}"
+                )
+            states_u.append(b_u == "1")
+            states_v.append(b_v == "1")
     if not states_u:
         raise TraceFormatError(f"{path}: row 2: no data rows after header")
-    return EnergyTrace(id_u, states_u), EnergyTrace(id_v, states_v)
+    return EnergyTrace("u", states_u), EnergyTrace("v", states_v)

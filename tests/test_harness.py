@@ -11,6 +11,7 @@ from dutycycle import (
     OnlineConfig,
     check_balls_in_bins,
     generate_pair,
+    online_duty_cycle,
     run_monte_carlo,
     run_trace_pairs,
 )
@@ -189,8 +190,35 @@ def test_bins_validation():
         check_balls_in_bins(n=5, m=4, subset_size=2, epsilon=0.1, trials=10)
     with pytest.raises(ValueError):
         check_balls_in_bins(n=2, m=4, subset_size=5, epsilon=0.1, trials=10)
-    with pytest.raises(ValueError):
-        check_balls_in_bins(n=2, m=4, subset_size=2, epsilon=-0.1, trials=10)
+    for epsilon in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^epsilon must be finite and non-negative, got"):
+            check_balls_in_bins(n=2, m=4, subset_size=2, epsilon=epsilon, trials=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_monte_carlo(small_spec(seed=-1)),
+        lambda: generate_pair(ArrivalModel(0.5, 10, seed=-1)),
+        lambda: online_duty_cycle(
+            *generate_pair(ArrivalModel(0.5, 10, 1)), 0.75, OnlineConfig(0.5, seed=-1)
+        ),
+        lambda: verify_optimality(trials=1, seed=-1),
+        lambda: heterogeneity_sweep((0.5,), 10, 1, seed=-1),
+        lambda: check_balls_in_bins(n=2, m=4, subset_size=2, epsilon=0.1, trials=10, seed=-1),
+    ],
+    ids=[
+        "ExperimentSpec",
+        "ArrivalModel",
+        "OnlineConfig",
+        "verify_optimality",
+        "heterogeneity_sweep",
+        "check_balls_in_bins",
+    ],
+)
+def test_negative_seed_is_named(call):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        call()
 
 
 def test_bins_determinism():

@@ -194,3 +194,55 @@ def test_json_payload_shape():
     assert payload["sync"] == 2 and payload["async"] == 2
     assert payload["cat"] == 3.5 and payload["sat"] == 2.0
     assert {"u": 1, "v": 1, "kind": "sync"} in payload["edges"]
+
+
+def _pair_backward(searchers, targets):
+    """Reference: the two-call backward search the greedy was first written
+    with. Each searcher (ascending) takes the nearest unmatched target strictly
+    below it; returns (pairs, unmatched searchers, unmatched targets)."""
+    pairs, unmatched, stack = [], [], []
+    ti = 0
+    for s in searchers:
+        while ti < len(targets) and targets[ti] < s:
+            stack.append(targets[ti])
+            ti += 1
+        if stack:
+            pairs.append((s, stack.pop()))
+        else:
+            unmatched.append(s)
+    return pairs, unmatched, stack + targets[ti:]
+
+
+def _reference_edges(slots_u, slots_v):
+    sync = [(t, t) for t in slots_u if t in slots_v]
+    step2, u_left, v_left = _pair_backward(
+        [t for t in slots_u if t not in slots_v], [t for t in slots_v if t not in slots_u]
+    )
+    step3, _, _ = _pair_backward(v_left, u_left)
+    return tuple(sorted(sync + step2 + [(u, v) for v, u in step3]))
+
+
+def test_edges_match_two_pass_reference_on_every_period_7_pair():
+    period = 7
+    traces = [
+        EnergyTrace("u", [(mask >> i) & 1 for i in range(period)]) for mask in range(2**period)
+    ]
+    slots = [t.harvest_slots() for t in traces]
+    for su, tu in zip(slots, traces):
+        for sv, tv in zip(slots, traces):
+            assert offline_duty_cycle(tu, tv, 0.75).edges == _reference_edges(su, sv), (su, sv)
+
+
+@settings(max_examples=100)
+@given(
+    period=st.integers(min_value=1, max_value=300),
+    p_u=st.floats(min_value=0.0, max_value=1.0),
+    p_v=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_edges_match_two_pass_reference_on_random_pairs(period, p_u, p_v, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    trace_u = EnergyTrace("u", rng.random(period) < p_u)
+    trace_v = EnergyTrace("v", rng.random(period) < p_v)
+    expected = _reference_edges(trace_u.harvest_slots(), trace_v.harvest_slots())
+    assert offline_duty_cycle(trace_u, trace_v, 0.75).edges == expected

@@ -84,6 +84,15 @@ def test_config_validation():
     assert OnlineConfig(prob_active=0.5, mode="slotsim").mode is OnlineMode.SLOT_SIM
 
 
+def test_config_takes_numpy_scalar_probabilities():
+    assert OnlineConfig(prob_active=np.float32(0.5)).device_probs() == (0.5, 0.5)
+    assert OnlineConfig(prob_active=np.int64(1)).device_probs() == (1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^prob_active must lie in \[0, 1\], got 2\.0$"):
+        OnlineConfig(prob_active=np.float64(2.0))
+    with pytest.raises(ValueError, match="^prob_active must be one probability or a pair"):
+        OnlineConfig(prob_active="0.5")
+
+
 def test_estimated_probability_is_causal_and_exact_for_constant_traces():
     # all-one traces estimate p_hat = 1 from the very first slot, so the
     # online run must equal the offline one

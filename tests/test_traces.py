@@ -221,3 +221,107 @@ def test_states_are_a_read_only_copy():
     with pytest.raises(ValueError, match="one-dimensional"):
         EnergyTrace(device_id="u", states=np.ones((2, 2), dtype=bool))
 
+
+
+_PAIR = b"slot,b_u,b_v\n"
+_RAW = b"slot,device_id,reading\n"
+_NOT_UTF8 = (
+    "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+)
+
+
+_READER_CASES = {
+    "pair-empty": (read_pair_csv, b"", "row 1: expected header 'slot,b_u,b_v', got None"),
+    "pair-header": (
+        read_pair_csv,
+        b"slot,b_u\n",
+        "row 1: expected header 'slot,b_u,b_v', got ['slot', 'b_u']",
+    ),
+    "pair-header-only": (read_pair_csv, _PAIR, "row 2: no data rows after header"),
+    "pair-blank-row": (read_pair_csv, _PAIR + b"\n", "row 2: expected 3 fields, got 0"),
+    "pair-few-fields": (read_pair_csv, _PAIR + b"1,0\n", "row 2: expected 3 fields, got 2"),
+    "pair-many-fields": (read_pair_csv, _PAIR + b"1,0,1,0\n", "row 2: expected 3 fields, got 4"),
+    "pair-bad-slot": (read_pair_csv, _PAIR + b"x,0,1\n", "row 2: bad slot 'x'"),
+    "pair-slot-order": (
+        read_pair_csv,
+        _PAIR + b"1,0,1\n3,1,1\n",
+        "row 3: expected slot 2, got 3",
+    ),
+    "pair-bad-b_u": (
+        read_pair_csv,
+        _PAIR + b"1,2,1\n",
+        "row 2: column b_u must be 0 or 1, got '2'",
+    ),
+    "pair-bad-b_v": (
+        read_pair_csv,
+        _PAIR + b"1,1,x\n",
+        "row 2: column b_v must be 0 or 1, got 'x'",
+    ),
+    "pair-bad-both": (
+        read_pair_csv,
+        _PAIR + b"1,2,x\n",
+        "row 2: column b_u must be 0 or 1, got '2'",
+    ),
+    "pair-padded-state": (
+        read_pair_csv,
+        _PAIR + b'"1","0","1"\n2,1, 1\n',
+        "row 3: column b_v must be 0 or 1, got ' 1'",
+    ),
+    "pair-not-utf8": (read_pair_csv, _PAIR + b"1,0,1\n2,\xff,1\n", _NOT_UTF8.format(21)),
+    "raw-empty": (read_raw_csv, b"", "row 1: expected header 'slot,device_id,reading', got None"),
+    "raw-header": (
+        read_raw_csv,
+        b"slot,reading\n",
+        "row 1: expected header 'slot,device_id,reading', got ['slot', 'reading']",
+    ),
+    "raw-few-fields": (read_raw_csv, _RAW + b"1,a\n", "row 2: expected 3 fields, got 2"),
+    "raw-many-fields": (read_raw_csv, _RAW + b"1,a,2.0,3\n", "row 2: expected 3 fields, got 4"),
+    "raw-bad-slot": (
+        read_raw_csv,
+        _RAW + b"x,a,2.0\n",
+        "row 2: invalid literal for int() with base 10: 'x'",
+    ),
+    "raw-bad-reading": (
+        read_raw_csv,
+        _RAW + b"1,a,y\n",
+        "row 2: could not convert string to float: 'y'",
+    ),
+    "raw-slot-below-1": (read_raw_csv, _RAW + b"0,a,2.0\n", "row 2: slot 0 is below 1"),
+    "raw-slot-above-period": (read_raw_csv, _RAW + b"9,a,2.0\n", "row 2: slot 9 outside 1..5"),
+    "raw-nan-reading": (
+        read_raw_csv,
+        _RAW + b"1,a,nan\n",
+        "row 2: reading nan must be finite and non-negative",
+    ),
+    "raw-negative-reading": (
+        read_raw_csv,
+        _RAW + b"1,a,-1.0\n",
+        "row 2: reading -1.0 must be finite and non-negative",
+    ),
+    "raw-slot-order": (
+        read_raw_csv,
+        _RAW + b"2,a,1.0\n1,a,1.0\n",
+        "row 3: slot 1 of device 'a' does not rise above its previous slot 2",
+    ),
+    "raw-not-utf8": (read_raw_csv, _RAW + b"1,a,\xff\n", _NOT_UTF8.format(27)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_csv_reader_messages(tmp_path, case):
+    read, data, message = _READER_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    kwargs = {"period_len": 5} if read is read_raw_csv else {}
+    with pytest.raises(TraceFormatError) as excinfo:
+        read(path, **kwargs)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_pair_csv_accepts_quoted_and_padded_slots(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PAIR + b'"1","0","1"\n 2 ,1,0\n')
+    trace_u, trace_v = read_pair_csv(path)
+    assert (trace_u.device_id, trace_v.device_id) == ("u", "v")
+    assert trace_u.states.tolist() == [False, True]
+    assert trace_v.states.tolist() == [True, False]

@@ -3,14 +3,20 @@
 Runs seeded trials over synthetic i.i.d. trace pairs, aggregates CAT/SAT
 into reproducible reports, and hosts the four verification suites exposed by
 the CLI. evaluate_pair is the one single-pair path: run_trace_pairs and the
-CLI's `run` both call it. A Monte Carlo cell streams its n trials through
-fixed-size row blocks of about _CHUNK_SLOTS trial-slots each
-(_trial_blocks): every block's arrivals and decisions are drawn once and
-shared by all of the cell's algorithms, the offline counts come from the
-closed form offline.optimum_counts and the online counts of each mode from
-the count kernel online.simulate_arrays. Only the per-trial count vectors
-are kept whole, so memory does not grow with n beyond them, and since row i
-of every draw is trial i, results do not depend on the block size.
+CLI's `run` both call it. A Monte Carlo cell splits its n trials into
+contiguous shards, at most one per CPU the process may use, each on its
+own thread (_for_each_block), and every shard streams its trials through
+row blocks (_trial_blocks, the one draw path): every block's arrivals
+and decisions are drawn once and shared by all of the cell's algorithms,
+the offline counts come from the closed form offline.optimum_counts and
+the online counts of each mode from the count kernel
+online.simulate_arrays. A cell gets only as many shards as keep each
+block at _MIN_SHARD_ROWS rows or more while the shards' blocks together
+hold at most _CHUNK_SLOTS trial-slots (_shard_plan); otherwise it runs
+as one shard with one block of about _CHUNK_SLOTS trial-slots, as before
+the split. Only the per-trial count vectors are kept whole, so memory
+does not grow with n beyond them. Row i of every draw is trial i, so
+results depend neither on the block size nor on the number of shards.
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle, instance by
@@ -34,6 +40,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,7 +56,7 @@ from .metrics import (
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
 from .oracle import ORACLE_MAX_VERTEXES, brute_force_matching
-from .traces import DEFAULT_SEED, EnergyTrace, _stream, pair_period
+from .traces import DEFAULT_SEED, EnergyTrace, _stream, check_seed, pair_period
 
 # Stream tags keep the harness's random draws on disjoint Philox sub-streams.
 _TAG_TRACE = 1
@@ -76,6 +84,7 @@ class ExperimentSpec:
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         check_eta(self.eta)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not self.p_values:
             raise ValueError("p_values must not be empty")
         for p in self.p_values:
@@ -149,29 +158,117 @@ def _stats(values: np.ndarray) -> dict:
     return {"mean": mean, "std": std, "stderr": std / math.sqrt(n) if n > 1 else 0.0, "n": n}
 
 
-# Trial-slots per row block of a Monte Carlo cell; bounds the draws' memory.
+# Trial-slots in flight per Monte Carlo cell, across all of its shards;
+# bounds the draws' memory.
 _CHUNK_SLOTS = 2**16
+
+# Fewest rows in a block of a cell split into shards. Two shards with
+# 32-row blocks of 1,000 slots were measured faster than one shard
+# (BENCH_015.json, 2 CPUs); smaller blocks make more numpy calls per
+# trial, whose Python overhead holds the GIL, so a cell gets fewer shards
+# rather than smaller blocks.
+_MIN_SHARD_ROWS = 32
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on, and so the most shards of one cell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _trial_blocks(
-    seed: int, cell: int, p_u: float, p_v: float, trials: int, period_len: int, decisions: bool
+    seed: int,
+    cell: int,
+    p_u: float,
+    p_v: float,
+    start: int,
+    stop: int,
+    period_len: int,
+    decisions: bool,
+    rows: int,
 ):
-    """Yield one cell's trials as (block, [b_u, b_v, d_u, d_v]) row blocks.
+    """Yield trials start..stop-1 of one cell as (block, [b_u, b_v, d_u, d_v]).
 
-    block is the slice of trial indexes the rows stand for, and the list
-    holds their boolean arrivals and, when `decisions` is set, activation
-    decisions. Philox fills rows in order, so the blocks are the rows of one
-    (trials, period_len) draw per stream, whatever the block size, and each
-    trial is a pure function of (seed, tag, cell, trial index).
+    block is the slice of trial indexes the rows stand for, at most `rows`
+    of them, and the list holds their boolean arrivals and, when
+    `decisions` is set, activation decisions. Each stream starts at row
+    `start`: random() takes one 64-bit Philox output per value and Philox
+    makes four per counter, so skipping k = start * period_len values is
+    advance(k // 4) then random_raw(k % 4). Philox fills rows in order, so
+    the blocks are rows of one (trials, period_len) draw per stream,
+    whatever the range and block size, and each trial is a pure function
+    of (seed, tag, cell, trial index).
     """
+    skip = start * period_len
     tags = (_TAG_TRACE, _TAG_DECISION) if decisions else (_TAG_TRACE,)
-    streams = [
-        (_stream(seed, tag, cell, side), p) for tag in tags for side, p in enumerate((p_u, p_v))
-    ]
-    step = max(1, _CHUNK_SLOTS // period_len)
-    for lo in range(0, trials, step):
-        shape = (min(step, trials - lo), period_len)
+    streams = []
+    for tag in tags:
+        for side, p in enumerate((p_u, p_v)):
+            rng = _stream(seed, tag, cell, side)
+            rng.bit_generator.advance(skip // 4)
+            rng.bit_generator.random_raw(skip % 4)
+            streams.append((rng, p))
+    for lo in range(start, stop, rows):
+        shape = (min(rows, stop - lo), period_len)
         yield slice(lo, lo + shape[0]), [rng.random(shape) < p for rng, p in streams]
+
+
+def _shard_plan(trials: int, period_len: int) -> tuple[int, int]:
+    """Return (shards, rows per block) for a cell of trials x period_len.
+
+    One shard per CPU (_worker_count), but no more than leave every shard
+    _MIN_SHARD_ROWS trials and every block _MIN_SHARD_ROWS rows within
+    _CHUNK_SLOTS. Several shards' blocks together thus hold at most
+    _CHUNK_SLOTS trial-slots, and a single shard takes one block of
+    _CHUNK_SLOTS // period_len rows, or one row when period_len is larger:
+    either way no more than the one block a cell held before it had shards.
+    """
+    limit = min(trials, _CHUNK_SLOTS // period_len) // _MIN_SHARD_ROWS
+    shards = max(1, min(_worker_count(), limit))
+    return shards, max(1, _CHUNK_SLOTS // (shards * period_len))
+
+
+def _for_each_block(consume, seed, cell, p_u, p_v, trials, period_len, decisions) -> None:
+    """Call consume(block, b_u, b_v[, d_u, d_v]) on every block of one cell.
+
+    The cell's trials are split into contiguous shards (_shard_plan). The
+    calling thread runs the last shard and one new thread each of the
+    others; numpy releases the GIL while it fills and scans arrays, so the
+    shards run on separate cores. consume must write only the rows its
+    block names. Every thread is joined before return. An exception raised
+    in a shard stops the other shards at their next block and is raised
+    here.
+    """
+    shards, rows = _shard_plan(trials, period_len)
+    bounds = [trials * w // shards for w in range(shards + 1)]
+
+    errors = []
+
+    def shard(start: int, stop: int) -> None:
+        try:
+            for block, arrays in _trial_blocks(
+                seed, cell, p_u, p_v, start, stop, period_len, decisions, rows
+            ):
+                if errors:
+                    return
+                consume(block, *arrays)
+        except BaseException as exc:  # raised again below, once every shard is done
+            errors.append(exc)
+
+    started = []
+    try:
+        for span in zip(bounds[:-2], bounds[1:-1]):
+            thread = threading.Thread(target=shard, args=span)
+            thread.start()
+            started.append(thread)
+        shard(bounds[-2], trials)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
@@ -180,34 +277,40 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     Traces and activation decisions for trial i occupy row i of Philox
     draws made block by block (_trial_blocks), so each trial is a pure
     function of (seed, cell, trial index), and results depend neither on
-    the number of trials run around them nor on the block size. Each block
-    feeds every algorithm of the cell: offline counts come from the closed
-    form offline.optimum_counts; the oracle, when requested, solves each
-    trial exhaustively and checks it against those counts; the online
-    counts of each mode come from online.simulate_arrays. Only the
-    per-trial count vectors outlive a block.
+    the number of trials run around them nor on the block size or the
+    number of shards (_for_each_block). Each block feeds every algorithm of
+    the cell: offline counts come from the closed form
+    offline.optimum_counts; the oracle, when requested, solves each trial
+    exhaustively, and its counts are checked against the offline ones once
+    every shard is done; the online counts of each mode come from
+    online.simulate_arrays. Only the per-trial count vectors outlive a
+    block.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
     run_online = "online" in spec.algorithms
+    run_oracle = "oracle" in spec.algorithms
     for cell_idx, p in enumerate(spec.p_values):
         cell_name = f"p={p:g}"
         sync = np.empty(spec.trials, dtype=np.int64)
         asyn = np.empty_like(sync)
+        oracle_counts = np.empty((2, spec.trials), dtype=np.int64)
         oracle_cat = np.empty(spec.trials)
-        oracle_equal = True
         online_counts = {mode: np.empty((3, spec.trials)) for mode in OnlineMode if run_online}
-        blocks = _trial_blocks(spec.seed, cell_idx, p, p, spec.trials, spec.period_len, run_online)
-        for block, (b_u, b_v, *decisions) in blocks:
+
+        def consume(block, b_u, b_v, *decisions):
             sync[block], asyn[block] = optimum_counts(b_u, b_v)
-            if "oracle" in spec.algorithms:
+            if run_oracle:
                 for i, u, v in zip(range(block.start, block.stop), b_u, b_v):
                     ores = brute_force_matching(EnergyTrace("u", u), EnergyTrace("v", v), eta)
                     oracle_cat[i] = ores.cat_total
-                    if (ores.sync_count, ores.async_count) != (sync[i], asyn[i]):
-                        oracle_equal = False
+                    oracle_counts[:, i] = ores.sync_count, ores.async_count
             for mode, counts in online_counts.items():
                 counts[:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
+
+        _for_each_block(
+            consume, spec.seed, cell_idx, p, p, spec.trials, spec.period_len, run_online
+        )
         off_sat = sync.astype(float)
         off_cat = off_sat + eta * asyn
 
@@ -229,7 +332,7 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                 }
             )
 
-        if "oracle" in spec.algorithms:
+        if run_oracle:
             report.cells.append(
                 {
                     "cell": cell_name,
@@ -237,7 +340,9 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                     "eta": eta,
                     "algorithm": "oracle",
                     "metrics": {"cat": _stats(oracle_cat)},
-                    "checks": {"matches_offline_exactly": oracle_equal},
+                    "checks": {
+                        "matches_offline_exactly": np.array_equal(oracle_counts, (sync, asyn))
+                    },
                 }
             )
 
@@ -466,14 +571,15 @@ def heterogeneity_sweep(
         off = np.empty(trials)
         onl = np.empty(trials)
         het = np.empty(trials)
-        for block, (b_u, b_v, d_u, d_v) in _trial_blocks(
-            seed, 1000 + combo_idx, p_u, p_v, trials, period_len, decisions=True
-        ):
+
+        def consume(block, b_u, b_v, d_u, d_v):
             sync, asyn = optimum_counts(b_u, b_v)
             off[block] = sync + eta * asyn
             on_sync, on_async, _ = simulate_arrays(b_u, b_v, d_u, d_v, OnlineMode.MATCHING)
             onl[block] = on_sync + eta * on_async
             het[block] = heterogeneity(b_u, b_v)
+
+        _for_each_block(consume, seed, 1000 + combo_idx, p_u, p_v, trials, period_len, True)
         rows.append(
             {
                 "p_u": p_u,
@@ -509,6 +615,7 @@ def _suite_report(
 
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
     """Offline totals must equal the exhaustive oracle on random instances."""
+    seed = check_seed(seed)
     mismatches = []
     for i in range(trials):
         p = T1_P_GRID[i % len(T1_P_GRID)]
@@ -549,7 +656,7 @@ def verify_expected_cat(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: flo
         for cell in run_monte_carlo(spec).cells
     ]
     passed = all(c["within_1pct"] for c in cells)
-    return _suite_report("t2", trials, T2_PERIOD, eta, seed, cells=cells, passed=passed)
+    return _suite_report("t2", trials, T2_PERIOD, eta, spec.seed, cells=cells, passed=passed)
 
 
 def verify_ratio_bound(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
@@ -577,11 +684,12 @@ def verify_ratio_bound(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: floa
         if cell["algorithm"].startswith("online")
     ]
     passed = all(c["bound_satisfied"] and c["offline_dominates"] for c in cells)
-    return _suite_report("t4", trials, T2_PERIOD, eta, seed, cells=cells, passed=passed)
+    return _suite_report("t4", trials, T2_PERIOD, eta, spec.seed, cells=cells, passed=passed)
 
 
 def verify_bins(trials: int = 10_000, seed: int = DEFAULT_SEED) -> dict:
     """Concentration and exact-mean checks for the occupancy experiment."""
+    seed = check_seed(seed)
     rep = check_balls_in_bins(**BINS_DEFAULTS, trials=trials, seed=seed)
     passed = rep.freq_bound_satisfied and rep.mean_rel_error <= 0.02
     return {"suite": "bins", "seed": seed, "report": asdict(rep), "passed": passed}

@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .graph import PairResult, check_eta
-from .traces import DEFAULT_SEED, EnergyTrace, device_stream, pair_period
+from .traces import DEFAULT_SEED, EnergyTrace, check_seed, device_stream, pair_period
 
 
 class OnlineMode(str, Enum):
@@ -68,6 +68,7 @@ class OnlineConfig:
     def __post_init__(self) -> None:
         if self.warmup < 1:
             raise ValueError(f"warmup must be at least 1, got {self.warmup}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "mode", OnlineMode(self.mode))
         for p in self.device_probs() or ():
             if not (0.0 <= p <= 1.0):

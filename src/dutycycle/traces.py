@@ -10,7 +10,8 @@ process or derived from raw power readings by thresholding.
 Randomness uses the counter-based Philox generator keyed through
 numpy.random.SeedSequence, so identical (seed, device_id) always reproduce
 identical traces on any platform. Each device of a pair gets an independent
-sub-stream derived from (seed, device_id). Seeds must be non-negative.
+sub-stream derived from (seed, device_id). check_seed is the one seed
+check: a seed is a non-negative integer, numpy integers included.
 Both CSV readers take their rows from _csv_rows, which owns the UTF-8,
 header and field-count checks.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +34,21 @@ class TraceFormatError(ValueError):
     """Malformed trace data; the message names the offending row."""
 
 
+def check_seed(seed: int) -> int:
+    """seed as a Python int; ValueError naming it unless it is a non-negative integer.
+
+    numpy integers pass, and come back as int so that reports embedding
+    them serialize; floats fail even when integral, so 1.7 is never drawn
+    as seed 1.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed)
+
+
 def _stream(seed: int, *tags: int) -> np.random.Generator:
     """Philox stream for (seed, tags); tags separate sub-streams."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(t) for t in tags))
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(t) for t in tags))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -46,10 +58,8 @@ def device_stream(seed: int, device_id: str, purpose: int = 0) -> np.random.Gene
     `purpose` separates different uses of the same device identity, e.g.
     trace generation vs. online activation draws.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     tag = int.from_bytes(device_id.encode("utf-8"), "big") if device_id else 0
-    ss = np.random.SeedSequence(entropy=(int(seed), tag), spawn_key=(int(purpose),))
+    ss = np.random.SeedSequence(entropy=(check_seed(seed), tag), spawn_key=(int(purpose),))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -106,6 +116,7 @@ class ArrivalModel:
             raise ValueError(f"prob_harvest must lie in [0, 1], got {self.prob_harvest}")
         if self.period_len < 1:
             raise ValueError(f"period_len must be at least 1, got {self.period_len}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Byte pins of the CLI reports and of the library's trace-pair report.
+"""Byte pins of the CLI reports and of the library's trace-pair and sweep reports.
 
-Each case runs `cli.main` in-process, or `run_trace_pairs` directly, and
+Each case runs `cli.main` in-process, or a library entry point directly, and
 compares the sha256 of its output with a digest recorded when the case was
 added, so any change to any byte of a report fails here. A deliberate report
 change updates the digest and says so in CHANGES.md.
@@ -13,7 +13,7 @@ import pytest
 
 from dutycycle import ArrivalModel, OnlineConfig, generate_pair, run_trace_pairs
 from dutycycle.cli import ENV_SEED, main
-from dutycycle.harness import verify_bins
+from dutycycle.harness import heterogeneity_sweep, verify_bins
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +98,11 @@ GOLDEN_RUNS = {
         0,
         "b14111251f69244cecff7a6f47be5167e31f46ca223bc76b69c1e558a2ca8827",
     ),
+    "verify-t2": (
+        ["verify", "--suite", "t2", "--trials", "300"],
+        1,  # the documented gap of the paper's reference
+        "2e464be518fd4a1877a48074105d55d6d4cab1f625c720ea1fa087194bc75e1e",
+    ),
     "verify-t4": (
         ["verify", "--suite", "t4", "--trials", "300"],
         0,
@@ -133,6 +138,16 @@ def test_verify_bins_payload_bytes():
     payload = json.dumps(verify_bins(trials=2000, seed=3), sort_keys=True)
     assert _sha(payload) == (
         "71a1f5933512a101ed07d19cd64db00e7d85ca88b4047e82eeee3e0f0bb4d71f"
+    )
+
+
+def test_heterogeneity_sweep_payload_bytes():
+    # 403 trials of 301 slots: on two or three CPUs, as many shards, the
+    # second starting at a draw offset that is not a multiple of Philox's
+    # four outputs per counter
+    sweep = heterogeneity_sweep((0.2, 0.5, 0.9), 301, 403, eta=0.6, seed=21)
+    assert _sha(json.dumps(sweep, sort_keys=True)) == (
+        "089446bf5ae059930c8dc961af92eef835433d618a17a75aa9001b583058b86f"
     )
 
 

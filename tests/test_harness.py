@@ -1,7 +1,11 @@
 import itertools
 import json
+import sys
+import threading
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dutycycle import (
@@ -19,6 +23,7 @@ from dutycycle import harness
 from dutycycle.harness import (
     heterogeneity_sweep,
     verify_bins,
+    verify_expected_cat,
     verify_optimality,
     verify_ratio_bound,
 )
@@ -126,6 +131,121 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, chunk_slots):
     assert _chunked_outputs() == default
 
 
+@pytest.fixture(scope="module")
+def default_outputs():
+    return _chunked_outputs()
+
+
+def _split(monkeypatch, shards, rows):
+    # force a split that the host's CPU count and the row floor would not give
+    monkeypatch.setattr(harness, "_shard_plan", lambda trials, period_len: (shards, rows))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 250], ids=["one-row", "rows-not-dividing", "whole-shard"])
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_reports_do_not_depend_on_the_shard_count(monkeypatch, default_outputs, shards, rows):
+    # one shard, then shards of 200 and 133-134 trials at T = 12 and of
+    # 11-12 and 7-8 at T = 1000: every byte must match the default split
+    _split(monkeypatch, shards, rows)
+    assert _chunked_outputs() == default_outputs
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16, 64, 256])
+@pytest.mark.parametrize(
+    "trials, period_len",
+    [(1, 7), (40, 7), (500, 12), (10_000, 1000), (64, 1000), (10_000, 30_000), (10_000, 2**16)],
+)
+def test_shard_plan_keeps_blocks_and_memory_of_one_block(monkeypatch, cpus, trials, period_len):
+    monkeypatch.setattr(harness, "_worker_count", lambda: cpus)
+    shards, rows = harness._shard_plan(trials, period_len)
+    single_block = max(1, harness._CHUNK_SLOTS // period_len) * period_len
+    assert 1 <= shards <= cpus
+    assert shards * rows * period_len <= single_block
+    if shards == 1:
+        assert rows == max(1, harness._CHUNK_SLOTS // period_len)
+    else:
+        assert rows >= harness._MIN_SHARD_ROWS
+        assert trials // shards >= harness._MIN_SHARD_ROWS
+
+
+@pytest.mark.parametrize(
+    "cpus, trials, period_len, plan",
+    [
+        (2, 500, 1000, (2, 32)),  # the measured mc-* split
+        (64, 10_000, 1000, (2, 32)),
+        (64, 10_000, 12, (64, 85)),
+        (2, 63, 1000, (1, 65)),
+        (16, 10_000, 30_000, (1, 2)),
+        (16, 10_000, 10**6, (1, 1)),
+    ],
+)
+def test_shard_plan_examples(monkeypatch, cpus, trials, period_len, plan):
+    monkeypatch.setattr(harness, "_worker_count", lambda: cpus)
+    assert harness._shard_plan(trials, period_len) == plan
+
+
+@pytest.mark.parametrize("period_len", [7, 12, 1000])
+def test_a_shard_starts_on_its_row_of_one_whole_draw(period_len):
+    # start * period_len runs through every residue mod 4 at T = 7, so the
+    # skip takes both advance() and random_raw() at every offset
+    trials = 9
+    whole = next(harness._trial_blocks(5, 2, 0.3, 0.6, 0, trials, period_len, True, trials))[1]
+    for start in range(trials):
+        block, first = next(
+            harness._trial_blocks(5, 2, 0.3, 0.6, start, trials, period_len, True, 1)
+        )
+        assert block == slice(start, start + 1)
+        for got, want in zip(first, whole):
+            np.testing.assert_array_equal(got, want[start : start + 1])
+
+
+@pytest.mark.parametrize("failing_start", [0, 20], ids=["new-thread", "calling-thread"])
+def test_a_shard_error_propagates_and_stops_the_other_shards(monkeypatch, failing_start):
+    # three shards of ten one-row blocks: the first runs on a new thread,
+    # the last on the calling thread. The other shards wait for the
+    # failure before their second block, and must then stop
+    real_blocks = harness._trial_blocks
+    failed = threading.Event()
+    drawn = []
+
+    def blocks(seed, cell, p_u, p_v, start, *rest):
+        if start == failing_start:
+            failed.set()
+            raise RuntimeError("shard failed")
+        return survivor(real_blocks(seed, cell, p_u, p_v, start, *rest))
+
+    def survivor(blocks):
+        for count, item in enumerate(blocks, 1):
+            if count == 2:
+                failed.wait(10)
+                time.sleep(0.05)  # lets the failing shard record its error
+            drawn.append(count)
+            yield item
+
+    _split(monkeypatch, 3, 1)
+    monkeypatch.setattr(harness, "_trial_blocks", blocks)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^shard failed$"):
+        run_monte_carlo(small_spec(p_values=(0.5,), trials=30))
+    assert threading.active_count() == before
+    # each of the other two shards drew its first block and at most one
+    # more, of ten
+    assert drawn.count(1) == 2 and set(drawn) <= {1, 2}
+
+
+def test_shards_survive_frequent_thread_switches(monkeypatch, default_outputs):
+    # more shards than most hosts have cores, switching threads every
+    # microsecond: each shard still writes only its own rows
+    _split(monkeypatch, 8, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outputs = _chunked_outputs()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs == default_outputs
+
+
 @pytest.mark.parametrize("trials", [2_000, 20_000])
 def test_monte_carlo_memory_stays_bounded(trials):
     # draws live one block at a time; only the per-trial count vectors
@@ -138,6 +258,28 @@ def test_monte_carlo_memory_stays_bounded(trials):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _traced_peak(spec):
+    tracemalloc.start()
+    try:
+        run_monte_carlo(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_shards_hold_no_more_draws_than_one_block(monkeypatch, cpus):
+    # T = 40,000 slots is above _CHUNK_SLOTS / cpus, so the cell's one
+    # block is a single row; one-row blocks on every CPU would hold cpus
+    # rows at once (about 1.8x and 2.2x the one-CPU peak)
+    spec = small_spec(period_len=40_000, p_values=(0.5,), trials=cpus * harness._MIN_SHARD_ROWS)
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
+    _traced_peak(spec)  # first-call allocations
+    one_cpu = _traced_peak(spec)
+    monkeypatch.setattr(harness, "_worker_count", lambda: cpus)
+    assert _traced_peak(spec) < 1.25 * one_cpu
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +361,48 @@ def test_bins_validation():
 def test_negative_seed_is_named(call):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: small_spec(seed=-1), "-1"),
+        (lambda: OnlineConfig(seed=-3), "-3"),
+        (lambda: verify_optimality(trials=0, seed=-1), "-1"),
+        (lambda: ArrivalModel(0.5, 20, 1.7), "1.7"),
+        (lambda: ArrivalModel(0.5, 20, 2.0), "2.0"),
+        (lambda: small_spec(seed=np.int64(-2)), "-2"),
+    ],
+    ids=[
+        "ExperimentSpec",
+        "OnlineConfig",
+        "verify_optimality-no-trials",
+        "ArrivalModel-fraction",
+        "ArrivalModel-float",
+        "numpy-negative",
+    ],
+)
+def test_bad_seed_is_refused_before_any_draw(build, shown):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {shown}$"):
+        build()
+
+
+def test_numpy_integer_seeds_are_kept_as_python_ints():
+    # the reports embed the seed, and json cannot write a numpy integer
+    spec = small_spec(seed=np.uint32(7), p_values=(0.5,), trials=20)
+    assert type(spec.seed) is int
+    plain = small_spec(seed=7, p_values=(0.5,), trials=20)
+    assert run_monte_carlo(spec).to_json() == run_monte_carlo(plain).to_json()
+    cfg = OnlineConfig(0.5, seed=np.int64(3))
+    assert type(cfg.seed) is int
+    model = ArrivalModel(0.5, 20, np.int16(8))
+    assert type(model.seed) is int
+    pair = generate_pair(model)
+    assert run_trace_pairs([pair], 0.75, cfg).to_json() == run_trace_pairs(
+        [pair], 0.75, OnlineConfig(0.5, seed=3)
+    ).to_json()
+    for suite in (verify_optimality, verify_expected_cat, verify_ratio_bound, verify_bins):
+        assert json.dumps(suite(trials=2, seed=np.int64(3))) == json.dumps(suite(trials=2, seed=3))
 
 
 def test_bins_determinism():

@@ -12,8 +12,15 @@ numpy.random.SeedSequence, so identical (seed, device_id) always reproduce
 identical traces on any platform. Each device of a pair gets an independent
 sub-stream derived from (seed, device_id). check_seed is the one seed
 check: a seed is a non-negative integer, numpy integers included.
-Both CSV readers take their rows from _csv_rows, which owns the UTF-8,
-header and field-count checks.
+_pair_csv_bytes renders the one canonical pair CSV, the form that
+write_pair_csv (and so `generate` and `ingest`) writes: header
+`slot,b_u,b_v`, then one `k,b_u,b_v` row per slot, each line ending in
+CRLF, nothing quoted or padded. read_pair_csv reads such a file in one pass
+and accepts it only if it equals the rendering of the states it holds. Any
+other file, and every raw-readings file, is read row by row through
+_csv_rows, which owns the UTF-8, header, field-count and field-size checks;
+so every other valid spelling reads as before and every error message,
+first bad row first, comes from the row loop alone.
 """
 
 from __future__ import annotations
@@ -198,8 +205,11 @@ def _csv_rows(fh, path, header: list[str]):
     """Yield (row_no, row) for each data row of the open CSV file fh.
 
     Checks that row 1 is `header` and that every data row has as many
-    fields; a byte that is not UTF-8 raises TraceFormatError naming path.
+    fields; a byte that is not UTF-8 raises TraceFormatError naming path,
+    and a row csv.reader rejects (a field over its size limit, say) one
+    naming the row.
     """
+    row_no = 1
     try:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -208,14 +218,18 @@ def _csv_rows(fh, path, header: list[str]):
                 f"{path}: row 1: expected header {','.join(header)!r}, got {first!r}"
             )
         n_fields = len(header)
-        for row_no, row in enumerate(reader, start=2):
+        row_no = 2
+        for row in reader:
             if len(row) != n_fields:
                 raise TraceFormatError(
                     f"{path}: row {row_no}: expected {n_fields} fields, got {len(row)}"
                 )
             yield row_no, row
+            row_no += 1
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise TraceFormatError(f"{path}: row {row_no}: {exc}") from exc
 
 
 def write_raw_csv(traces: list[RawTrace], path) -> None:
@@ -260,18 +274,81 @@ def read_raw_csv(path, period_len: int | None = None) -> dict[str, RawTrace]:
     return {dev: RawTrace(device_id=dev, samples=tuple(samples)) for dev, samples in by_device.items()}
 
 
+# The canonical pair CSV, as csv.writer writes PAIR_HEADER and the rows.
+_PAIR_CSV_HEADER = (",".join(PAIR_HEADER) + "\r\n").encode("ascii")
+_PAIR_ROW_TAIL = np.frombuffer(b",0,0\r\n", dtype=np.uint8)  # after the slot digits
+_BLOCK_ROWS = 1 << 15  # rows rendered or checked at once, about 0.4 MB
+
+
+def _pair_row_blocks(period: int):
+    """Yield (start, stop, width) over slots 1..period: slots start+1..stop
+    all have `width` digits, so each of their rows is width + 6 bytes."""
+    start = 0
+    while start < period:
+        width = len(str(start + 1))
+        stop = min(period, 10**width - 1, start + _BLOCK_ROWS)
+        yield start, stop, width
+        start = stop
+
+
+def _pair_rows(start: int, stop: int, width: int, bits_u, bits_v) -> np.ndarray:
+    """Rows of slots start+1..stop, as a (stop - start, width + 6) uint8 array."""
+    rows = np.empty((stop - start, width + 6), dtype=np.uint8)
+    slots = np.arange(start + 1, stop + 1)
+    for d in range(width):
+        rows[:, width - 1 - d] = slots // 10**d % 10 + ord("0")
+    rows[:, width:] = _PAIR_ROW_TAIL
+    rows[:, width + 1] += bits_u
+    rows[:, width + 3] += bits_v
+    return rows
+
+
+def _pair_csv_bytes(bits_u: np.ndarray, bits_v: np.ndarray):
+    """Yield the canonical pair CSV of two equal-length bool arrays in
+    blocks of at most _BLOCK_ROWS rows; joined, the blocks are the bytes
+    csv.writer writes for PAIR_HEADER and the rows (k, b_u, b_v)."""
+    yield _PAIR_CSV_HEADER
+    for start, stop, width in _pair_row_blocks(len(bits_u)):
+        yield _pair_rows(start, stop, width, bits_u[start:stop], bits_v[start:stop]).tobytes()
+
+
 def write_pair_csv(trace_u: EnergyTrace, trace_v: EnergyTrace, path) -> None:
-    period = pair_period(trace_u, trace_v)
-    bits_u = trace_u.states.view(np.uint8).tolist()  # literal 0/1, not True/False
-    bits_v = trace_v.states.view(np.uint8).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PAIR_HEADER)
-        writer.writerows(zip(range(1, period + 1), bits_u, bits_v))
+    pair_period(trace_u, trace_v)
+    with open(path, "wb") as fh:
+        fh.writelines(_pair_csv_bytes(trace_u.states, trace_v.states))
 
 
-def read_pair_csv(path) -> tuple[EnergyTrace, EnergyTrace]:
-    """Read a binary trace pair as devices "u" and "v"; errors name the offending row."""
+def _canonical_pair_states(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two state arrays if data is _pair_csv_bytes of them for at least
+    one slot, else None.
+
+    Each row's states are the bytes 4 and 2 before its newline; rendering
+    them again and comparing, block by block, checks every other byte.
+    """
+    period = data.count(b"\n") - 1
+    if period < 1 or not data.startswith(_PAIR_CSV_HEADER):
+        return None
+    states_u = np.empty(period, dtype=bool)
+    states_v = np.empty(period, dtype=bool)
+    pos = len(_PAIR_CSV_HEADER)
+    for start, stop, width in _pair_row_blocks(period):
+        size = (stop - start) * (width + 6)
+        if pos + size > len(data):
+            return None
+        block = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
+        block = block.reshape(stop - start, width + 6)
+        bits_u = states_u[start:stop]
+        bits_v = states_v[start:stop]
+        np.equal(block[:, width + 1], ord("1"), out=bits_u)
+        np.equal(block[:, width + 3], ord("1"), out=bits_v)
+        if not np.array_equal(_pair_rows(start, stop, width, bits_u, bits_v), block):
+            return None
+        pos += size
+    return (states_u, states_v) if pos == len(data) else None
+
+
+def _read_pair_rows(path) -> tuple[EnergyTrace, EnergyTrace]:
+    """read_pair_csv's row-by-row reader: any valid spelling, and every error message."""
     states_u: list[bool] = []
     states_v: list[bool] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -294,3 +371,16 @@ def read_pair_csv(path) -> tuple[EnergyTrace, EnergyTrace]:
     if not states_u:
         raise TraceFormatError(f"{path}: row 2: no data rows after header")
     return EnergyTrace("u", states_u), EnergyTrace("v", states_v)
+
+
+def read_pair_csv(path) -> tuple[EnergyTrace, EnergyTrace]:
+    """Read a binary trace pair as devices "u" and "v"; errors name the offending row.
+
+    A file in the canonical form write_pair_csv writes is read in one pass;
+    any other goes through the row-by-row reader, which raises every error.
+    """
+    with open(path, "rb") as fh:
+        states = _canonical_pair_states(fh.read())
+    if states is None:
+        return _read_pair_rows(path)
+    return EnergyTrace("u", states[0]), EnergyTrace("v", states[1])

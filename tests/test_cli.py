@@ -289,6 +289,27 @@ def test_csv_readers_name_a_file_that_is_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_csv_readers_reject_an_oversized_field_with_exit_2(tmp_path, capsys):
+    # csv.reader's field limit is 131,072 characters; past it the reader
+    # raises csv.Error, which must leave as a usage error naming the row
+    huge = b"1" * (2**17 + 1)
+    pair = tmp_path / "pair.csv"
+    pair.write_bytes(b"slot,b_u,b_v\n1,0,1\n2," + huge + b",0\n")
+    code, stdout, stderr = run_cli(["run", "--trace", str(pair)], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {pair}: row 3: field larger than field limit (131072)\n"
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b"slot,device_id,reading\n1,a,3.5\n2,b," + huge + b"\n")
+    out = tmp_path / "o.csv"
+    code, stdout, stderr = run_cli(
+        ["ingest", "--raw", str(raw), "--threshold", "1.0", "--period", "2", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {raw}: row 3: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
 def test_ingest_rejects_single_device(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("slot,device_id,reading\n1,n1,3.2\n", encoding="utf-8")

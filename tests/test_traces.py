@@ -1,8 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dutycycle import (
     ArrivalModel,
@@ -18,6 +20,7 @@ from dutycycle import (
     write_pair_csv,
     write_raw_csv,
 )
+from dutycycle.traces import _pair_csv_bytes, _read_pair_rows
 
 
 def test_p_zero_gives_all_zero_trace():
@@ -229,6 +232,8 @@ _NOT_UTF8 = (
     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
 )
 
+_HUGE_FIELD = b"1" * (2**17 + 1)  # one past csv.reader's default field size limit
+
 
 _READER_CASES = {
     "pair-empty": (read_pair_csv, b"", "row 1: expected header 'slot,b_u,b_v', got None"),
@@ -268,6 +273,11 @@ _READER_CASES = {
         "row 3: column b_v must be 0 or 1, got ' 1'",
     ),
     "pair-not-utf8": (read_pair_csv, _PAIR + b"1,0,1\n2,\xff,1\n", _NOT_UTF8.format(21)),
+    "pair-huge-field": (
+        read_pair_csv,
+        _PAIR + b"1,0,1\n2," + _HUGE_FIELD + b",1\n",
+        "row 3: field larger than field limit (131072)",
+    ),
     "raw-empty": (read_raw_csv, b"", "row 1: expected header 'slot,device_id,reading', got None"),
     "raw-header": (
         read_raw_csv,
@@ -304,6 +314,11 @@ _READER_CASES = {
         "row 3: slot 1 of device 'a' does not rise above its previous slot 2",
     ),
     "raw-not-utf8": (read_raw_csv, _RAW + b"1,a,\xff\n", _NOT_UTF8.format(27)),
+    "raw-huge-field": (
+        read_raw_csv,
+        _RAW + b"1,a,2.0\n2,a," + _HUGE_FIELD + b"\n",
+        "row 3: field larger than field limit (131072)",
+    ),
 }
 
 
@@ -325,3 +340,96 @@ def test_pair_csv_accepts_quoted_and_padded_slots(tmp_path):
     assert (trace_u.device_id, trace_v.device_id) == ("u", "v")
     assert trace_u.states.tolist() == [False, True]
     assert trace_v.states.tolist() == [True, False]
+
+
+def _stdlib_pair_csv(bits_u, bits_v) -> bytes:
+    """The reference: what csv.writer writes for the header and the rows."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["slot", "b_u", "b_v"])
+    writer.writerows(zip(range(1, len(bits_u) + 1), np.asarray(bits_u, dtype=int).tolist(),
+                         np.asarray(bits_v, dtype=int).tolist()))
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("period", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 12345])
+def test_pair_csv_renderer_matches_the_stdlib_writer(tmp_path, period):
+    rng = np.random.default_rng(period)
+    bits_u, bits_v = rng.random(period) < 0.5, rng.random(period) < 0.3
+    expected = _stdlib_pair_csv(bits_u, bits_v)
+    assert b"".join(_pair_csv_bytes(bits_u, bits_v)) == expected
+    path = tmp_path / "pair.csv"
+    write_pair_csv(EnergyTrace("u", bits_u), EnergyTrace("v", bits_v), path)
+    assert path.read_bytes() == expected
+    if period == 0:
+        assert expected == b"slot,b_u,b_v\r\n"
+
+
+def test_canonical_pair_csv_skips_the_row_loop(tmp_path, monkeypatch):
+    trace_u, trace_v = generate_pair(ArrivalModel(prob_harvest=0.5, period_len=1234, seed=5))
+    path = tmp_path / "pair.csv"
+    write_pair_csv(trace_u, trace_v, path)
+
+    def row_loop(path):
+        raise AssertionError("a canonical file went through the row loop")
+
+    monkeypatch.setattr("dutycycle.traces._read_pair_rows", row_loop)
+    back_u, back_v = read_pair_csv(path)
+    assert np.array_equal(back_u.states, trace_u.states)
+    assert np.array_equal(back_v.states, trace_v.states)
+
+
+def _read_outcome(read, path):
+    try:
+        trace_u, trace_v = read(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    return trace_u.states.tolist(), trace_v.states.tolist()
+
+
+@st.composite
+def edited_pair_csvs(draw):
+    """A canonical pair CSV with one random edit, or none."""
+    period = draw(st.integers(min_value=0, max_value=120))
+    bits = draw(st.lists(st.booleans(), min_size=2 * period, max_size=2 * period))
+    data = bytearray(b"".join(_pair_csv_bytes(np.array(bits[:period], dtype=bool),
+                                              np.array(bits[period:], dtype=bool))))
+    lines = bytes(data).split(b"\r\n")[:-1]
+    row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    edit = draw(st.sampled_from(
+        ["none", "flip", "insert", "delete", "lf", "quote", "pad", "truncate"]
+    ))
+    pos = draw(st.integers(min_value=0, max_value=len(data) - 1))
+    byte = draw(st.integers(min_value=0, max_value=255))
+    if edit == "flip":
+        data[pos] = byte
+    elif edit == "insert":
+        data.insert(pos, byte)
+    elif edit == "delete":
+        del data[pos]
+    elif edit == "lf":  # one line ending, or every one
+        if draw(st.booleans()):
+            lines = [line + b"\n" for line in lines]
+        else:
+            lines = [line + (b"\n" if i == row else b"\r\n") for i, line in enumerate(lines)]
+        data = bytearray(b"".join(lines))
+    elif edit in ("quote", "pad"):
+        fields = lines[row].split(b",")
+        col = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+        if edit == "quote":
+            fields[col] = b'"' + fields[col] + b'"'
+        else:  # pad the slot
+            fields[0] = draw(st.sampled_from([b"0", b" "])) + fields[0]
+        lines[row] = b",".join(fields)
+        data = bytearray(b"".join(line + b"\r\n" for line in lines))
+    elif edit == "truncate":
+        data = data[:-draw(st.integers(min_value=1, max_value=2))]
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=edited_pair_csvs())
+def test_pair_csv_fast_path_equals_the_row_loop(tmp_path, data):
+    path = tmp_path / "pair.csv"
+    path.write_bytes(data)
+    assert _read_outcome(read_pair_csv, path) == _read_outcome(_read_pair_rows, path)

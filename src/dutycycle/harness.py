@@ -7,16 +7,18 @@ CLI's `run` both call it. A Monte Carlo cell splits its n trials into
 contiguous shards, at most one per CPU the process may use, each on its
 own thread (_for_each_block), and every shard streams its trials through
 row blocks (_trial_blocks, the one draw path): every block's arrivals
-and decisions are drawn once and shared by all of the cell's algorithms,
-the offline counts come from the closed form offline.optimum_counts and
-the online counts of each mode from the count kernel
-online.simulate_arrays. A cell gets only as many shards as keep each
-block at _MIN_SHARD_ROWS rows or more while the shards' blocks together
-hold at most _CHUNK_SLOTS trial-slots (_shard_plan); otherwise it runs
-as one shard with one block of about _CHUNK_SLOTS trial-slots, as before
-the split. Only the per-trial count vectors are kept whole, so memory
-does not grow with n beyond them. Row i of every draw is trial i, so
-results depend neither on the block size nor on the number of shards.
+and decisions are drawn once, from raw Philox words (traces.bernoulli),
+and shared by all of the cell's algorithms, the offline counts come from
+the closed form offline.optimum_counts and the online counts of each
+mode from the count kernel online.simulate_arrays, both counting on
+bit-packed rows (a byte walk for the online banks). A cell gets only as
+many shards as keep each block at _MIN_SHARD_ROWS rows or more while the
+shards' blocks together hold at most _CHUNK_SLOTS trial-slots
+(_shard_plan); otherwise it runs as one shard with one block of about
+_CHUNK_SLOTS trial-slots, as before the split. Only the per-trial count
+vectors are kept whole, so memory does not grow with n beyond them. Row
+i of every draw is trial i, so results depend neither on the block size
+nor on the number of shards.
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle, instance by
@@ -56,7 +58,7 @@ from .metrics import (
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
 from .oracle import ORACLE_MAX_VERTEXES, brute_force_matching
-from .traces import DEFAULT_SEED, EnergyTrace, _stream, check_seed, pair_period
+from .traces import DEFAULT_SEED, EnergyTrace, _stream, bernoulli, check_seed, pair_period
 
 # Stream tags keep the harness's random draws on disjoint Philox sub-streams.
 _TAG_TRACE = 1
@@ -194,12 +196,12 @@ def _trial_blocks(
     block is the slice of trial indexes the rows stand for, at most `rows`
     of them, and the list holds their boolean arrivals and, when
     `decisions` is set, activation decisions. Each stream starts at row
-    `start`: random() takes one 64-bit Philox output per value and Philox
-    makes four per counter, so skipping k = start * period_len values is
-    advance(k // 4) then random_raw(k % 4). Philox fills rows in order, so
-    the blocks are rows of one (trials, period_len) draw per stream,
-    whatever the range and block size, and each trial is a pure function
-    of (seed, tag, cell, trial index).
+    `start`: traces.bernoulli takes one 64-bit Philox output per value and
+    Philox makes four per counter, so skipping k = start * period_len
+    values is advance(k // 4) then random_raw(k % 4). Philox fills rows in
+    order, so the blocks are rows of one (trials, period_len) draw per
+    stream, whatever the range and block size, and each trial is a pure
+    function of (seed, tag, cell, trial index).
     """
     skip = start * period_len
     tags = (_TAG_TRACE, _TAG_DECISION) if decisions else (_TAG_TRACE,)
@@ -212,7 +214,7 @@ def _trial_blocks(
             streams.append((rng, p))
     for lo in range(start, stop, rows):
         shape = (min(rows, stop - lo), period_len)
-        yield slice(lo, lo + shape[0]), [rng.random(shape) < p for rng, p in streams]
+        yield slice(lo, lo + shape[0]), [bernoulli(rng, shape, p) for rng, p in streams]
 
 
 def _shard_plan(trials: int, period_len: int) -> tuple[int, int]:
@@ -386,8 +388,8 @@ def random_instance(
 ) -> tuple[EnergyTrace, EnergyTrace]:
     """Deterministic random trace pair for certification runs."""
     rng = _stream(seed, _TAG_INSTANCE, index)
-    b_u = rng.random(period_len) < p
-    b_v = rng.random(period_len) < p
+    b_u = bernoulli(rng, period_len, p)
+    b_v = bernoulli(rng, period_len, p)
     return EnergyTrace("u", b_u), EnergyTrace("v", b_v)
 
 

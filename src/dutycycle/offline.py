@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .graph import PairResult, check_eta
-from .traces import EnergyTrace, pair_period
+from .traces import EnergyTrace, count_packed, pair_period
 
 
 def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
@@ -66,10 +66,12 @@ def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
     async = min(|b_u|, |b_v|) - sync, that is min(X, Y) for the U-only and
     V-only counts X and Y (see oracle.closed_form_optimum). The greedy of
     duty_cycle_arrays realizes exactly these counts; the test suite pins the
-    two. Only b_u & b_v is materialized, so memory stays at one (n, T) mask.
+    two. Both are counted on np.packbits rows, eight slots a byte, so memory
+    stays at an eighth of one (n, T) mask per array.
     """
-    sync = np.count_nonzero(b_u & b_v, axis=-1)
-    edges = np.minimum(np.count_nonzero(b_u, axis=-1), np.count_nonzero(b_v, axis=-1))
+    packed_u, packed_v = np.packbits(b_u, axis=-1), np.packbits(b_v, axis=-1)
+    sync = count_packed(packed_u & packed_v)
+    edges = np.minimum(count_packed(packed_u), count_packed(packed_v))
     return sync, edges - sync
 
 

@@ -28,11 +28,15 @@ at all: a bank is the prefix sum of its deposits minus the partner's
 pairing attempts, lifted by the attempts that failed on an empty bank, so
 its end value and the number of failures follow from the sum's prefix
 minimum. Slotsim gives each bank its own floor; in matching mode a failed
-attempt banks the attempting unit, so both banks share one.
+attempt banks the attempting unit, so both banks share one. The kernel
+applies the rules to np.packbits rows, eight slots a byte, counts masks
+by popcount and takes each prefix sum a byte at a time, through two
+65,536-entry tables of a byte pair's net step and low point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,7 +45,15 @@ from enum import Enum
 import numpy as np
 
 from .graph import PairResult, check_eta
-from .traces import DEFAULT_SEED, EnergyTrace, check_seed, device_stream, pair_period
+from .traces import (
+    DEFAULT_SEED,
+    EnergyTrace,
+    bernoulli,
+    check_seed,
+    count_packed,
+    device_stream,
+    pair_period,
+)
 
 
 class OnlineMode(str, Enum):
@@ -129,23 +141,21 @@ def _decision_arrays(
     rng_v = device_stream(cfg.seed, id_v, purpose=2)
     probs = cfg.device_probs()
     if probs is None:
-        p_u = _estimated_probs(b_u, cfg.warmup)
-        p_v = _estimated_probs(b_v, cfg.warmup)
-    else:
-        p_u = np.full(n, probs[0])
-        p_v = np.full(n, probs[1])
-    return rng_u.random(n) < p_u, rng_v.random(n) < p_v
+        probs = (_estimated_probs(b_u, cfg.warmup), _estimated_probs(b_v, cfg.warmup))
+    return bernoulli(rng_u, n, probs[0]), bernoulli(rng_v, n, probs[1])
 
 
 def _slot_rules(b_u, b_v, d_u, d_v, mode: OnlineMode):
-    """Apply a mode's per-slot rules to boolean arrivals and decisions.
+    """Apply a mode's per-slot rules to arrivals and decisions.
 
-    Takes (T,) arrays for one pair or (n, T) arrays for n trials, time on
-    the last axis, and returns (sync, lone, dep_u, dep_v, want_u, want_v):
+    Takes boolean (T,) arrays for one pair, or the np.packbits rows of
+    (n, T) arrays for n trials, time on the last axis; & and ~ act bit by
+    bit on either, and every mask below is a conjunction with an arrival
+    or a decision, so packing's zero padding stays zero. Returns the masks
+    (sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v):
 
     * sync: both devices harvest and are active, a synchronous edge;
-    * lone: active harvesters outside a synchronous edge, counted along the
-      last axis;
+    * lone_u, lone_v: an active harvester outside a synchronous edge;
     * dep_u, dep_v: a sleeping harvester banks its unit, unless it pairs;
     * want_u, want_v: the device's fresh unit pairs with the partner's most
       recent banked unit, if that bank is not empty.
@@ -154,8 +164,8 @@ def _slot_rules(b_u, b_v, d_u, d_v, mode: OnlineMode):
     carries the banks from slot to slot.
     """
     sync = b_u & b_v & d_u & d_v
-    lone = np.count_nonzero(b_u & d_u & ~sync, axis=-1)
-    lone += np.count_nonzero(b_v & d_v & ~sync, axis=-1)
+    lone_u = b_u & d_u & ~sync
+    lone_v = b_v & d_v & ~sync
     dep_u = b_u & ~d_u
     dep_v = b_v & ~d_v
     if mode == OnlineMode.MATCHING:
@@ -165,7 +175,7 @@ def _slot_rules(b_u, b_v, d_u, d_v, mode: OnlineMode):
         # both active, one harvests and the other debits its bank
         joint = d_u & d_v
         want_u, want_v = b_u & ~b_v & joint, b_v & ~b_u & joint
-    return sync, lone, dep_u, dep_v, want_u, want_v
+    return sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v
 
 
 def _wasted(lone, banked, asyn, mode: OnlineMode):
@@ -186,8 +196,9 @@ def simulate_arrays(
 
     Takes boolean (n, T) arrays of arrivals and activation decisions, row i
     being trial i, and returns the per-trial (sync, async, wasted) counts as
-    float64 arrays of shape (n,). The rules come from _slot_rules, and the
-    bank walks have a closed form, so no slot is visited in Python.
+    float64 arrays of shape (n,). The rules come from _slot_rules, applied
+    to the np.packbits rows, eight slots a byte, and the bank walks have a
+    closed form, so no slot is visited in Python.
 
     Let s_u be the prefix sum of (dep_u & ~want_u) - want_v: +1 for each
     unit bank u keeps, -1 for each pairing attempt by v on it. An attempt
@@ -203,25 +214,54 @@ def simulate_arrays(
     attempts plus the floors. online_duty_cycle walks the same rules slot
     by slot for one pair and records the edges.
     """
-    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
+    packed = (np.packbits(mask, axis=-1) for mask in (b_u, b_v, d_u, d_v))
+    sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v = _slot_rules(*packed, mode)
     end_u, low_u = _prefix_walk(dep_u & ~want_u, want_v)
     end_v, low_v = _prefix_walk(dep_v & ~want_v, want_u)
-    attempts = np.count_nonzero(want_u, axis=-1) + np.count_nonzero(want_v, axis=-1)
+    attempts = count_packed(want_u) + count_packed(want_v)
+    lone = count_packed(lone_u) + count_packed(lone_v)
     if mode == OnlineMode.MATCHING:
         low_u = low_v = np.minimum(low_u, low_v)
         asyn = attempts + low_u
     else:
         asyn = attempts + low_u + low_v
     wasted = _wasted(lone, end_u - low_u + end_v - low_v, asyn, mode)
-    return np.count_nonzero(sync, axis=-1).astype(float), asyn.astype(float), wasted.astype(float)
+    return count_packed(sync).astype(float), asyn.astype(float), wasted.astype(float)
+
+
+@functools.cache
+def _byte_steps() -> tuple[np.ndarray, np.ndarray]:
+    """(net, dip) int8 tables over the 65,536 byte pairs up << 8 | down.
+
+    A byte pair holds eight slots of a walk, first slot in the high bit,
+    each stepping +1 for an up bit and -1 for a down bit: net is the sum of
+    the eight steps, and dip is the least of their eight partial sums
+    minus net, the byte's low measured from where the byte ends. Built on
+    first use, so runs that count no online mode never build them.
+    """
+    pair = np.arange(1 << 16, dtype=np.uint16)
+    net = np.zeros(1 << 16, dtype=np.int8)
+    low = np.full(1 << 16, 8, dtype=np.int8)
+    for bit in range(7, -1, -1):
+        net += ((pair >> (8 + bit)) & 1).astype(np.int8)
+        net -= ((pair >> bit) & 1).astype(np.int8)
+        np.minimum(low, net, out=low)
+    return net, low - net
 
 
 def _prefix_walk(up: np.ndarray, down: np.ndarray):
     """End value and floor min(0, min prefix) of the walk cumsum(up - down)
-    along the last axis, for boolean up and down masks."""
-    walk = np.cumsum(up.view(np.int8) - down.view(np.int8), axis=-1, dtype=np.int32)
+    along the last axis, for np.packbits rows of the up and down masks.
+
+    The walk is taken a byte at a time (_byte_steps): the floor is the
+    least of 0 and, over the bytes, the walk after the byte plus its dip.
+    Zero padding steps nowhere, so it changes neither.
+    """
+    net, dip = _byte_steps()
+    pair = (up.astype(np.uint16) << 8) | down
+    walk = np.cumsum(net.take(pair), axis=-1, dtype=np.int32)
     end = walk[..., -1] if walk.shape[-1] else np.zeros(walk.shape[:-1], np.int32)
-    return end, walk.min(axis=-1, initial=0)
+    return end, (walk + dip.take(pair)).min(axis=-1, initial=0)
 
 
 def _walk_pair(
@@ -239,7 +279,8 @@ def _walk_pair(
     As in simulate_arrays, a slot's pair decisions read the banks as they
     stood before the slot; then the pairing pops, then the sleeper pushes.
     """
-    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
+    sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
+    lone = np.count_nonzero(lone_u) + np.count_nonzero(lone_v)
     edges = [(t, t) for t in (np.flatnonzero(sync) + 1).tolist()]
     n_sync = len(edges)
     visit = np.flatnonzero(dep_u | dep_v | want_u | want_v)

@@ -12,6 +12,9 @@ numpy.random.SeedSequence, so identical (seed, device_id) always reproduce
 identical traces on any platform. Each device of a pair gets an independent
 sub-stream derived from (seed, device_id). check_seed is the one seed
 check: a seed is a non-negative integer, numpy integers included.
+bernoulli is the one Bernoulli draw of the package: it compares raw
+64-bit Philox outputs with an integer threshold and equals
+rng.random(size) < p bit for bit.
 _pair_csv_bytes renders the one canonical pair CSV, the form that
 write_pair_csv (and so `generate` and `ingest`) writes: header
 `slot,b_u,b_v`, then one `k,b_u,b_v` row per slot, each line ending in
@@ -57,6 +60,31 @@ def _stream(seed: int, *tags: int) -> np.random.Generator:
     """Philox stream for (seed, tags); tags separate sub-streams."""
     ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(t) for t in tags))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def bernoulli(rng: np.random.Generator, size, p) -> np.ndarray:
+    """Bool array of the given size, true with probability p, bit for bit
+    equal to rng.random(size) < p.
+
+    random() turns one 64-bit output x of the bit generator into
+    (x >> 11) * 2**-53, and scaling p by 2**53 is exact, so the comparison
+    is one of integers: x >> 11 < ceil(p * 2**53). p = 1 keeps every value
+    and p = 0 none. Each value takes one output, as random() does, so the
+    stream is left where random() would leave it. p is a scalar or an
+    array that broadcasts against size.
+    """
+    if isinstance(p, np.ndarray):
+        threshold = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    else:  # the common scalar, without the cost of three ufunc calls
+        threshold = math.ceil(math.ldexp(p, 53))
+    raw = rng.bit_generator.random_raw(size)
+    raw >>= 11
+    return raw < threshold
+
+
+def count_packed(rows: np.ndarray) -> np.ndarray:
+    """Set bits along the last axis of np.packbits rows, as int64."""
+    return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
 
 
 def device_stream(seed: int, device_id: str, purpose: int = 0) -> np.random.Generator:
@@ -152,7 +180,7 @@ class RawTrace:
 def generate_trace(model: ArrivalModel, device_id: str = "u") -> EnergyTrace:
     """Draw one seeded Bernoulli trace; pure function of (model, device_id)."""
     rng = device_stream(model.seed, device_id, purpose=0)
-    return EnergyTrace(device_id, rng.random(model.period_len) < model.prob_harvest)
+    return EnergyTrace(device_id, bernoulli(rng, model.period_len, model.prob_harvest))
 
 
 def generate_pair(model: ArrivalModel) -> tuple[EnergyTrace, EnergyTrace]:

@@ -189,6 +189,23 @@ def test_optimum_counts_rows_match_greedy():
             assert (sync[i], asyn[i]) == (len(sync_slots), len(step2) + len(step3)), (p, i)
 
 
+@pytest.mark.parametrize("period_len", [0, 1, 7, 8, 9, 1000])
+def test_optimum_counts_equal_plain_counts_on_packed_rows(period_len):
+    # the counts are taken on np.packbits rows; against count_nonzero on
+    # the bool masks, for one pair (scalars) and for rows of trials
+    rng = np.random.default_rng(period_len)
+    b_u, b_v = rng.random((2, 6, period_len)) < np.array([0.0, 0.2, 0.5, 0.8, 1.0, 0.5])[:, None]
+    sync = np.count_nonzero(b_u & b_v, axis=-1)
+    asyn = np.minimum(np.count_nonzero(b_u, axis=-1), np.count_nonzero(b_v, axis=-1)) - sync
+    rows = optimum_counts(b_u, b_v)
+    assert [c.shape for c in rows] == [(6,), (6,)]
+    assert [c.tolist() for c in rows] == [sync.tolist(), asyn.tolist()]
+    for i in range(6):
+        one = optimum_counts(b_u[i], b_v[i])
+        assert [np.ndim(c) for c in one] == [0, 0]
+        assert one == (sync[i], asyn[i])
+
+
 def test_json_payload_shape():
     payload = offline_duty_cycle(*graph([1, 4, 6, 8], [1, 3, 6, 9])).to_json_dict()
     assert payload["sync"] == 2 and payload["async"] == 2

@@ -13,7 +13,13 @@ from dutycycle import (
     offline_duty_cycle,
     online_duty_cycle,
 )
-from dutycycle.online import _decision_arrays, _estimated_probs, _walk_pair, simulate_arrays
+from dutycycle.online import (
+    _decision_arrays,
+    _estimated_probs,
+    _prefix_walk,
+    _walk_pair,
+    simulate_arrays,
+)
 
 
 def trace(states, device_id="u"):
@@ -177,6 +183,17 @@ def test_count_kernel_equals_stepwise_rules(run):
         )
 
 
+def assert_rows_equal_the_walk(b_u, b_v, d_u, d_v, mode):
+    sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
+    for j in range(b_u.shape[0]):
+        result = _walk_pair(b_u[j], b_v[j], d_u[j], d_v[j], mode, ETA)
+        assert (sync[j], asyn[j], wasted[j]) == (
+            result.sync_count,
+            result.async_count,
+            result.wasted_units,
+        ), j
+
+
 @st.composite
 def decision_batches(draw):
     # arrivals and decisions are independent Bernoulli masks of drawn
@@ -194,15 +211,51 @@ def decision_batches(draw):
 def test_count_kernel_rows_equal_the_walk_on_arbitrary_decisions(batch):
     # decisions drawn apart from _decision_arrays: the kernel's prefix-sum
     # form must give every row's per-slot walk counts
-    b_u, b_v, d_u, d_v, mode = batch
-    sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
-    for j in range(b_u.shape[0]):
-        result = _walk_pair(b_u[j], b_v[j], d_u[j], d_v[j], mode, ETA)
-        assert (sync[j], asyn[j], wasted[j]) == (
-            result.sync_count,
-            result.async_count,
-            result.wasted_units,
-        )
+    assert_rows_equal_the_walk(*batch)
+
+
+@pytest.mark.parametrize("mode", list(OnlineMode))
+@pytest.mark.parametrize("period_len", range(40, 48))
+def test_count_kernel_rows_equal_the_walk_at_every_byte_padding(period_len, mode):
+    # the kernel packs eight slots a byte: every residue of T mod 8 leaves
+    # a different number of padding bits in each row's last byte
+    rng = np.random.default_rng(period_len)
+    probs = np.array([0.2, 0.5, 0.8, 0.5, 0.9, 0.1])[:, None]
+    b_u, b_v, d_u, d_v = rng.random((4, 6, period_len)) < probs
+    assert_rows_equal_the_walk(b_u, b_v, d_u, d_v, mode)
+
+
+@pytest.mark.parametrize("mode", list(OnlineMode))
+def test_count_kernel_rows_equal_the_walk_on_banks_far_past_a_byte(mode):
+    # 40,000 slots: banks that climb to the tens of thousands and walks
+    # that fall as far, so the byte tables' int8 steps must add up in wider
+    # integers; then the same rows with 2% of their bits flipped
+    period_len = 40_000
+    ones, zeros = np.ones(period_len, bool), np.zeros(period_len, bool)
+    half = np.arange(period_len) < period_len // 2
+    rows = [
+        (ones, zeros, zeros, zeros),  # u sleeps on every unit it harvests
+        (ones, zeros, zeros, ones),  # matching: every try of u's on v's empty bank fails
+        (zeros, ones, ones, ones),  # slotsim: every try of v's on u's empty bank fails
+        (ones, ones, half, ~half),  # each device sleeps for half the period
+        (half, ~half, ~half, zeros),  # u banks for half the period, then v takes
+        (half, ~half, ~half, ~half),  # the same, v taking the units in slotsim
+    ]
+    masks = [np.array(side) for side in zip(*rows)]
+    flips = np.random.default_rng(7).random((4, period_len)) < 0.02
+    b_u, b_v, d_u, d_v = (np.concatenate([m, m ^ flip]) for m, flip in zip(masks, flips))
+    assert_rows_equal_the_walk(b_u, b_v, d_u, d_v, mode)
+
+
+@pytest.mark.parametrize("period_len", [0, 1, 7, 8, 9, 15, 16, 17, 1000, 40_000])
+def test_byte_walk_equals_the_slot_walk(period_len):
+    # up and down may share a slot here, which the rules never produce
+    rng = np.random.default_rng(period_len)
+    up, down = rng.random((2, 5, period_len)) < np.array([0.1, 0.5, 0.55, 0.7, 1.0])[:, None]
+    walk = np.cumsum(up.astype(np.int64) - down, axis=-1)
+    end, low = _prefix_walk(np.packbits(up, axis=-1), np.packbits(down, axis=-1))
+    assert end.tolist() == (walk[:, -1] if period_len else np.zeros(5, int)).tolist()
+    assert low.tolist() == walk.min(axis=-1, initial=0).tolist()
 
 
 M, S = OnlineMode.MATCHING, OnlineMode.SLOT_SIM

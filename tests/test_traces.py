@@ -20,7 +20,7 @@ from dutycycle import (
     write_pair_csv,
     write_raw_csv,
 )
-from dutycycle.traces import _pair_csv_bytes, _read_pair_rows
+from dutycycle.traces import _pair_csv_bytes, _read_pair_rows, bernoulli
 
 
 def test_p_zero_gives_all_zero_trace():
@@ -61,6 +61,60 @@ def test_law_of_large_numbers_across_seeds():
         if abs(estimate_prob(trace) - p) < tol:
             hits += 1
     assert hits >= 198
+
+
+# the edges of the 2**-53 grid random() draws from, the smallest subnormal,
+# and a sum that is not on the grid
+EXACT_PROBS = [0.0, 5e-324, 2**-53, 0.1 + 0.2, 0.5, 1 - 2**-53, 1.0]
+
+
+@st.composite
+def bernoulli_calls(draw):
+    """(seed, skipped counters, skipped outputs, size, p) of one draw.
+
+    A random p meets a drawn value with chance 2**-53, so p is also drawn
+    on and next to the values the call will draw, where a threshold off by
+    one would show.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    counters, outputs = draw(st.integers(0, 2**40)), draw(st.integers(0, 3))
+    n = draw(st.integers(0, 9))
+    size = draw(st.sampled_from([0, n, (n, draw(st.integers(0, 40)))]))
+    peek = np.random.Philox(seed)
+    peek.advance(counters)
+    peek.random_raw(outputs)
+    values = (peek.random_raw(size).ravel() >> 11).tolist()
+    near = [
+        math.nextafter(u * 2**-53, to)
+        for u in draw(st.lists(st.sampled_from(values), max_size=3) if values else st.just([]))
+        for to in (0.0, u * 2**-53, 1.0)
+    ]
+    probabilities = st.sampled_from(EXACT_PROBS + [q for q in near if q >= 0.0])
+    probabilities |= st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        p = draw(probabilities)
+    else:  # one probability per row
+        rows = 0 if size == 0 else n
+        p = np.array(draw(st.lists(probabilities, min_size=rows, max_size=rows)))
+        p = p[:, None] if isinstance(size, tuple) else p
+    return seed, counters, outputs, size, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=bernoulli_calls())
+def test_bernoulli_equals_random_below_p_bit_for_bit(call):
+    # from any start in the stream, including part-way through a Philox
+    # counter, the draw and the stream it leaves equal random()'s
+    seed, counters, outputs, size, p = call
+    streams = [np.random.Generator(np.random.Philox(seed)) for _ in range(2)]
+    for rng in streams:
+        rng.bit_generator.advance(counters)
+        rng.bit_generator.random_raw(outputs)
+    drawn = bernoulli(streams[0], size, p)
+    expected = streams[1].random(size) < p
+    assert drawn.dtype == bool and drawn.shape == expected.shape
+    assert np.array_equal(drawn, expected)
+    assert streams[0].random() == streams[1].random()
 
 
 def test_invalid_model_parameters():

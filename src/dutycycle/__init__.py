@@ -41,12 +41,7 @@ from .online import (
     approx_ratio_bound,
     online_duty_cycle,
 )
-from .oracle import (
-    ORACLE_MAX_VERTEXES,
-    OracleBudgetError,
-    brute_force_matching,
-    closed_form_optimum,
-)
+from .oracle import ORACLE_MAX_VERTEXES, OracleBudgetError, brute_force_matching
 from .metrics import (
     PairMetrics,
     compute_heterogeneity,
@@ -88,7 +83,6 @@ __all__ = [
     "assert_energy_feasible",
     "brute_force_matching",
     "check_balls_in_bins",
-    "closed_form_optimum",
     "compute_heterogeneity",
     "estimate_prob",
     "exact_expected_cat",

@@ -8,6 +8,10 @@ the earlier unit is stored and spent at the later slot). Each vertex may
 carry at most one edge, and no two edges may activate the devices in the
 same slot. PairResult, a matching with the totals it fixes, is the one
 result type of the offline scheduler, the online scheduler and the oracle.
+
+Both schedulers pair a fresh unit with the partner's most recently banked
+unit. lifo_walk, the one bank walk in the package, applies that rule to the
+online modes' per-slot masks and to the offline greedy's clairvoyant ones.
 """
 
 from __future__ import annotations
@@ -47,6 +51,38 @@ def cat_from_counts(sync: int, async_count: int, eta: float) -> float:
     """
     num, den = eta.as_integer_ratio()
     return (sync * den + async_count * num) / den
+
+
+def lifo_walk(dep_u: np.ndarray, dep_v: np.ndarray, want_u: np.ndarray, want_v: np.ndarray):
+    """Pair fresh units with the partner's most recently banked ones.
+
+    Takes four bool (T,) masks and visits, in slot order, only the slots
+    where one is set. In slot t a device whose want mask is set pairs its
+    fresh unit with the partner bank's latest slot, if that bank is not
+    empty; both checks read the banks as they stood before the slot. Then
+    a device whose dep mask is set and that did not just pair banks t.
+    Returns (edges, bank_u, bank_v): the 1-based (u_slot, v_slot) pairs in
+    the order made, and the slots left in each bank, ascending.
+    """
+    visit = np.flatnonzero(dep_u | dep_v | want_u | want_v)
+    edges: list[tuple[int, int]] = []
+    bank_u: list[int] = []
+    bank_v: list[int] = []
+    masks = (m[visit].tolist() for m in (dep_u, dep_v, want_u, want_v))
+    for t, dep_u_t, dep_v_t, want_u_t, want_v_t in zip((visit + 1).tolist(), *masks):
+        # u's pairing pops only bank v, so v's check still reads bank u as
+        # it stood before the slot; a unit that pairs is not banked
+        if want_u_t and bank_v:
+            edges.append((t, bank_v.pop()))
+            dep_u_t = False
+        if want_v_t and bank_u:
+            edges.append((bank_u.pop(), t))
+            dep_v_t = False
+        if dep_u_t:
+            bank_u.append(t)
+        if dep_v_t:
+            bank_v.append(t)
+    return edges, bank_u, bank_v
 
 
 @dataclass(frozen=True)

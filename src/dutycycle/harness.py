@@ -618,6 +618,9 @@ def _suite_report(
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
     """Offline totals must equal the exhaustive oracle on random instances."""
     seed = check_seed(seed)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_eta(eta)
     mismatches = []
     for i in range(trials):
         p = T1_P_GRID[i % len(T1_P_GRID)]

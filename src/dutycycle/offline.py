@@ -2,13 +2,15 @@
 
 With both traces known in advance the scheduler first pairs every common
 harvest slot synchronously, then lets each leftover vertex search backward
-for the nearest unmatched vertex on the other side: device U's leftovers
-first, in one stack pass, then device V's, whose search has a closed form
-(see duty_cycle_arrays). The result is a maximum-weight matching of the
-energy-state graph (one vertex per harvest slot of each trace) whenever
-eta <= 1; the oracle module certifies this exhaustively in the test suite.
-It comes back as a graph.PairResult, the result type the online scheduler
-and the oracle return too.
+for the nearest unmatched vertex on the other side. Device U's leftovers
+search first, through graph.lifo_walk, the bank walk of the online
+scheduler's matching mode: the offline greedy is that walk with
+clairvoyant decisions. Device V's leftovers follow, and their search has
+a closed form (see duty_cycle_arrays). The result is a maximum-weight
+matching of the energy-state graph (one vertex per harvest slot of each
+trace) whenever eta <= 1; the oracle module certifies this exhaustively in
+the test suite. It comes back as a graph.PairResult, the result type the
+online scheduler and the oracle return too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .graph import PairResult, check_eta
+from .graph import PairResult, check_eta, lifo_walk
 from .traces import EnergyTrace, count_packed, pair_period
 
 
@@ -25,12 +27,14 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     """Offline scheduler core on boolean state arrays.
 
     Step 1 pairs every slot present on both sides synchronously. Step 2 walks
-    the remaining U-vertexes in ascending slot order, each taking the nearest
-    earlier unmatched V-vertex: the most recently passed one, so one stack
-    pass does it. Step 3 lets each remaining V-vertex take the nearest earlier
-    remaining U-vertex. A U-vertex is left over only when no V-vertex is free
-    before it, so every leftover U-vertex precedes every leftover V-vertex,
-    and step 3 is zip(v_left, reversed(u_left)). With X and Y the U-only and
+    the remaining vertexes in slot order, each U-vertex taking the nearest
+    earlier unmatched V-vertex: the most recently passed one. That is
+    graph.lifo_walk, the online matching walk, with clairvoyant decisions:
+    every U-only unit banks and tries to pair, every V-only unit only banks.
+    Step 3 lets each remaining V-vertex take the nearest earlier remaining
+    U-vertex. A U-vertex is left over only when no V-vertex is free before
+    it, so every leftover U-vertex precedes every leftover V-vertex, and
+    step 3 is zip(v_left, reversed(u_left)). With X and Y the U-only and
     V-only harvest counts, steps 2 and 3 thus make min(X, Y) async edges by
     construction. Unmatched vertexes never spend their banked unit.
 
@@ -38,24 +42,9 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     1-based. offline_duty_cycle wraps it in a PairResult; callers that need
     only the edge counts use optimum_counts.
     """
-    sync_slots = np.flatnonzero(b_u & b_v) + 1
-    u_rem = (np.flatnonzero(b_u & ~b_v) + 1).tolist()
-    v_rem = (np.flatnonzero(b_v & ~b_u) + 1).tolist()
-    step2: list[tuple[int, int]] = []
-    u_left: list[int] = []
-    stack: list[int] = []
-    vi = 0
-    nv = len(v_rem)
-    for u in u_rem:
-        while vi < nv and v_rem[vi] < u:
-            stack.append(v_rem[vi])
-            vi += 1
-        if stack:
-            step2.append((u, stack.pop()))
-        else:
-            u_left.append(u)
-    v_left = stack + v_rem[vi:]
-    return sync_slots, step2, list(zip(v_left, reversed(u_left)))
+    u_only, v_only = b_u & ~b_v, b_v & ~b_u
+    step2, u_left, v_left = lifo_walk(u_only, v_only, u_only, np.zeros_like(u_only))
+    return np.flatnonzero(b_u & b_v) + 1, step2, list(zip(v_left, reversed(u_left)))
 
 
 def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
@@ -64,10 +53,17 @@ def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
     Takes one trace pair (1-D) or n trials (2-D, one trial per row) and
     returns scalars or (n,) arrays: sync = |b_u & b_v| and
     async = min(|b_u|, |b_v|) - sync, that is min(X, Y) for the U-only and
-    V-only counts X and Y (see oracle.closed_form_optimum). The greedy of
-    duty_cycle_arrays realizes exactly these counts; the test suite pins the
-    two. Both are counted on np.packbits rows, eight slots a byte, so memory
-    stays at an eighth of one (n, T) mask per array.
+    V-only counts X and Y, so the optimal CAT is
+    graph.cat_from_counts(sync, async, eta). This is exact for eta <= 1.
+    Some optimal matching holds every synchronous edge: a matching without
+    (t, t) for a common slot t can drop the at most two asynchronous edges
+    at u_t and v_t, add (t, t) and pair their two former partners, losing
+    nothing since 1 + eta >= 2 * eta and 1 >= eta. A U-only and a V-only
+    vertex lie in different slots, so they can always be paired, and
+    min(X, Y) edges of weight eta remain. The greedy of duty_cycle_arrays
+    realizes exactly these counts; the test suite pins the two. Both are
+    counted on np.packbits rows, eight slots a byte, so memory stays at an
+    eighth of one (n, T) mask per array.
     """
     packed_u, packed_v = np.packbits(b_u, axis=-1), np.packbits(b_v, axis=-1)
     sync = count_packed(packed_u & packed_v)
@@ -112,10 +108,9 @@ def exact_expected_cat(period_len: int, p: float, eta: float) -> float:
     """Exact expected optimal CAT for two i.i.d. Bernoulli(p) traces.
 
     The optimum of a trace pair is n_sync + eta * min(X, Y), where X and Y
-    count the U-only and V-only harvest slots (see
-    oracle.closed_form_optimum), so the expectation is
-    T * p^2 + eta * E[min(X, Y)]. Condition on M = X + Y, which is
-    Binomial(T, 2q) with q = p * (1-p); given M = m, X is Binomial(m, 1/2)
+    count the U-only and V-only harvest slots (see optimum_counts), so the
+    expectation is T * p^2 + eta * E[min(X, Y)]. Condition on M = X + Y,
+    which is Binomial(T, 2q) with q = p * (1-p); given M = m, X is Binomial(m, 1/2)
     and E[min(X, m - X)] = (m/2) * (1 - C(2n, n) / 4^n) with n = m // 2.
     The sum over m is exact up to rounding and costs O(T).
     """

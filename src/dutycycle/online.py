@@ -20,9 +20,11 @@ Both modes draw one activation decision per device per slot from the same
 seeded sub-streams, so they agree on every synchronous edge, and both only
 ever read the energy state of the current slot.
 
-Each mode's per-slot rules are written once, in _slot_rules, and walked
-twice. online_duty_cycle keeps each bank as a list of harvest slots and
-records one pair's edges. simulate_arrays, the count kernel of the Monte
+Each mode's per-slot rules are written once, in _slot_rules, and their
+banks are carried two ways. online_duty_cycle records one pair's edges
+through graph.lifo_walk, the bank walk it shares with the offline greedy:
+each bank is a list of harvest slots, and a pairing takes the partner's
+most recent banked unit. simulate_arrays, the count kernel of the Monte
 Carlo harness and the heterogeneity sweep, only counts, and needs no walk
 at all: a bank is the prefix sum of its deposits minus the partner's
 pairing attempts, lifted by the attempts that failed on an empty bank, so
@@ -44,7 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import PairResult, check_eta
+from .graph import PairResult, check_eta, lifo_walk
 from .traces import (
     DEFAULT_SEED,
     EnergyTrace,
@@ -274,36 +276,20 @@ def _walk_pair(
 ) -> OnlineResult:
     """Walk one pair's (T,) arrivals and decisions and record the edges.
 
-    Each bank is a list of harvest slots, so a pairing pops the partner's
-    most recent banked unit. Only slots that bank or may pair are visited.
-    As in simulate_arrays, a slot's pair decisions read the banks as they
-    stood before the slot; then the pairing pops, then the sleeper pushes.
+    The mode's masks go through graph.lifo_walk, which keeps each bank as a
+    list of harvest slots, so a pairing takes the partner's most recent
+    banked unit; as in simulate_arrays, a slot's pairings read the banks as
+    they stood before the slot.
     """
     sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
     lone = np.count_nonzero(lone_u) + np.count_nonzero(lone_v)
-    edges = [(t, t) for t in (np.flatnonzero(sync) + 1).tolist()]
-    n_sync = len(edges)
-    visit = np.flatnonzero(dep_u | dep_v | want_u | want_v)
-    bank_u: list[int] = []
-    bank_v: list[int] = []
-    masks = (m[visit].tolist() for m in (dep_u, dep_v, want_u, want_v))
-    for t, dep_u_t, dep_v_t, want_u_t, want_v_t in zip((visit + 1).tolist(), *masks):
-        pair_u = want_u_t and len(bank_v) > 0
-        pair_v = want_v_t and len(bank_u) > 0
-        if pair_u:
-            edges.append((t, bank_v.pop()))
-        if pair_v:
-            edges.append((bank_u.pop(), t))
-        if dep_u_t and not pair_u:
-            bank_u.append(t)
-        if dep_v_t and not pair_v:
-            bank_v.append(t)
+    asyn, bank_u, bank_v = lifo_walk(dep_u, dep_v, want_u, want_v)
     return OnlineResult(
-        edges,
+        [(t, t) for t in (np.flatnonzero(sync) + 1).tolist()] + asyn,
         eta,
         b_u.shape[0],
         mode=mode,
-        wasted_units=_wasted(int(lone), len(bank_u) + len(bank_v), len(edges) - n_sync, mode),
+        wasted_units=_wasted(int(lone), len(bank_u) + len(bank_v), len(asyn), mode),
     )
 
 

@@ -132,18 +132,3 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
 
     return PairResult(edges, eta, period_len)
 
-
-def closed_form_optimum(n_sync: int, n_a_only: int, n_b_only: int, eta: float) -> float:
-    """Exact optimum from vertex counts: n_sync + eta * min(n_a_only, n_b_only).
-
-    Exact for eta <= 1. Some optimal matching holds every synchronous edge:
-    a matching without (t, t) for a common slot t can drop the at most two
-    asynchronous edges at u_t and v_t, add (t, t) and pair their two former
-    partners, losing nothing since 1 + eta >= 2 * eta and 1 >= eta. Any
-    U-only and V-only vertexes lie in different slots, so they can always be
-    paired, and min(n_a_only, n_b_only) edges of weight eta remain.
-    """
-    if min(n_sync, n_a_only, n_b_only) < 0:
-        raise ValueError("counts must be non-negative")
-    check_eta(eta)
-    return n_sync + eta * min(n_a_only, n_b_only)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from dutycycle import (
     brute_force_matching,
     offline_duty_cycle,
 )
-from dutycycle.graph import cat_from_counts
+from dutycycle.graph import cat_from_counts, lifo_walk
 
 
 def trace(states, device_id="u"):
@@ -195,3 +196,20 @@ def test_total_weight_uses_correctly_rounded_sum():
     sched = m.schedule()
     assert math.fsum(sched.cat) == m.cat_total
     assert math.isclose(m.cat_total, 1.0, rel_tol=1e-12)
+
+
+def test_lifo_walk_by_hand():
+    # slot 4: both banks are read as they stood before the slot, so both
+    # devices pair and neither banks; slot 5: v's bank was empty, so u banks
+    # instead of taking v's fresh unit; slots 6-8 want without banking
+    masks = {
+        "dep_u": [1, 1, 0, 1, 1, 0, 0, 0],
+        "dep_v": [0, 0, 1, 1, 1, 0, 0, 0],
+        "want_u": [0, 0, 0, 1, 1, 1, 0, 1],
+        "want_v": [0, 0, 0, 1, 0, 0, 1, 0],
+    }
+    edges, bank_u, bank_v = lifo_walk(**{k: np.array(v, bool) for k, v in masks.items()})
+    assert edges == [(4, 3), (2, 4), (6, 5), (5, 7)]
+    assert (bank_u, bank_v) == ([1], [])
+    empty = np.zeros(0, bool)
+    assert lifo_walk(empty, empty, empty, empty) == ([], [], [])

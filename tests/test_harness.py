@@ -477,6 +477,20 @@ def test_verify_optimality_small():
     assert result["passed"] and result["mismatches"] == []
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_optimality_refuses_to_certify_no_instances(trials):
+    # a pass over no instances would certify nothing
+    with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+        verify_optimality(trials=trials, seed=3)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.5, 1.5, float("nan")])
+def test_verify_optimality_checks_eta_before_any_instance(monkeypatch, eta):
+    monkeypatch.setattr(harness, "random_instance", lambda *a: pytest.fail("drew an instance"))
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]"):
+        verify_optimality(trials=1, seed=3, eta=eta)
+
+
 def test_verify_ratio_bound_small():
     result = verify_ratio_bound(trials=300, seed=3)
     assert result["passed"]

@@ -20,6 +20,7 @@ from dutycycle.online import (
     _walk_pair,
     simulate_arrays,
 )
+from dutycycle.offline import duty_cycle_arrays
 
 
 def trace(states, device_id="u"):
@@ -294,6 +295,22 @@ def test_rule_table(mode, b_u, b_v, d_u, d_v, edges, wasted):
     n_sync = sum(u == v for u, v in edges)
     sync, asyn, waste = simulate_arrays(*(a[None, :] for a in arrays), mode)
     assert (sync[0], asyn[0], waste[0]) == (n_sync, len(edges) - n_sync, wasted)
+
+
+def test_matching_walk_with_clairvoyant_decisions_is_the_offline_greedy():
+    # the two schedulers pair by one rule: with d_u = b_u & b_v and d_v = b_u
+    # every U-only unit sleeps and tries to pair, every V-only unit sleeps
+    # with no partner to try, and the matching walk makes exactly the
+    # greedy's sync edges and step 2, leaving X + Y - 2 * len(step2) units
+    period = 6
+    states = (np.arange(2**period)[:, None] >> np.arange(period)) & 1 == 1
+    for b_u in states:
+        for b_v in states:
+            sync_slots, step2, _ = duty_cycle_arrays(b_u, b_v)
+            result = _walk_pair(b_u, b_v, b_u & b_v, b_u, OnlineMode.MATCHING, ETA)
+            assert result.edges == tuple(sorted([(t, t) for t in sync_slots.tolist()] + step2))
+            x, y = np.count_nonzero(b_u & ~b_v), np.count_nonzero(b_v & ~b_u)
+            assert result.wasted_units == x + y - 2 * len(step2)
 
 
 @settings(max_examples=250, deadline=None)

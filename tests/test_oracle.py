@@ -10,9 +10,10 @@ from dutycycle import (
     EnergyTrace,
     OracleBudgetError,
     brute_force_matching,
-    closed_form_optimum,
     offline_duty_cycle,
 )
+from dutycycle.graph import cat_from_counts
+from dutycycle.offline import optimum_counts
 
 
 def graph(set_a, set_b, eta=0.75, period=None):
@@ -22,6 +23,11 @@ def graph(set_a, set_b, eta=0.75, period=None):
     trace_u = EnergyTrace("u", [t in set_a for t in range(1, period + 1)])
     trace_v = EnergyTrace("v", [t in set_b for t in range(1, period + 1)])
     return trace_u, trace_v, eta
+
+
+def closed_form_cat(trace_u, trace_v, eta):
+    """The optimum's CAT from its closed-form edge counts."""
+    return cat_from_counts(*optimum_counts(trace_u.states, trace_v.states), eta)
 
 
 def test_worked_example():
@@ -66,11 +72,10 @@ def test_sync_preferred_on_weight_ties():
 
 
 def test_closed_form_examples():
-    assert closed_form_optimum(2, 2, 2, 0.75) == 3.5
-    assert closed_form_optimum(9, 0, 0, 0.4) == 9.0
-    assert closed_form_optimum(0, 3, 1, 0.5) == 0.5
-    with pytest.raises(ValueError):
-        closed_form_optimum(-1, 0, 0, 0.5)
+    # (sync, U-only, V-only) = (2, 2, 2), (9, 0, 0) and (0, 3, 1)
+    assert closed_form_cat(*graph([1, 2, 3, 5], [1, 2, 4, 6], eta=0.75)) == 3.5
+    assert closed_form_cat(*graph(range(1, 10), range(1, 10), eta=0.4)) == 9.0
+    assert closed_form_cat(*graph([1, 2, 3], [4], eta=0.5)) == 0.5
 
 
 @st.composite
@@ -89,10 +94,7 @@ def test_oracle_dominates_offline_and_closed_form_bounds_it(inst):
     g = graph(set_a, set_b, eta=eta, period=period)
     off = offline_duty_cycle(*g)
     ora = brute_force_matching(*g)
-    n_sync = len(set(set_a) & set(set_b))
-    bound = closed_form_optimum(
-        n_sync, len(set_a) - n_sync, len(set_b) - n_sync, eta
-    )
+    bound = closed_form_cat(*g)
     assert ora.cat_total >= off.cat_total - 1e-9
     assert bound >= ora.cat_total - 1e-9
     assert ora.cat_total == pytest.approx(bound)
@@ -188,12 +190,12 @@ def test_oracle_at_the_size_cap():
     rng = random.Random(12)
     set_a = sorted(rng.sample(range(1, 25), 12))
     set_b = sorted(rng.sample(range(1, 25), 11))
-    ora = brute_force_matching(*graph(set_a, set_b, eta=0.6, period=24))
+    g = graph(set_a, set_b, eta=0.6, period=24)
+    ora = brute_force_matching(*g)
     n_sync = len(set(set_a) & set(set_b))
     assert ora.sync_count == n_sync
-    assert ora.cat_total == pytest.approx(
-        closed_form_optimum(n_sync, 12 - n_sync, 11 - n_sync, 0.6)
-    )
+    assert optimum_counts(g[0].states, g[1].states) == (n_sync, 11 - n_sync)
+    assert ora.cat_total == pytest.approx(closed_form_cat(*g))
     assert math.fsum(ora.schedule().cat) == ora.cat_total
 
     thirteen = list(range(1, 14))

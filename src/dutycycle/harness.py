@@ -6,19 +6,21 @@ the CLI. evaluate_pair is the one single-pair path: run_trace_pairs and the
 CLI's `run` both call it. A Monte Carlo cell splits its n trials into
 contiguous shards, at most one per CPU the process may use, each on its
 own thread (_for_each_block), and every shard streams its trials through
-row blocks (_trial_blocks, the one draw path): every block's arrivals
-and decisions are drawn once, from raw Philox words (traces.bernoulli),
-and shared by all of the cell's algorithms, the offline counts come from
+row blocks (_trial_blocks, the one draw path). A block holds every
+stream's arrivals and decisions as np.packbits rows, eight slots a byte,
+drawn from raw Philox words (traces.bernoulli) and packed draw by draw,
+so the packed rows are all that reach the counts: the offline counts of
 the closed form offline.optimum_counts and the online counts of each
-mode from the count kernel online.simulate_arrays, both counting on
-bit-packed rows (a byte walk for the online banks). A cell gets only as
-many shards as keep each block at _MIN_SHARD_ROWS rows or more while the
-shards' blocks together hold at most _CHUNK_SLOTS trial-slots
-(_shard_plan); otherwise it runs as one shard with one block of about
-_CHUNK_SLOTS trial-slots, as before the split. Only the per-trial count
-vectors are kept whole, so memory does not grow with n beyond them. Row
-i of every draw is trial i, so results depend neither on the block size
-nor on the number of shards.
+mode from the count kernel online.simulate_arrays, a popcount per mask
+and a byte walk for the online banks; nothing packs them again. A cell
+gets only as many shards as keep each draw at _MIN_SHARD_ROWS rows or
+more while the shards' draws together hold at most _CHUNK_SLOTS
+trial-slots (_shard_plan); otherwise it runs as one shard drawing about
+_CHUNK_SLOTS trial-slots at once, as before the split. A block holds
+eight such draws, so its packed bytes equal one draw's bools. Only the
+per-trial count vectors are kept whole, so memory does not grow with n
+beyond them. Row i of every draw is trial i, so results depend neither
+on the block or draw size nor on the number of shards.
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle, instance by
@@ -58,7 +60,15 @@ from .metrics import (
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
 from .oracle import ORACLE_MAX_VERTEXES, brute_force_matching
-from .traces import DEFAULT_SEED, EnergyTrace, _stream, bernoulli, check_seed, pair_period
+from .traces import (
+    DEFAULT_SEED,
+    EnergyTrace,
+    _stream,
+    bernoulli,
+    check_count,
+    check_seed,
+    pair_period,
+)
 
 # Stream tags keep the harness's random draws on disjoint Philox sub-streams.
 _TAG_TRACE = 1
@@ -81,10 +91,8 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = ("offline", "online")
 
     def __post_init__(self) -> None:
-        if self.period_len < 1:
-            raise ValueError(f"period_len must be at least 1, got {self.period_len}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        object.__setattr__(self, "period_len", check_count("period_len", self.period_len))
+        object.__setattr__(self, "trials", check_count("trials", self.trials))
         check_eta(self.eta)
         object.__setattr__(self, "seed", check_seed(self.seed))
         if not self.p_values:
@@ -160,15 +168,19 @@ def _stats(values: np.ndarray) -> dict:
     return {"mean": mean, "std": std, "stderr": std / math.sqrt(n) if n > 1 else 0.0, "n": n}
 
 
-# Trial-slots in flight per Monte Carlo cell, across all of its shards;
-# bounds the draws' memory.
+# Trial-slots drawn at once per Monte Carlo cell, across all of its
+# shards; bounds the draws' memory. A block packs eight draws, so its
+# packed rows take as many bytes as one draw's bools.
 _CHUNK_SLOTS = 2**16
 
-# Fewest rows in a block of a cell split into shards. Two shards with
-# 32-row blocks of 1,000 slots were measured faster than one shard
-# (BENCH_015.json, 2 CPUs); smaller blocks make more numpy calls per
-# trial, whose Python overhead holds the GIL, so a cell gets fewer shards
-# rather than smaller blocks.
+# Fewest rows in a draw of a cell split into shards, so fewest in a block
+# eight times that. On 2 CPUs, two shards of 256-row blocks of 1,000 slots
+# (32-row draws) took 0.61x the wall time of one shard at 1% more CPU time
+# per op (BENCH_019.json, shards). Each block makes about a hundred numpy
+# calls whose Python overhead holds the GIL, so smaller blocks trade the
+# GIL between the shards' threads: two shards of 32-row unpacked blocks
+# took 0.82x the wall time of one at 29% more CPU time. So a cell gets
+# fewer shards rather than smaller blocks.
 _MIN_SHARD_ROWS = 32
 
 
@@ -194,14 +206,18 @@ def _trial_blocks(
     """Yield trials start..stop-1 of one cell as (block, [b_u, b_v, d_u, d_v]).
 
     block is the slice of trial indexes the rows stand for, at most `rows`
-    of them, and the list holds their boolean arrivals and, when
-    `decisions` is set, activation decisions. Each stream starts at row
-    `start`: traces.bernoulli takes one 64-bit Philox output per value and
-    Philox makes four per counter, so skipping k = start * period_len
+    of them, and the list holds their arrivals and, when `decisions` is
+    set, activation decisions, each as np.packbits rows: uint8 of shape
+    (block rows, ceil(period_len / 8)), eight slots a byte, zero padded.
+    A block is filled draw by draw, each traces.bernoulli call covering
+    at most ceil(rows / 8) rows, so the bool and raw-word arrays of one
+    draw take no more memory than the packed block. Each stream starts at
+    row `start`: traces.bernoulli takes one 64-bit Philox output per value
+    and Philox makes four per counter, so skipping k = start * period_len
     values is advance(k // 4) then random_raw(k % 4). Philox fills rows in
-    order, so the blocks are rows of one (trials, period_len) draw per
-    stream, whatever the range and block size, and each trial is a pure
-    function of (seed, tag, cell, trial index).
+    order, so the blocks are the packed rows of one (trials, period_len)
+    draw per stream, whatever the range, block size and draw size, and
+    each trial is a pure function of (seed, tag, cell, trial index).
     """
     skip = start * period_len
     tags = (_TAG_TRACE, _TAG_DECISION) if decisions else (_TAG_TRACE,)
@@ -212,20 +228,27 @@ def _trial_blocks(
             rng.bit_generator.advance(skip // 4)
             rng.bit_generator.random_raw(skip % 4)
             streams.append((rng, p))
+    draw_rows = -(-rows // 8)
     for lo in range(start, stop, rows):
-        shape = (min(rows, stop - lo), period_len)
-        yield slice(lo, lo + shape[0]), [bernoulli(rng, shape, p) for rng, p in streams]
+        hi = min(lo + rows, stop)
+        packed = [np.empty((hi - lo, -(-period_len // 8)), np.uint8) for _ in streams]
+        for at in range(0, hi - lo, draw_rows):
+            shape = (min(draw_rows, hi - lo - at), period_len)
+            for out, (rng, p) in zip(packed, streams):
+                out[at : at + shape[0]] = np.packbits(bernoulli(rng, shape, p), axis=-1)
+        yield slice(lo, hi), packed
 
 
 def _shard_plan(trials: int, period_len: int) -> tuple[int, int]:
-    """Return (shards, rows per block) for a cell of trials x period_len.
+    """Return (shards, rows per draw) for a cell of trials x period_len.
 
     One shard per CPU (_worker_count), but no more than leave every shard
-    _MIN_SHARD_ROWS trials and every block _MIN_SHARD_ROWS rows within
-    _CHUNK_SLOTS. Several shards' blocks together thus hold at most
-    _CHUNK_SLOTS trial-slots, and a single shard takes one block of
-    _CHUNK_SLOTS // period_len rows, or one row when period_len is larger:
-    either way no more than the one block a cell held before it had shards.
+    _MIN_SHARD_ROWS trials and every draw _MIN_SHARD_ROWS rows within
+    _CHUNK_SLOTS. Several shards' draws together thus hold at most
+    _CHUNK_SLOTS trial-slots, and a single shard draws
+    _CHUNK_SLOTS // period_len rows at once, or one row when period_len is
+    larger: either way no more than the one draw a cell made at once before
+    it had shards. A block packs eight draws (_for_each_block).
     """
     limit = min(trials, _CHUNK_SLOTS // period_len) // _MIN_SHARD_ROWS
     shards = max(1, min(_worker_count(), limit))
@@ -235,7 +258,9 @@ def _shard_plan(trials: int, period_len: int) -> tuple[int, int]:
 def _for_each_block(consume, seed, cell, p_u, p_v, trials, period_len, decisions) -> None:
     """Call consume(block, b_u, b_v[, d_u, d_v]) on every block of one cell.
 
-    The cell's trials are split into contiguous shards (_shard_plan). The
+    The arrays are np.packbits rows (_trial_blocks). The cell's trials are
+    split into contiguous shards (_shard_plan), each streamed through
+    blocks of eight draws' rows. The
     calling thread runs the last shard and one new thread each of the
     others; numpy releases the GIL while it fills and scans arrays, so the
     shards run on separate cores. consume must write only the rows its
@@ -244,6 +269,7 @@ def _for_each_block(consume, seed, cell, p_u, p_v, trials, period_len, decisions
     here.
     """
     shards, rows = _shard_plan(trials, period_len)
+    rows *= 8  # eight slots a byte: a block of eight draws packs into one draw's bytes
     bounds = [trials * w // shards for w in range(shards + 1)]
 
     errors = []
@@ -277,16 +303,16 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     """Run every (p, algorithm) cell of the spec and aggregate CAT/SAT.
 
     Traces and activation decisions for trial i occupy row i of Philox
-    draws made block by block (_trial_blocks), so each trial is a pure
+    draws, packed block by block (_trial_blocks), so each trial is a pure
     function of (seed, cell, trial index), and results depend neither on
     the number of trials run around them nor on the block size or the
     number of shards (_for_each_block). Each block feeds every algorithm of
     the cell: offline counts come from the closed form
     offline.optimum_counts; the oracle, when requested, solves each trial
-    exhaustively, and its counts are checked against the offline ones once
-    every shard is done; the online counts of each mode come from
-    online.simulate_arrays. Only the per-trial count vectors outlive a
-    block.
+    exhaustively on its unpacked rows, and its counts are checked against
+    the offline ones once every shard is done; the online counts of each
+    mode come from online.simulate_arrays. Only the per-trial count vectors
+    outlive a block.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
@@ -303,7 +329,10 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
         def consume(block, b_u, b_v, *decisions):
             sync[block], asyn[block] = optimum_counts(b_u, b_v)
             if run_oracle:
-                for i, u, v in zip(range(block.start, block.stop), b_u, b_v):
+                bits_u, bits_v = (
+                    np.unpackbits(rows, axis=-1, count=spec.period_len) for rows in (b_u, b_v)
+                )
+                for i, u, v in zip(range(block.start, block.stop), bits_u, bits_v):
                     ores = brute_force_matching(EnergyTrace("u", u), EnergyTrace("v", v), eta)
                     oracle_cat[i] = ores.cat_total
                     oracle_counts[:, i] = ores.sync_count, ores.async_count
@@ -438,8 +467,7 @@ def check_balls_in_bins(
         raise ValueError(f"subset_size must lie in 0..{m}, got {subset_size}")
     if not (0 <= n <= m):
         raise ValueError(f"n must lie in 0..{m}, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = check_count("trials", trials)
     if not (0.0 <= epsilon < math.inf):  # NaN fails too
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
 
@@ -618,8 +646,7 @@ def _suite_report(
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
     """Offline totals must equal the exhaustive oracle on random instances."""
     seed = check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = check_count("trials", trials)
     check_eta(eta)
     mismatches = []
     for i in range(trials):
@@ -661,7 +688,7 @@ def verify_expected_cat(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: flo
         for cell in run_monte_carlo(spec).cells
     ]
     passed = all(c["within_1pct"] for c in cells)
-    return _suite_report("t2", trials, T2_PERIOD, eta, spec.seed, cells=cells, passed=passed)
+    return _suite_report("t2", spec.trials, T2_PERIOD, eta, spec.seed, cells=cells, passed=passed)
 
 
 def verify_ratio_bound(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
@@ -689,7 +716,7 @@ def verify_ratio_bound(trials: int = 10_000, seed: int = DEFAULT_SEED, eta: floa
         if cell["algorithm"].startswith("online")
     ]
     passed = all(c["bound_satisfied"] and c["offline_dominates"] for c in cells)
-    return _suite_report("t4", trials, T2_PERIOD, eta, spec.seed, cells=cells, passed=passed)
+    return _suite_report("t4", spec.trials, T2_PERIOD, eta, spec.seed, cells=cells, passed=passed)
 
 
 def verify_bins(trials: int = 10_000, seed: int = DEFAULT_SEED) -> dict:

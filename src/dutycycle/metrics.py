@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import PairResult
-from .traces import EnergyTrace, estimate_prob, pair_period
+from .traces import EnergyTrace, check_packed, count_packed, estimate_prob, pair_period
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,21 @@ def heterogeneity(b_u: np.ndarray, b_v: np.ndarray):
     """Degree of non-overlap of two harvest-state arrays along the last axis.
 
     1 - |b_u & b_v| / |b_u | b_v|; 0 for identical access (or when neither
-    device ever harvests), 1 for disjoint access. Takes one pair (1-D) or n
-    trials (2-D, one trial per row) and returns a 0-d or (n,) float array.
+    device ever harvests), 1 for disjoint access. Takes the np.packbits
+    rows of one pair (1-D) or of n trials (2-D, one trial per row), eight
+    slots a byte with zero padding, and returns a 0-d or (n,) float array;
+    TypeError unless both are uint8.
     """
-    inter = np.count_nonzero(b_u & b_v, axis=-1)
-    union = np.count_nonzero(b_u, axis=-1) + np.count_nonzero(b_v, axis=-1) - inter
+    check_packed(b_u, b_v)
+    inter = count_packed(b_u & b_v)
+    union = count_packed(b_u | b_v)
     return np.where(union > 0, 1.0 - inter / np.maximum(union, 1), 0.0)
 
 
 def compute_heterogeneity(trace_u: EnergyTrace, trace_v: EnergyTrace) -> float:
     """heterogeneity of two traces' energy states, as a Python float."""
     pair_period(trace_u, trace_v)
-    return float(heterogeneity(trace_u.states, trace_v.states))
+    return float(heterogeneity(np.packbits(trace_u.states), np.packbits(trace_v.states)))
 
 
 def ratio_online_to_offline(online: PairResult, offline: PairResult) -> float:

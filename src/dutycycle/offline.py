@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .graph import PairResult, check_eta, lifo_walk
-from .traces import EnergyTrace, count_packed, pair_period
+from .traces import EnergyTrace, check_packed, count_packed, pair_period
 
 
 def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
@@ -50,8 +50,10 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
 def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
     """(sync, async) edge counts of the offline optimum along the last axis.
 
-    Takes one trace pair (1-D) or n trials (2-D, one trial per row) and
-    returns scalars or (n,) arrays: sync = |b_u & b_v| and
+    Takes the np.packbits rows of one trace pair (1-D) or of n trials (2-D,
+    one trial per row), eight slots a byte with zero padding, and returns
+    scalars or (n,) arrays; TypeError unless both are uint8, so a bool
+    array is never counted a slot a byte. sync = |b_u & b_v| and
     async = min(|b_u|, |b_v|) - sync, that is min(X, Y) for the U-only and
     V-only counts X and Y, so the optimal CAT is
     graph.cat_from_counts(sync, async, eta). This is exact for eta <= 1.
@@ -61,13 +63,11 @@ def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
     nothing since 1 + eta >= 2 * eta and 1 >= eta. A U-only and a V-only
     vertex lie in different slots, so they can always be paired, and
     min(X, Y) edges of weight eta remain. The greedy of duty_cycle_arrays
-    realizes exactly these counts; the test suite pins the two. Both are
-    counted on np.packbits rows, eight slots a byte, so memory stays at an
-    eighth of one (n, T) mask per array.
+    realizes exactly these counts; the test suite pins the two.
     """
-    packed_u, packed_v = np.packbits(b_u, axis=-1), np.packbits(b_v, axis=-1)
-    sync = count_packed(packed_u & packed_v)
-    edges = np.minimum(count_packed(packed_u), count_packed(packed_v))
+    check_packed(b_u, b_v)
+    sync = count_packed(b_u & b_v)
+    edges = np.minimum(count_packed(b_u), count_packed(b_v))
     return sync, edges - sync
 
 

@@ -51,6 +51,8 @@ from .traces import (
     DEFAULT_SEED,
     EnergyTrace,
     bernoulli,
+    check_count,
+    check_packed,
     check_seed,
     count_packed,
     device_stream,
@@ -80,8 +82,7 @@ class OnlineConfig:
     warmup: int = 60
 
     def __post_init__(self) -> None:
-        if self.warmup < 1:
-            raise ValueError(f"warmup must be at least 1, got {self.warmup}")
+        object.__setattr__(self, "warmup", check_count("warmup", self.warmup))
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "mode", OnlineMode(self.mode))
         for p in self.device_probs() or ():
@@ -196,11 +197,13 @@ def simulate_arrays(
 ):
     """Count the online scheduler's outcome on n trials at once.
 
-    Takes boolean (n, T) arrays of arrivals and activation decisions, row i
-    being trial i, and returns the per-trial (sync, async, wasted) counts as
-    float64 arrays of shape (n,). The rules come from _slot_rules, applied
-    to the np.packbits rows, eight slots a byte, and the bank walks have a
-    closed form, so no slot is visited in Python.
+    Takes the np.packbits rows of (n, T) arrivals and activation decisions,
+    uint8 of shape (n, ceil(T / 8)), eight slots a byte with zero padding,
+    row i being trial i; TypeError unless all four are uint8, so a bool
+    array is never counted a slot a byte. Returns the per-trial (sync,
+    async, wasted) counts as float64 arrays of shape (n,). The rules come
+    from _slot_rules, applied to the packed rows, and the bank walks have
+    a closed form, so no slot is visited in Python.
 
     Let s_u be the prefix sum of (dep_u & ~want_u) - want_v: +1 for each
     unit bank u keeps, -1 for each pairing attempt by v on it. An attempt
@@ -216,8 +219,8 @@ def simulate_arrays(
     attempts plus the floors. online_duty_cycle walks the same rules slot
     by slot for one pair and records the edges.
     """
-    packed = (np.packbits(mask, axis=-1) for mask in (b_u, b_v, d_u, d_v))
-    sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v = _slot_rules(*packed, mode)
+    check_packed(b_u, b_v, d_u, d_v)
+    sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
     end_u, low_u = _prefix_walk(dep_u & ~want_u, want_v)
     end_v, low_v = _prefix_walk(dep_v & ~want_v, want_u)
     attempts = count_packed(want_u) + count_packed(want_v)

@@ -11,7 +11,8 @@ Randomness uses the counter-based Philox generator keyed through
 numpy.random.SeedSequence, so identical (seed, device_id) always reproduce
 identical traces on any platform. Each device of a pair gets an independent
 sub-stream derived from (seed, device_id). check_seed is the one seed
-check: a seed is a non-negative integer, numpy integers included.
+check: a seed is a non-negative integer, numpy integers included;
+check_count is its twin for periods, trial counts and warm-ups.
 bernoulli is the one Bernoulli draw of the package: it compares raw
 64-bit Philox outputs with an integer threshold and equals
 rng.random(size) < p bit for bit.
@@ -56,6 +57,19 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def check_count(name: str, value: int) -> int:
+    """value as a Python int; ValueError naming it unless it is an integer of at least 1.
+
+    Like check_seed, numpy integers pass and floats fail even when integral,
+    so a period, trial count or warm-up is never a fraction.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
 def _stream(seed: int, *tags: int) -> np.random.Generator:
     """Philox stream for (seed, tags); tags separate sub-streams."""
     ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(t) for t in tags))
@@ -68,18 +82,32 @@ def bernoulli(rng: np.random.Generator, size, p) -> np.ndarray:
 
     random() turns one 64-bit output x of the bit generator into
     (x >> 11) * 2**-53, and scaling p by 2**53 is exact, so the comparison
-    is one of integers: x >> 11 < ceil(p * 2**53). p = 1 keeps every value
-    and p = 0 none. Each value takes one output, as random() does, so the
-    stream is left where random() would leave it. p is a scalar or an
-    array that broadcasts against size.
+    is one of integers: x >> 11 < K with K = ceil(p * 2**53). For a scalar
+    p that is x < K << 11, with no shift of the drawn words; only p = 1
+    gives K = 2**53, whose K << 11 = 2**64 is past uint64, and it keeps
+    every value, as p = 0 keeps none. Each value takes one output, as
+    random() does, so the stream is left where random() would leave it.
+    p is a scalar or an array that broadcasts against size.
     """
-    if isinstance(p, np.ndarray):
-        threshold = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
-    else:  # the common scalar, without the cost of three ufunc calls
-        threshold = math.ceil(math.ldexp(p, 53))
     raw = rng.bit_generator.random_raw(size)
-    raw >>= 11
-    return raw < threshold
+    if isinstance(p, np.ndarray):
+        raw >>= 11
+        return raw < np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    threshold = math.ceil(math.ldexp(p, 53))
+    if threshold >> 53:
+        return np.ones(raw.shape, dtype=bool)
+    return raw < np.uint64(threshold << 11)
+
+
+def check_packed(*rows: np.ndarray) -> None:
+    """TypeError unless every array is uint8, as np.packbits rows are.
+
+    The count kernels take packed rows only: a bool (n, T) array there
+    would be counted as bytes, one slot a byte, and silently miscount.
+    """
+    for array in rows:
+        if array.dtype != np.uint8:
+            raise TypeError(f"expected np.packbits rows (uint8), got dtype {array.dtype}")
 
 
 def count_packed(rows: np.ndarray) -> np.ndarray:
@@ -149,8 +177,7 @@ class ArrivalModel:
     def __post_init__(self) -> None:
         if not (0.0 <= self.prob_harvest <= 1.0):
             raise ValueError(f"prob_harvest must lie in [0, 1], got {self.prob_harvest}")
-        if self.period_len < 1:
-            raise ValueError(f"period_len must be at least 1, got {self.period_len}")
+        object.__setattr__(self, "period_len", check_count("period_len", self.period_len))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 

@@ -20,6 +20,9 @@ from dutycycle import (
     run_trace_pairs,
 )
 from dutycycle import harness
+from dutycycle.metrics import heterogeneity
+from dutycycle.offline import optimum_counts
+from dutycycle.online import OnlineMode, simulate_arrays
 from dutycycle.harness import (
     heterogeneity_sweep,
     verify_bins,
@@ -197,6 +200,80 @@ def test_a_shard_starts_on_its_row_of_one_whole_draw(period_len):
         assert block == slice(start, start + 1)
         for got, want in zip(first, whole):
             np.testing.assert_array_equal(got, want[start : start + 1])
+
+
+@pytest.mark.parametrize("rows", [1, 9, 20])
+@pytest.mark.parametrize("period_len", [7, 12, 1000, 1003])
+def test_blocks_are_packed_rows_of_one_whole_bool_draw(monkeypatch, period_len, rows):
+    # blocks of 9 and 20 rows are drawn 2 and 3 rows at a time, which
+    # divide neither them nor the shards' 11 - start trials; every block
+    # must still be np.packbits of its rows of one whole draw per stream,
+    # zero padded, and no draw may cover more than ceil(rows / 8) rows
+    trials = 11
+    whole = []
+    for tag in (harness._TAG_TRACE, harness._TAG_DECISION):
+        for side, p in enumerate((0.3, 0.6)):
+            rng = harness._stream(5, tag, 2, side)
+            whole.append(np.packbits(rng.random((trials, period_len)) < p, axis=-1))
+    draws, real_bernoulli = [], harness.bernoulli
+
+    def bernoulli(rng, size, p):
+        draws.append(size[0])
+        return real_bernoulli(rng, size, p)
+
+    monkeypatch.setattr(harness, "bernoulli", bernoulli)
+    for start in range(9):
+        got = list(harness._trial_blocks(5, 2, 0.3, 0.6, start, trials, period_len, True, rows))
+        assert [block.start for block, _ in got] == list(range(start, trials, rows))
+        assert got[-1][0].stop == trials
+        for block, arrays in got:
+            assert block.stop - block.start <= rows
+            for packed, want in zip(arrays, whole):
+                assert packed.dtype == np.uint8
+                np.testing.assert_array_equal(packed, want[block])
+                assert not np.unpackbits(packed, axis=-1)[:, period_len:].any()
+    assert max(draws) == -(-rows // 8)
+
+
+def test_a_block_holds_eight_draws(monkeypatch):
+    # the measured mc-* split: two shards of 250 trials at T = 1000 take
+    # one block each, drawn 32 rows a time, the rows of one _shard_plan block
+    monkeypatch.setattr(harness, "_worker_count", lambda: 2)
+    assert harness._shard_plan(500, 1000) == (2, 32)
+    blocks, draws = [], []
+    real_blocks, real_bernoulli = harness._trial_blocks, harness.bernoulli
+
+    def trial_blocks(*args):
+        for block, arrays in real_blocks(*args):
+            blocks.append(block.stop - block.start)
+            yield block, arrays
+
+    def bernoulli(rng, size, p):
+        draws.append(size[0])
+        return real_bernoulli(rng, size, p)
+
+    monkeypatch.setattr(harness, "_trial_blocks", trial_blocks)
+    monkeypatch.setattr(harness, "bernoulli", bernoulli)
+    run_monte_carlo(small_spec(period_len=1000, p_values=(0.5,), trials=500))
+    assert sorted(blocks) == [250, 250]
+    assert max(draws) == 32 and len(draws) == 2 * 4 * 8
+
+
+def test_count_kernels_refuse_bool_rows():
+    b = np.ones((2, 16), dtype=bool)
+    packed = np.packbits(b, axis=-1)
+    with pytest.raises(TypeError, match="uint8"):
+        optimum_counts(b, b)
+    with pytest.raises(TypeError, match="uint8"):
+        optimum_counts(packed, b)
+    for mode in OnlineMode:
+        with pytest.raises(TypeError, match="uint8"):
+            simulate_arrays(b, b, b, b, mode)
+        with pytest.raises(TypeError, match="uint8"):
+            simulate_arrays(packed, packed, packed, b, mode)
+    with pytest.raises(TypeError, match="uint8"):
+        heterogeneity(b, b)
+    assert optimum_counts(packed, packed)[0].tolist() == [16, 16]
 
 
 @pytest.mark.parametrize("failing_start", [0, 20], ids=["new-thread", "calling-thread"])
@@ -385,6 +462,42 @@ def test_negative_seed_is_named(call):
 def test_bad_seed_is_refused_before_any_draw(build, shown):
     with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {shown}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, field, shown",
+    [
+        (lambda: ExperimentSpec(12.5, (0.5,), 3), "period_len", "12.5"),
+        (lambda: ExperimentSpec(10, (0.5,), 2.5), "trials", "2.5"),
+        (lambda: ExperimentSpec(10.0, (0.5,), 3), "period_len", "10.0"),
+        (lambda: OnlineConfig(warmup=2.5), "warmup", "2.5"),
+        (lambda: heterogeneity_sweep((0.5,), 10, 2.5), "trials", "2.5"),
+        (lambda: heterogeneity_sweep((0.5,), 7.5, 3), "period_len", "7.5"),
+        (lambda: ArrivalModel(0.5, 20.5, 1), "period_len", "20.5"),
+        (lambda: verify_optimality(trials=1.5), "trials", "1.5"),
+    ],
+    ids=[
+        "spec-period",
+        "spec-trials",
+        "spec-float-period",
+        "config-warmup",
+        "sweep-trials",
+        "sweep-period",
+        "model-period",
+        "verify-trials",
+    ],
+)
+def test_fractional_counts_are_refused_at_construction(build, field, shown):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {shown}$"):
+        build()
+
+
+def test_numpy_integer_counts_are_kept_as_python_ints():
+    spec = ExperimentSpec(np.int64(10), (0.5,), np.uint16(3))
+    assert type(spec.period_len) is int and type(spec.trials) is int
+    assert type(OnlineConfig(warmup=np.int32(5)).warmup) is int
+    plain = ExperimentSpec(10, (0.5,), 3)
+    assert run_monte_carlo(spec).to_json() == run_monte_carlo(plain).to_json()
 
 
 def test_numpy_integer_seeds_are_kept_as_python_ints():

@@ -63,7 +63,8 @@ def test_heterogeneity_examples():
     for i, (u, v) in enumerate(rows):
         b_u[i, : len(u)] = u
         b_v[i, : len(v)] = v
-    assert heterogeneity(b_u, b_v).tolist() == pytest.approx([0.0, 1.0, 1.0 - 2.0 / 6.0, 0.0])
+    packed = np.packbits(b_u, axis=-1), np.packbits(b_v, axis=-1)
+    assert heterogeneity(*packed).tolist() == pytest.approx([0.0, 1.0, 1.0 - 2.0 / 6.0, 0.0])
 
 
 def test_ratio_examples():

@@ -173,7 +173,10 @@ def test_exclusivity_and_result_invariants(sets):
     b_v = np.zeros(period, dtype=bool)
     b_u[[t - 1 for t in set_a]] = True
     b_v[[t - 1 for t in set_b]] = True
-    assert optimum_counts(b_u, b_v) == (result.sync_count, result.async_count)
+    assert optimum_counts(np.packbits(b_u), np.packbits(b_v)) == (
+        result.sync_count,
+        result.async_count,
+    )
 
 
 def test_optimum_counts_rows_match_greedy():
@@ -182,7 +185,7 @@ def test_optimum_counts_rows_match_greedy():
     for p in (0.0, 0.2, 0.5, 0.8, 1.0):
         b_u = rng.random((100, 1000)) < p
         b_v = rng.random((100, 1000)) < p
-        sync, asyn = optimum_counts(b_u, b_v)
+        sync, asyn = optimum_counts(np.packbits(b_u, axis=-1), np.packbits(b_v, axis=-1))
         assert sync.shape == asyn.shape == (100,)
         for i in range(100):
             sync_slots, step2, step3 = duty_cycle_arrays(b_u[i], b_v[i])
@@ -197,11 +200,12 @@ def test_optimum_counts_equal_plain_counts_on_packed_rows(period_len):
     b_u, b_v = rng.random((2, 6, period_len)) < np.array([0.0, 0.2, 0.5, 0.8, 1.0, 0.5])[:, None]
     sync = np.count_nonzero(b_u & b_v, axis=-1)
     asyn = np.minimum(np.count_nonzero(b_u, axis=-1), np.count_nonzero(b_v, axis=-1)) - sync
-    rows = optimum_counts(b_u, b_v)
+    packed_u, packed_v = np.packbits(b_u, axis=-1), np.packbits(b_v, axis=-1)
+    rows = optimum_counts(packed_u, packed_v)
     assert [c.shape for c in rows] == [(6,), (6,)]
     assert [c.tolist() for c in rows] == [sync.tolist(), asyn.tolist()]
     for i in range(6):
-        one = optimum_counts(b_u[i], b_v[i])
+        one = optimum_counts(packed_u[i], packed_v[i])
         assert [np.ndim(c) for c in one] == [0, 0]
         assert one == (sync[i], asyn[i])
 

@@ -174,7 +174,8 @@ def test_count_kernel_equals_stepwise_rules(run):
     d_u, d_v = np.stack(
         [_decision_arrays(b_u[j], b_v[j], configs[j], "u", "v") for j in range(5)], axis=1
     )
-    sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
+    packed = (np.packbits(mask, axis=-1) for mask in (b_u, b_v, d_u, d_v))
+    sync, asyn, wasted = simulate_arrays(*packed, mode)
     for j, ((tr_u, tr_v), config) in enumerate(zip(pairs, configs)):
         result = online_duty_cycle(tr_u, tr_v, ETA, config)
         assert (sync[j], asyn[j], wasted[j]) == (
@@ -185,7 +186,8 @@ def test_count_kernel_equals_stepwise_rules(run):
 
 
 def assert_rows_equal_the_walk(b_u, b_v, d_u, d_v, mode):
-    sync, asyn, wasted = simulate_arrays(b_u, b_v, d_u, d_v, mode)
+    packed = (np.packbits(mask, axis=-1) for mask in (b_u, b_v, d_u, d_v))
+    sync, asyn, wasted = simulate_arrays(*packed, mode)
     for j in range(b_u.shape[0]):
         result = _walk_pair(b_u[j], b_v[j], d_u[j], d_v[j], mode, ETA)
         assert (sync[j], asyn[j], wasted[j]) == (
@@ -293,7 +295,7 @@ def test_rule_table(mode, b_u, b_v, d_u, d_v, edges, wasted):
     assert list(result.edges) == edges
     assert result.wasted_units == wasted
     n_sync = sum(u == v for u, v in edges)
-    sync, asyn, waste = simulate_arrays(*(a[None, :] for a in arrays), mode)
+    sync, asyn, waste = simulate_arrays(*(np.packbits(a[None, :], axis=-1) for a in arrays), mode)
     assert (sync[0], asyn[0], waste[0]) == (n_sync, len(edges) - n_sync, wasted)
 
 

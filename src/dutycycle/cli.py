@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -33,6 +32,11 @@ from .online import OnlineConfig
 from .traces import (
     DEFAULT_SEED,
     ArrivalModel,
+    check_count,
+    check_eta,
+    check_finite,
+    check_prob,
+    check_seed,
     generate_pair,
     read_pair_csv,
     read_raw_csv,
@@ -48,39 +52,15 @@ DEFAULT_PERIOD = 600  # ten hours of one-minute slots, the usual field setup
 _EDGE_JSON = '      {\n        "kind": "%s",\n        "u": %d,\n        "v": %d\n      }'
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not (0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
-
-
-def _efficiency(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value <= 1.0):
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value < math.inf):  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
+def _checked(convert):
+    """argparse type from convert(text), which parses the text and applies a library
+    check; its ValueError becomes a usage error, exit 2, naming the flag."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -105,34 +85,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Duty-cycling simulator for pairs of energy-harvesting devices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    period = _checked(lambda text: check_count("period_len", int(text)))
+    prob = _checked(lambda text: check_prob("prob_harvest", float(text)))
+    seed = _checked(lambda text: check_seed(int(text)))
+    trials = _checked(lambda text: check_count("trials", int(text)))
+    eta = _checked(lambda text: check_eta(float(text)))
+    threshold = _checked(lambda text: check_finite("threshold", float(text), positive=True))
 
     gen = sub.add_parser("generate", help="write a seeded two-device binary trace CSV")
-    gen.add_argument("--period", type=_positive_int, default=DEFAULT_PERIOD,
+    gen.add_argument("--period", type=period, default=DEFAULT_PERIOD,
                      help="slots per period (default 600, one-minute slots over 10 hours)")
-    gen.add_argument("--prob", type=_probability, required=True,
+    gen.add_argument("--prob", type=prob, required=True,
                      help="per-slot harvest probability for both devices")
-    gen.add_argument("--seed", type=_seed, default=None, help="RNG seed")
+    gen.add_argument("--seed", type=seed, default=None, help="RNG seed")
     gen.add_argument("--out", required=True, help="output CSV path (slot,b_u,b_v)")
 
     ing = sub.add_parser("ingest", help="threshold raw readings into a binary trace CSV")
     ing.add_argument("--raw", required=True, help="raw CSV path (slot,device_id,reading)")
-    ing.add_argument("--threshold", type=_positive_float, required=True,
+    ing.add_argument("--threshold", type=threshold, required=True,
                      help="usability threshold in volts; readings >= threshold give b=1")
-    ing.add_argument("--period", type=_positive_int, required=True, help="slots per period")
+    ing.add_argument("--period", type=period, required=True, help="slots per period")
     ing.add_argument("--out", required=True, help="output CSV path (slot,b_u,b_v)")
 
     run = sub.add_parser("run", help="run scheduler(s) over one trace pair")
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--trace", help="binary trace CSV (slot,b_u,b_v)")
-    src.add_argument("--prob", type=_probability, help="synthesize traces with this probability")
-    run.add_argument("--period", type=_positive_int, default=DEFAULT_PERIOD,
+    src.add_argument("--prob", type=prob, help="synthesize traces with this probability")
+    run.add_argument("--period", type=period, default=DEFAULT_PERIOD,
                      help="period length for synthesized traces (default 600)")
-    run.add_argument("--eta", type=_efficiency, default=DEFAULT_ETA,
+    run.add_argument("--eta", type=eta, default=DEFAULT_ETA,
                      help="charging efficiency (default 0.75)")
     run.add_argument("--algo", choices=("offline", "online", "both"), default="both")
     run.add_argument("--mode", choices=("matching", "slotsim"), default="matching",
                      help="online bookkeeping mode")
-    run.add_argument("--seed", type=_seed, default=None, help="RNG seed")
+    run.add_argument("--seed", type=seed, default=None, help="RNG seed")
     run.add_argument("--format", choices=("json", "csv"), default="json")
 
     ver = sub.add_parser("verify", help="run a verification suite")
@@ -140,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="t1: offline optimality vs oracle; t2: mean CAT vs the "
                           "closed-form reference; t4: online/offline ratio bound; "
                           "bins: occupancy concentration")
-    ver.add_argument("--trials", type=_positive_int, default=None,
+    ver.add_argument("--trials", type=trials, default=None,
                      help="trial count override (suite defaults: t1 500, others 10000)")
-    ver.add_argument("--seed", type=_seed, default=None, help="RNG seed")
+    ver.add_argument("--seed", type=seed, default=None, help="RNG seed")
     return parser
 
 

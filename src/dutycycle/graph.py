@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traces import EnergyTrace
+from .traces import EnergyTrace, check_eta
 
 
 class ExclusivityError(ValueError):
@@ -34,12 +34,6 @@ class ScheduleConflictError(ValueError):
 
 class FeasibilityError(ValueError):
     """A schedule spends more energy than harvested on some prefix."""
-
-
-def check_eta(eta: float) -> None:
-    """ValueError unless the charging efficiency eta lies in (0, 1]."""
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
 
 def cat_from_counts(sync: int, async_count: int, eta: float) -> float:
@@ -108,8 +102,8 @@ class PairResult:
 
     `edges` takes any iterable of (u_slot, v_slot) int pairs and is stored
     as a tuple sorted by (u_slot, v_slot), for reproducibility. Construction
-    rejects slots below 1 (ValueError) and a vertex used twice
-    (ExclusivityError). The totals are derived once, from one count of the
+    rejects an eta outside (0, 1] and slots below 1 (ValueError) and a
+    vertex used twice (ExclusivityError). The totals are derived once, from one count of the
     sync edges: the sync and async edge counts, the CAT (each edge's weight
     at eta, summed with correct rounding) and the SAT (the sync edges'
     weight).
@@ -124,6 +118,7 @@ class PairResult:
     sat_total: float = field(init=False)
 
     def __post_init__(self) -> None:
+        check_eta(self.eta)
         edges = tuple(sorted(self.edges))
         u_slots = [u for u, _ in edges]
         v_slots = [v for _, v in edges]

@@ -50,7 +50,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import check_eta
 from .metrics import (
     PairMetrics,
     heterogeneity,
@@ -66,6 +65,9 @@ from .traces import (
     _stream,
     bernoulli,
     check_count,
+    check_eta,
+    check_finite,
+    check_prob,
     check_seed,
     pair_period,
 )
@@ -98,8 +100,7 @@ class ExperimentSpec:
         if not self.p_values:
             raise ValueError("p_values must not be empty")
         for p in self.p_values:
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"p must lie in [0, 1], got {p}")
+            check_prob("p", p)
         for algo in self.algorithms:
             if algo not in _ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -163,9 +164,8 @@ class RunReport:
 
 def _stats(values: np.ndarray) -> dict:
     n = int(values.size)
-    mean = float(values.mean()) if n else 0.0
     std = float(values.std(ddof=1)) if n > 1 else 0.0
-    return {"mean": mean, "std": std, "stderr": std / math.sqrt(n) if n > 1 else 0.0, "n": n}
+    return {"mean": float(values.mean()), "std": std, "stderr": std / math.sqrt(n), "n": n}
 
 
 # Trial-slots drawn at once per Monte Carlo cell, across all of its
@@ -174,12 +174,10 @@ def _stats(values: np.ndarray) -> dict:
 _CHUNK_SLOTS = 2**16
 
 # Fewest rows in a draw of a cell split into shards, so fewest in a block
-# eight times that. On 2 CPUs, two shards of 256-row blocks of 1,000 slots
-# (32-row draws) took 0.61x the wall time of one shard at 1% more CPU time
-# per op (BENCH_019.json, shards). Each block makes about a hundred numpy
-# calls whose Python overhead holds the GIL, so smaller blocks trade the
-# GIL between the shards' threads: two shards of 32-row unpacked blocks
-# took 0.82x the wall time of one at 29% more CPU time. So a cell gets
+# eight times that. Each block makes about a hundred numpy calls whose
+# Python overhead holds the GIL, so smaller blocks trade the GIL between
+# the shards' threads: two shards of 32-row unpacked blocks took 0.82x the
+# wall time of one at 29% more CPU time (BENCH_019.json). So a cell gets
 # fewer shards rather than smaller blocks.
 _MIN_SHARD_ROWS = 32
 
@@ -461,15 +459,11 @@ def check_balls_in_bins(
     probability bound 1 - 2 e^(-epsilon^2 m / 2), plus the empirical mean of
     S against its exact expectation subset_size * (1 - (1 - 1/m)^n).
     """
-    if m < 1:
-        raise ValueError(f"need at least one bin, got {m}")
-    if not (0 <= subset_size <= m):
-        raise ValueError(f"subset_size must lie in 0..{m}, got {subset_size}")
-    if not (0 <= n <= m):
-        raise ValueError(f"n must lie in 0..{m}, got {n}")
+    m = check_count("m", m)
+    subset_size = check_count("subset_size", subset_size, least=0, most=m)
+    n = check_count("n", n, least=0, most=m)
     trials = check_count("trials", trials)
-    if not (0.0 <= epsilon < math.inf):  # NaN fails too
-        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    check_finite("epsilon", epsilon)
 
     rng = _stream(seed, _TAG_BINS)
     counts = np.empty(trials, dtype=np.int64)
@@ -547,7 +541,7 @@ def run_trace_pairs(
     only the online policy."""
     report = RunReport(
         config={
-            "eta": eta,
+            "eta": check_eta(eta),
             "online": {
                 "prob_active": online_cfg.prob_active,
                 "seed": online_cfg.seed,

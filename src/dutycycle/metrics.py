@@ -88,8 +88,8 @@ def pair_rows(
             pair_id=pair_id,
             cat=cat,
             sat=sat,
-            cat_pct=cat / period if period else 0.0,
-            sat_pct=sat / period if period else 0.0,
+            cat_pct=cat / period,
+            sat_pct=sat / period,
             heterogeneity=heterogeneity,
             p_hat_u=p_hat_u,
             p_hat_v=p_hat_v,

@@ -19,8 +19,16 @@ import math
 
 import numpy as np
 
-from .graph import PairResult, check_eta, lifo_walk
-from .traces import EnergyTrace, check_packed, count_packed, pair_period
+from .graph import PairResult, lifo_walk
+from .traces import (
+    EnergyTrace,
+    check_count,
+    check_eta,
+    check_packed,
+    check_prob,
+    count_packed,
+    pair_period,
+)
 
 
 def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
@@ -82,14 +90,6 @@ def offline_duty_cycle(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -
     return PairResult(edges, eta, period_len)
 
 
-def _check_reference_args(period_len: int, p: float, eta: float) -> None:
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    check_eta(eta)
-    if period_len < 0:
-        raise ValueError(f"period_len must be non-negative, got {period_len}")
-
-
 def expected_cat(period_len: int, p: float, eta: float) -> float:
     """Closed-form expected-CAT reference: |T| * p * [p + 2*eta*(1-p)].
 
@@ -100,7 +100,9 @@ def expected_cat(period_len: int, p: float, eta: float) -> float:
     whenever 0 < p < 1. The verification harness reports the gap;
     exact_expected_cat gives the true expectation of the optimum.
     """
-    _check_reference_args(period_len, p, eta)
+    period_len = check_count("period_len", period_len, least=0)
+    check_prob("p", p)
+    check_eta(eta)
     return period_len * p * (p + 2.0 * eta * (1.0 - p))
 
 
@@ -114,7 +116,9 @@ def exact_expected_cat(period_len: int, p: float, eta: float) -> float:
     and E[min(X, m - X)] = (m/2) * (1 - C(2n, n) / 4^n) with n = m // 2.
     The sum over m is exact up to rounding and costs O(T).
     """
-    _check_reference_args(period_len, p, eta)
+    period_len = check_count("period_len", period_len, least=0)
+    check_prob("p", p)
+    check_eta(eta)
     q = p * (1.0 - p)
     if q == 0.0:
         return period_len * p * p

@@ -46,13 +46,15 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import PairResult, check_eta, lifo_walk
+from .graph import PairResult, lifo_walk
 from .traces import (
     DEFAULT_SEED,
     EnergyTrace,
     bernoulli,
     check_count,
+    check_eta,
     check_packed,
+    check_prob,
     check_seed,
     count_packed,
     device_stream,
@@ -85,20 +87,17 @@ class OnlineConfig:
         object.__setattr__(self, "warmup", check_count("warmup", self.warmup))
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "mode", OnlineMode(self.mode))
-        for p in self.device_probs() or ():
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"prob_active must lie in [0, 1], got {p}")
+        self.device_probs()  # checks prob_active
 
     def device_probs(self) -> tuple[float, float] | None:
-        if self.prob_active is None:
+        probs = self.prob_active
+        if probs is None:
             return None
-        if isinstance(self.prob_active, numbers.Real):  # numpy scalars too
-            return (float(self.prob_active), float(self.prob_active))
-        if len(self.prob_active) != 2:
-            raise ValueError(
-                f"prob_active must be one probability or a pair, got {self.prob_active!r}"
-            )
-        return (float(self.prob_active[0]), float(self.prob_active[1]))
+        if isinstance(probs, numbers.Real):  # numpy scalars too
+            probs = (probs, probs)
+        elif len(probs) != 2:
+            raise ValueError(f"prob_active must be one probability or a pair, got {probs!r}")
+        return tuple(check_prob("prob_active", float(p)) for p in probs)
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,7 @@ class OnlineResult(PairResult):
 
 def approx_ratio_bound(p: float) -> float:
     """Guaranteed fraction of the offline optimum in expectation: 1 - e^(-p^2)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    check_prob("p", p)
     return -math.expm1(-p * p)
 
 
@@ -265,8 +263,9 @@ def _prefix_walk(up: np.ndarray, down: np.ndarray):
     net, dip = _byte_steps()
     pair = (up.astype(np.uint16) << 8) | down
     walk = np.cumsum(net.take(pair), axis=-1, dtype=np.int32)
-    end = walk[..., -1] if walk.shape[-1] else np.zeros(walk.shape[:-1], np.int32)
-    return end, (walk + dip.take(pair)).min(axis=-1, initial=0)
+    end = walk[..., -1].copy() if walk.shape[-1] else np.zeros(walk.shape[:-1], np.int32)
+    walk += dip.take(pair)  # in place, so a call holds one int32 array of the rows' size
+    return end, walk.min(axis=-1, initial=0)
 
 
 def _walk_pair(

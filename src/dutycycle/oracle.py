@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import PairResult, check_eta
-from .traces import EnergyTrace, pair_period
+from .graph import PairResult
+from .traces import EnergyTrace, check_eta, pair_period
 
 # Upper bound on each side's vertex count for the exhaustive search. 12 keeps the
 # layered table at 13 layers of 4096 masks (about 53k states), enough for

@@ -10,9 +10,9 @@ process or derived from raw power readings by thresholding.
 Randomness uses the counter-based Philox generator keyed through
 numpy.random.SeedSequence, so identical (seed, device_id) always reproduce
 identical traces on any platform. Each device of a pair gets an independent
-sub-stream derived from (seed, device_id). check_seed is the one seed
-check: a seed is a non-negative integer, numpy integers included;
-check_count is its twin for periods, trial counts and warm-ups.
+sub-stream derived from (seed, device_id). Each kind of input has one
+check, shared by the library and the CLI, that returns what it accepts:
+check_seed, check_count, check_prob, check_eta and check_finite.
 bernoulli is the one Bernoulli draw of the package: it compares raw
 64-bit Philox outputs with an integer threshold and equals
 rng.random(size) < p bit for bit.
@@ -57,17 +57,41 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def check_count(name: str, value: int) -> int:
-    """value as a Python int; ValueError naming it unless it is an integer of at least 1.
+def check_count(name: str, value: int, least: int = 1, most: int | None = None) -> int:
+    """value as a Python int; ValueError naming it unless an integer >= least (<= most if given).
 
     Like check_seed, numpy integers pass and floats fail even when integral,
     so a period, trial count or warm-up is never a fraction.
     """
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must lie in {least}..{most}, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def check_prob(name: str, value: float) -> float:
+    """value; ValueError naming it unless it lies in [0, 1] (NaN does not)."""
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def check_eta(eta: float) -> float:
+    """eta; ValueError unless the charging efficiency lies in (0, 1] (NaN does not)."""
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    return eta
+
+
+def check_finite(name: str, value: float, positive: bool = False) -> float:
+    """value; ValueError naming it unless finite and non-negative, or positive if asked."""
+    if not (0.0 <= value < math.inf) or (positive and value == 0.0):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+    return value
 
 
 def _stream(seed: int, *tags: int) -> np.random.Generator:
@@ -175,8 +199,7 @@ class ArrivalModel:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.prob_harvest <= 1.0):
-            raise ValueError(f"prob_harvest must lie in [0, 1], got {self.prob_harvest}")
+        check_prob("prob_harvest", self.prob_harvest)
         object.__setattr__(self, "period_len", check_count("period_len", self.period_len))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
@@ -221,10 +244,8 @@ def threshold_trace(raw: RawTrace, threshold: float, period_len: int) -> EnergyT
     The comparison is inclusive and slots without a sample map to 0 (no
     evidence of harvestable energy).
     """
-    if not (0.0 < threshold < math.inf):  # NaN fails too
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
-    if period_len < 1:
-        raise ValueError(f"period_len must be at least 1, got {period_len}")
+    check_finite("threshold", threshold, positive=True)
+    period_len = check_count("period_len", period_len)
     states = np.zeros(period_len, dtype=bool)
     for i, (slot, reading) in enumerate(raw.samples):
         if not (1 <= slot <= period_len):

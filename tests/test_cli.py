@@ -3,8 +3,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dutycycle import OnlineMode, OnlineResult, PairResult
+from dutycycle import (
+    ArrivalModel,
+    EnergyTrace,
+    OnlineMode,
+    OnlineResult,
+    PairResult,
+    RawTrace,
+    offline_duty_cycle,
+    threshold_trace,
+)
 from dutycycle.cli import main, report_json
+from dutycycle.harness import verify_bins, verify_optimality
 
 
 def run_cli(argv, capsys):
@@ -204,6 +214,41 @@ def test_negative_seed_flag_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seed" in captured.err
+
+
+RAW = RawTrace("a", ((1, 3.0),))
+ONE = EnergyTrace("u", [1])
+INGEST = ["ingest", "--raw", "raw.csv", "--out", "o.csv"]
+# flag, a bad value's argv, and the library call that refuses the same value
+BAD_FLAG_VALUES = {
+    "generate-prob": ("--prob", ["generate", "--out", "o.csv", "--prob", "1.5"],
+                      lambda: ArrivalModel(1.5, 10, 1)),
+    "run-prob-nan": ("--prob", ["run", "--prob", "nan"], lambda: ArrivalModel(float("nan"), 10, 1)),
+    "run-eta": ("--eta", ["run", "--prob", "0.5", "--eta", "0"],
+                lambda: offline_duty_cycle(ONE, ONE, 0.0)),
+    "generate-period": ("--period", ["generate", "--prob", "0.5", "--out", "o.csv", "--period", "0"],
+                        lambda: ArrivalModel(0.5, 0, 1)),
+    "ingest-period": ("--period", INGEST + ["--threshold", "1", "--period", "-3"],
+                      lambda: threshold_trace(RAW, 1.0, -3)),
+    "verify-trials": ("--trials", ["verify", "--suite", "t1", "--trials", "0"],
+                      lambda: verify_optimality(trials=0)),
+    "verify-seed": ("--seed", ["verify", "--suite", "bins", "--seed", "-2"],
+                    lambda: verify_bins(seed=-2)),
+    "ingest-threshold": ("--threshold", INGEST + ["--period", "2", "--threshold", "inf"],
+                         lambda: threshold_trace(RAW, float("inf"), 2)),
+}
+
+
+@pytest.mark.parametrize("flag, argv, library", BAD_FLAG_VALUES.values(), ids=BAD_FLAG_VALUES)
+def test_bad_flag_value_exits_2_with_the_library_message(flag, argv, library, capsys):
+    with pytest.raises(ValueError) as refused:
+        library()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: {refused.value}\n" in captured.err
 
 
 def test_negative_env_seed_is_a_usage_error(monkeypatch, capsys):

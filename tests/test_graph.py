@@ -63,7 +63,11 @@ def test_state_graph_invariants():
     # by construction, so the pair algorithms are left to check eta
     slots = trace([0, 1, 1, 0, 1]).harvest_slots()
     assert list(slots) == sorted(set(slots)) and all(1 <= s <= 5 for s in slots)
-    for algorithm in (offline_duty_cycle, brute_force_matching):
+    for algorithm in (
+        offline_duty_cycle,
+        brute_force_matching,
+        lambda u, v, eta: PairResult(((1, 2),), eta, 3),  # the result type itself
+    ):
         for eta in (0.0, 1.5):
             with pytest.raises(ValueError, match=rf"^eta must lie in \(0, 1\], got {eta}$"):
                 algorithm(trace([1, 0, 1]), trace([0, 1, 1], "v"), eta)

@@ -13,11 +13,16 @@ from dutycycle import (
     EnergyTrace,
     ExperimentSpec,
     OnlineConfig,
+    RawTrace,
+    approx_ratio_bound,
     check_balls_in_bins,
+    exact_expected_cat,
+    expected_cat,
     generate_pair,
     online_duty_cycle,
     run_monte_carlo,
     run_trace_pairs,
+    threshold_trace,
 )
 from dutycycle import harness
 from dutycycle.metrics import heterogeneity
@@ -475,6 +480,12 @@ def test_bad_seed_is_refused_before_any_draw(build, shown):
         (lambda: heterogeneity_sweep((0.5,), 7.5, 3), "period_len", "7.5"),
         (lambda: ArrivalModel(0.5, 20.5, 1), "period_len", "20.5"),
         (lambda: verify_optimality(trials=1.5), "trials", "1.5"),
+        (lambda: exact_expected_cat(10.5, 0.5, 0.75), "period_len", "10.5"),
+        (lambda: expected_cat(10.5, 0.5, 0.75), "period_len", "10.5"),
+        (lambda: threshold_trace(RawTrace("a", ((1, 3.0),)), 1.0, 2.5), "period_len", "2.5"),
+        (lambda: check_balls_in_bins(2, 4.5, 2, 0.1, 10), "m", "4.5"),
+        (lambda: check_balls_in_bins(2.5, 4, 2, 0.1, 10), "n", "2.5"),
+        (lambda: check_balls_in_bins(2, 4, 1.5, 0.1, 10), "subset_size", "1.5"),
     ],
     ids=[
         "spec-period",
@@ -485,11 +496,38 @@ def test_bad_seed_is_refused_before_any_draw(build, shown):
         "sweep-period",
         "model-period",
         "verify-trials",
+        "exact-expected-cat-period",
+        "expected-cat-period",
+        "threshold-period",
+        "bins-m",
+        "bins-n",
+        "bins-subset-size",
     ],
 )
 def test_fractional_counts_are_refused_at_construction(build, field, shown):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {shown}$"):
         build()
+
+
+PROBABILITY_ENTRY_POINTS = {
+    "ArrivalModel": ("prob_harvest", lambda p: ArrivalModel(p, 10, 1)),
+    "ExperimentSpec": ("p", lambda p: ExperimentSpec(10, (0.5, p), 3)),
+    "OnlineConfig": ("prob_active", lambda p: OnlineConfig(prob_active=p)),
+    "OnlineConfig-pair": ("prob_active", lambda p: OnlineConfig(prob_active=(0.5, p))),
+    "approx_ratio_bound": ("p", approx_ratio_bound),
+    "expected_cat": ("p", lambda p: expected_cat(10, p, 0.75)),
+    "exact_expected_cat": ("p", lambda p: exact_expected_cat(10, p, 0.75)),
+    "heterogeneity_sweep": ("p", lambda p: heterogeneity_sweep((0.5, p), 10, 3)),
+}
+
+
+@pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (-0.25, "-0.25"), (1.5, "1.5")])
+@pytest.mark.parametrize(
+    "name, build", PROBABILITY_ENTRY_POINTS.values(), ids=PROBABILITY_ENTRY_POINTS
+)
+def test_bad_probabilities_are_refused_by_name(name, build, value, shown):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {shown}$"):
+        build(value)
 
 
 def test_numpy_integer_counts_are_kept_as_python_ints():

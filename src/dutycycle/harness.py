@@ -413,7 +413,13 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
 def random_instance(
     seed: int, index: int, period_len: int, p: float
 ) -> tuple[EnergyTrace, EnergyTrace]:
-    """Deterministic random trace pair for certification runs."""
+    """Deterministic random trace pair for certification runs.
+
+    ValueError naming the argument unless period_len is a positive integer,
+    p lies in [0, 1] and seed is a non-negative integer (_stream checks it).
+    """
+    period_len = check_count("period_len", period_len)
+    p = check_prob("p", p)
     rng = _stream(seed, _TAG_INSTANCE, index)
     b_u = bernoulli(rng, period_len, p)
     b_v = bernoulli(rng, period_len, p)

@@ -30,6 +30,7 @@ from dutycycle.offline import optimum_counts
 from dutycycle.online import OnlineMode, simulate_arrays
 from dutycycle.harness import (
     heterogeneity_sweep,
+    random_instance,
     verify_bins,
     verify_expected_cat,
     verify_optimality,
@@ -640,6 +641,33 @@ def test_verify_optimality_checks_eta_before_any_instance(monkeypatch, eta):
     monkeypatch.setattr(harness, "random_instance", lambda *a: pytest.fail("drew an instance"))
     with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]"):
         verify_optimality(trials=1, seed=3, eta=eta)
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"period_len": 2.5}, "period_len"),
+        ({"period_len": 0}, "period_len"),
+        ({"p": 1.5}, "p"),
+        ({"p": -0.1}, "p"),
+        ({"p": float("nan")}, "p"),
+    ],
+    ids=[
+        "seed-negative",
+        "seed-fraction",
+        "period-fraction",
+        "period-zero",
+        "p-above-one",
+        "p-negative",
+        "p-nan",
+    ],
+)
+def test_random_instance_names_a_bad_argument(bad, name):
+    args = {"seed": 1, "index": 0, "period_len": 5, "p": 0.5, **bad}
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        random_instance(**args)
 
 
 def test_verify_ratio_bound_small():

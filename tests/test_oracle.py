@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dutycycle
 from dutycycle import (
     EnergyTrace,
     OracleBudgetError,
@@ -206,3 +210,78 @@ def test_oracle_at_the_size_cap():
     thirteen = list(range(1, 14))
     with pytest.raises(OracleBudgetError):
         brute_force_matching(*graph(thirteen, thirteen, period=13))
+
+
+def assert_mirror(set_a, set_b, eta, period):
+    """Swapping the traces mirrors the oracle's witness and keeps its totals."""
+    fwd = brute_force_matching(*graph(set_a, set_b, eta=eta, period=period))
+    back = brute_force_matching(*graph(set_b, set_a, eta=eta, period=period))
+    assert back.edges == tuple(sorted((v, u) for u, v in fwd.edges))
+    assert (back.sync_count, back.async_count) == (fwd.sync_count, fwd.async_count)
+    assert back.cat_total == fwd.cat_total
+
+
+@st.composite
+def instances_to_the_cap(draw):
+    period = draw(st.integers(min_value=1, max_value=16))
+    set_a = draw(st.sets(st.integers(1, period), max_size=12))
+    set_b = draw(st.sets(st.integers(1, period), max_size=12))
+    eta = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    return sorted(set_a), sorted(set_b), eta, period
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=instances_to_the_cap())
+def test_swapping_the_traces_mirrors_the_witness(inst):
+    assert_mirror(*inst)
+
+
+def test_swapping_the_traces_mirrors_the_witness_at_the_cap():
+    # each call runs both orientations: 12x11 and 11x12, then 12x12 shifted
+    rng = random.Random(12)
+    set_a = sorted(rng.sample(range(1, 25), 12))
+    set_b = sorted(rng.sample(range(1, 25), 11))
+    assert_mirror(set_a, set_b, 0.6, 24)
+    assert_mirror(list(range(1, 13)), list(range(2, 14)), 0.75, 13)
+
+
+@pytest.mark.parametrize(
+    "set_a, set_b, witness",
+    [
+        ([1, 2], [3, 4], ((1, 4), (2, 3))),  # the last U-vertex takes its lowest V partner
+        ([1, 2], [3], ((1, 3),)),  # the last U-vertex is left unmatched
+        ([3], [1, 2], ((3, 1),)),  # the lowest final V mask
+    ],
+)
+def test_witness_tie_rule_by_hand(set_a, set_b, witness):
+    # each instance has two optimal matchings of async edges only; the
+    # documented rule picks this one, and its mirror when the traces swap
+    assert brute_force_matching(*graph(set_a, set_b, eta=0.5)).edges == witness
+    assert_mirror(set_a, set_b, 0.5, 4)
+
+
+def test_import_builds_no_oracle_table_and_the_built_ones_are_read_only():
+    # a fresh interpreter: this one has run the oracle already. The tables
+    # are built on first use, so importing the package stays cheap, and
+    # shard threads share them, so none may be written.
+    probe = """
+import dutycycle, dutycycle.cli
+from dutycycle import EnergyTrace, brute_force_matching, oracle
+assert oracle._layout.cache_info().currsize == 0, oracle._layout.cache_info()
+for n in range(oracle.ORACLE_MAX_VERTEXES + 1):
+    brute_force_matching(EnergyTrace("u", [True] * n), EnergyTrace("v", [True] * n), 0.75)
+assert oracle._layout.cache_info().currsize == oracle.ORACLE_MAX_VERTEXES + 1
+for n in range(oracle.ORACLE_MAX_VERTEXES + 1):
+    pos, prev = oracle._layout(n)
+    assert not pos.flags.writeable and not prev.flags.writeable, n
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dutycycle.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr

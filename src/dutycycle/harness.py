@@ -23,8 +23,8 @@ beyond them. Row i of every draw is trial i, so results depend neither
 on the block or draw size nor on the number of shards.
 The suites:
 
-* optimality:    offline totals equal the exhaustive oracle, instance by
-                 instance (exact integer edge counts).
+* optimality:    offline totals equal the exhaustive oracle's, instance by
+                 instance (exact integer edge counts; no witness is built).
 * expected-cat:  mean offline CAT against the closed-form reference
                  |T| p [p + 2 eta (1-p)]. The reference overcounts the
                  asynchronous term (see offline.expected_cat), so this suite
@@ -50,6 +50,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .graph import cat_from_counts
 from .metrics import (
     PairMetrics,
     heterogeneity,
@@ -58,7 +59,7 @@ from .metrics import (
 )
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
-from .oracle import ORACLE_MAX_VERTEXES, brute_force_matching
+from .oracle import ORACLE_MAX_VERTEXES, brute_force_counts
 from .traces import (
     DEFAULT_SEED,
     EnergyTrace,
@@ -306,11 +307,11 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     the number of trials run around them nor on the block size or the
     number of shards (_for_each_block). Each block feeds every algorithm of
     the cell: offline counts come from the closed form
-    offline.optimum_counts; the oracle, when requested, solves each trial
-    exhaustively on its unpacked rows, and its counts are checked against
-    the offline ones once every shard is done; the online counts of each
-    mode come from online.simulate_arrays. Only the per-trial count vectors
-    outlive a block.
+    offline.optimum_counts; the oracle, when requested, counts each trial's
+    optimum on its unpacked rows (brute_force_counts: no witness), and its
+    counts are checked against the offline ones once every shard is done;
+    the online counts of each mode come from online.simulate_arrays. Only
+    the per-trial count vectors outlive a block.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
@@ -331,9 +332,9 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                     np.unpackbits(rows, axis=-1, count=spec.period_len) for rows in (b_u, b_v)
                 )
                 for i, u, v in zip(range(block.start, block.stop), bits_u, bits_v):
-                    ores = brute_force_matching(EnergyTrace("u", u), EnergyTrace("v", v), eta)
-                    oracle_cat[i] = ores.cat_total
-                    oracle_counts[:, i] = ores.sync_count, ores.async_count
+                    ora = brute_force_counts(EnergyTrace("u", u), EnergyTrace("v", v), eta)
+                    oracle_counts[:, i] = ora
+                    oracle_cat[i] = cat_from_counts(*ora, eta)  # as PairResult.cat_total
             for mode, counts in online_counts.items():
                 counts[:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
 
@@ -644,7 +645,7 @@ def _suite_report(
 
 
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
-    """Offline totals must equal the exhaustive oracle on random instances."""
+    """Offline totals must equal the exhaustive oracle's (brute_force_counts)."""
     seed = check_seed(seed)
     trials = check_count("trials", trials)
     check_eta(eta)
@@ -653,13 +654,13 @@ def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 
         p = T1_P_GRID[i % len(T1_P_GRID)]
         trace_u, trace_v = random_instance(seed, i, T1_PERIOD, p)
         off = offline_duty_cycle(trace_u, trace_v, eta)
-        ora = brute_force_matching(trace_u, trace_v, eta)
-        if (off.sync_count, off.async_count) != (ora.sync_count, ora.async_count):
+        ora = brute_force_counts(trace_u, trace_v, eta)
+        if (off.sync_count, off.async_count) != ora:
             mismatches.append(
                 {
                     "instance": i,
                     "offline": [off.sync_count, off.async_count],
-                    "oracle": [ora.sync_count, ora.async_count],
+                    "oracle": list(ora),
                 }
             )
     passed = not mismatches

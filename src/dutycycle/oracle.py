@@ -8,15 +8,20 @@ for every subset (mask) of one side's vertexes, the best score of a
 matching of the other side's first i vertexes that covers exactly that
 subset. It masks the side whose DP is cheaper by an estimate (the smaller
 side on large instances), and keeps masks in popcount order, so layer i
-pulls only masks of popcount <= i while they are at most half of all. At
-the size cap the int32 score table is 13 x 4097 (about 213 kB), and a full
-12x12 instance takes about 0.8 ms. Ties break by weight, then synchronous
-edge count, then the lowest final V mask, and the witness prefers leaving
-the last U-vertex unmatched, then its lowest V partner; swapping the traces
-mirrors the witness (a property test pins this), so masking U gives the
-same one. It comes back as a graph.PairResult, the schedulers' result type,
-so the optimum reads as its cat_total, sync_count and async_count. Sizes
-are capped so the search stays cheap; larger ones are refused, not
+pulls only masks of popcount <= i while they are at most half of all.
+
+Two entry points share one prologue (_instance: the checks, the size cap,
+the side choice and the integer gains) and one layer loop (_scores).
+brute_force_matching keeps every layer, at most 13 x 4097 int32 (about 213
+kB), to backtrack a witness. brute_force_counts, for callers that read only
+totals, keeps one row updated in place and reads (sync_count, async_count)
+off the best score. Ties break by weight, then synchronous edge count, then
+the lowest final V mask, and the witness prefers leaving the last U-vertex
+unmatched, then its lowest V partner; swapping the traces mirrors the
+witness (a property test pins this), so masking U gives the same one. The
+witness comes back as a graph.PairResult, the schedulers' result type, so
+the optimum reads as its cat_total, sync_count and async_count. Sizes are
+capped so the search stays cheap; larger ones are refused, not
 approximated.
 """
 
@@ -98,6 +103,59 @@ def _dp_cost(layers: int, bits: int) -> int:
     return layers * 1200 + (bits + 1) * sum(_widths(bits)[1 : layers + 1])
 
 
+def _instance(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float):
+    """The prologue both entry points share: the checks, the side choice and
+    the integer gains, as (period_len, swap, A, B, frac, gains), B masked.
+
+    score = weight_units * 16 + sync_count; weight differences are whole
+    units so the +sync term (at most 12) can never flip the weight order.
+    gains[i][0] = 0 leaves u_i unmatched; gains[i][j + 1] pairs it with v_j.
+    """
+    period_len = pair_period(trace_u, trace_v)
+    check_eta(eta)
+    A, B = trace_u.harvest_slots(), trace_v.harvest_slots()
+    na, nb = len(A), len(B)
+    if na > ORACLE_MAX_VERTEXES or nb > ORACLE_MAX_VERTEXES:
+        raise OracleBudgetError(
+            f"instance has {na}x{nb} vertexes; exhaustive search is capped at "
+            f"{ORACLE_MAX_VERTEXES}x{ORACLE_MAX_VERTEXES}"
+        )
+    swap = _dp_cost(nb, na) < _dp_cost(na, nb)  # weights are symmetric
+    if swap:
+        A, B = B, A
+    frac = _eta_as_fraction(eta)
+    w_sync, w_async = frac.denominator * 16 + 1, frac.numerator * 16  # weight 1 is den units
+    gains = [[0] + [w_sync if u == v else w_async for v in B] for u in A]
+    return period_len, swap, A, B, frac, gains
+
+
+def _scores(gains: list[list[int]], nb: int, rows: int) -> np.ndarray:
+    """The DP's int32 score table, `rows` rows of 2**nb + 1 columns; row
+    i % rows holds layer i. So with len(gains) + 1 rows every layer is kept,
+    and one row takes every layer in place. That is exact, as each layer's
+    pull copies its predecessors before max writes; the columns a layer
+    does not reach, the sentinel's among them, keep _UNREACHABLE."""
+    table = np.full((rows, (1 << nb) + 1), _UNREACHABLE, dtype=np.int32)
+    table[0, 0] = 0
+    gain = np.array(gains, dtype=np.int32).reshape(len(gains), nb + 1, 1)
+    prev, widths = _layout(nb)[1], _widths(nb)
+    for i in range(len(gains)):
+        end = widths[i + 1]  # i + 1 U-vertexes cover at most i + 1 V-vertexes
+        pulled = table[i % rows][prev[:, :end]]
+        pulled += gain[i]
+        pulled.max(axis=0, out=table[(i + 1) % rows, :end])
+    return table
+
+
+def brute_force_counts(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> tuple[int, int]:
+    """The optimum's (sync_count, async_count): brute_force_matching's search,
+    checks and errors included, in one score row and with no witness."""
+    _, _, _, B, frac, gains = _instance(trace_u, trace_v, eta)
+    score = int(_scores(gains, len(B), 1).max())
+    sync, units = score % 16, score // 16  # score = weight_units * 16 + sync_count
+    return sync, (units - sync * frac.denominator) // frac.numerator
+
+
 def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> PairResult:
     """Search every matching; maximize weight, then synchronous edge count.
 
@@ -114,37 +172,10 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
     ValueError on a period mismatch or an eta outside (0, 1]. Returns the
     witness matching as a PairResult, whose totals are the optimum's.
     """
-    period_len = pair_period(trace_u, trace_v)
-    check_eta(eta)
-    A, B = trace_u.harvest_slots(), trace_v.harvest_slots()
+    period_len, swap, A, B, _, gains = _instance(trace_u, trace_v, eta)
     na, nb = len(A), len(B)
-    if na > ORACLE_MAX_VERTEXES or nb > ORACLE_MAX_VERTEXES:
-        raise OracleBudgetError(
-            f"instance has {na}x{nb} vertexes; exhaustive search is capped at "
-            f"{ORACLE_MAX_VERTEXES}x{ORACLE_MAX_VERTEXES}"
-        )
-    swap = _dp_cost(nb, na) < _dp_cost(na, nb)  # weights are symmetric
-    if swap:
-        A, B, na, nb = B, A, nb, na
-    frac = _eta_as_fraction(eta)
-    w_sync = frac.denominator  # weight 1 in eta-denominator units
-    w_async = frac.numerator
-
-    # score = weight_units * 16 + sync_count; weight differences are whole
-    # units so the +sync term (at most 12) can never flip the weight order.
-    # gains[i][0] = 0 leaves u_i unmatched; gains[i][j + 1] pairs it with v_j.
-    gains = [[0] + [w_sync * 16 + 1 if u == v else w_async * 16 for v in B] for u in A]
-    gain = np.array(gains, dtype=np.int32).reshape(na, nb + 1, 1)
     pos, prev = _layout(nb)
-    widths = _widths(nb)
-    full = 1 << nb
-    table = np.full((na + 1, full + 1), _UNREACHABLE, dtype=np.int32)
-    table[0, 0] = 0
-    for i in range(na):
-        end = widths[i + 1]  # i + 1 U-vertexes cover at most i + 1 V-vertexes
-        pulled = table[i][prev[:, :end]]
-        pulled += gain[i]
-        pulled.max(axis=0, out=table[i + 1, :end])
+    table = _scores(gains, nb, na + 1)
 
     final = table[na].take(pos)  # mask order
     mask = int(final.argmax())  # lowest mask among ties

@@ -13,7 +13,7 @@ import pytest
 
 from dutycycle import ArrivalModel, OnlineConfig, generate_pair, run_trace_pairs
 from dutycycle.cli import ENV_SEED, main
-from dutycycle.harness import heterogeneity_sweep, verify_bins
+from dutycycle.harness import ExperimentSpec, heterogeneity_sweep, run_monte_carlo, verify_bins
 
 
 @pytest.fixture(autouse=True)
@@ -150,6 +150,21 @@ def test_heterogeneity_sweep_payload_bytes():
         "089446bf5ae059930c8dc961af92eef835433d618a17a75aa9001b583058b86f"
     )
 
+
+
+def test_oracle_cell_report_bytes():
+    # 300 period-12 trials per p: the oracle cell's CAT comes from its
+    # counts, the same float the witness's cat_total gave
+    spec = ExperimentSpec(
+        period_len=12,
+        p_values=(0.3, 0.6, 0.9),
+        trials=300,
+        algorithms=("offline", "oracle"),
+        seed=23,
+    )
+    assert _sha(run_monte_carlo(spec).to_json()) == (
+        "c6e4e6c2a978d0ca6f22eff7384e5983991fc551eb8b6a9aefac19bd5fbd6873"
+    )
 
 # (mode, prob_active) -> (sha256 of to_json(), sha256 of to_csv())
 TRACE_PAIR_REPORTS = {

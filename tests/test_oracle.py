@@ -14,6 +14,7 @@ import dutycycle
 from dutycycle import (
     EnergyTrace,
     OracleBudgetError,
+    brute_force_counts,
     brute_force_matching,
     offline_duty_cycle,
 )
@@ -34,6 +35,13 @@ def closed_form_cat(trace_u, trace_v, eta):
     """The optimum's CAT from its closed-form edge counts."""
     packed = np.packbits(trace_u.states), np.packbits(trace_v.states)
     return cat_from_counts(*optimum_counts(*packed), eta)
+
+
+def assert_counts(witness, set_a, set_b, eta, period):
+    """brute_force_counts gives the witness's totals, as plain ints."""
+    counts = brute_force_counts(*graph(set_a, set_b, eta=eta, period=period))
+    assert counts == (witness.sync_count, witness.async_count)
+    assert [type(n) for n in counts] == [int, int]
 
 
 def test_worked_example():
@@ -170,6 +178,7 @@ def test_oracle_equals_literal_enumeration(inst):
     assert ora.async_count == (weight - n_sync) / Fraction(str(eta))
     assert ora.cat_total == pytest.approx(float(weight), abs=1e-12)
     assert frozenset(ora.edges) in maximizers
+    assert_counts(ora, set_a, set_b, eta, period)
 
 
 def test_literal_enumeration_prefers_sync_on_weight_ties():
@@ -187,11 +196,13 @@ def test_oracle_at_the_size_cap():
     both = brute_force_matching(*graph(full, full, period=12))
     assert (both.sync_count, both.async_count) == (12, 0)
     assert both.cat_total == 12.0
+    assert_counts(both, full, full, 0.75, 12)
 
     shifted = brute_force_matching(*graph(full, list(range(2, 14)), eta=0.75, period=13))
     assert (shifted.sync_count, shifted.async_count) == (11, 1)
     assert shifted.cat_total == 11.75
     assert (1, 13) in shifted.edges
+    assert_counts(shifted, full, list(range(2, 14)), 0.75, 13)
 
     rng = random.Random(12)
     set_a = sorted(rng.sample(range(1, 25), 12))
@@ -206,6 +217,7 @@ def test_oracle_at_the_size_cap():
     )
     assert ora.cat_total == pytest.approx(closed_form_cat(*g))
     assert math.fsum(ora.schedule().cat) == ora.cat_total
+    assert_counts(ora, set_a, set_b, 0.6, 24)
 
     thirteen = list(range(1, 14))
     with pytest.raises(OracleBudgetError):
@@ -219,6 +231,8 @@ def assert_mirror(set_a, set_b, eta, period):
     assert back.edges == tuple(sorted((v, u) for u, v in fwd.edges))
     assert (back.sync_count, back.async_count) == (fwd.sync_count, fwd.async_count)
     assert back.cat_total == fwd.cat_total
+    assert_counts(fwd, set_a, set_b, eta, period)
+    assert_counts(back, set_b, set_a, eta, period)
 
 
 @st.composite
@@ -258,6 +272,43 @@ def test_witness_tie_rule_by_hand(set_a, set_b, witness):
     # documented rule picks this one, and its mirror when the traces swap
     assert brute_force_matching(*graph(set_a, set_b, eta=0.5)).edges == witness
     assert_mirror(set_a, set_b, 0.5, 4)
+
+
+def test_counts_equal_the_witness_on_every_period_5_pair():
+    # 1,024 pairs at four etas: both orientations of the DP, every shape up to 5x5
+    slots = range(1, 6)
+    for eta in (0.5, 0.6, 0.75, 1.0):
+        for bits_a, bits_b in itertools.product(itertools.product((0, 1), repeat=5), repeat=2):
+            set_a = [t for t, bit in zip(slots, bits_a) if bit]
+            set_b = [t for t, bit in zip(slots, bits_b) if bit]
+            g = graph(set_a, set_b, eta=eta, period=5)
+            ora = brute_force_matching(*g)
+            assert brute_force_counts(*g) == (ora.sync_count, ora.async_count), (g, eta)
+
+
+THIRTEEN = list(range(1, 14))
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (graph(THIRTEEN, [1], period=13), OracleBudgetError),
+        (graph([1], THIRTEEN, period=13), OracleBudgetError),
+        (graph([1], [2], eta=0.123456789123), ValueError),
+        (graph([1], [2], eta=0.0), ValueError),
+        (graph([1], [2], eta=1.5), ValueError),
+        (graph([1], [2], eta=float("nan")), ValueError),
+        ((EnergyTrace("u", [True] * 3), EnergyTrace("v", [True] * 4), 0.75), ValueError),
+    ],
+    ids=["13-on-u", "13-on-v", "exotic-eta", "eta-0", "eta-above-1", "eta-nan", "period-mismatch"],
+)
+def test_counts_raise_what_the_witness_search_raises(args, error):
+    with pytest.raises(error) as witness_error:
+        brute_force_matching(*args)
+    with pytest.raises(error) as counts_error:
+        brute_force_counts(*args)
+    assert type(counts_error.value) is type(witness_error.value)
+    assert str(counts_error.value) == str(witness_error.value)
 
 
 def test_import_builds_no_oracle_table_and_the_built_ones_are_read_only():

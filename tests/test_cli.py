@@ -355,6 +355,33 @@ def test_csv_readers_reject_an_oversized_field_with_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+INGEST_FLAGS = ["--threshold", "1", "--period", "4"]
+# argv run in a directory holding a valid two-device raw.csv, and the path it cannot open
+FILE_ERRORS = {
+    "run-missing-trace": (["run", "--trace", "missing.csv"], "missing.csv"),
+    "ingest-missing-raw": (["ingest", "--raw", "missing.csv", "--out", "o.csv", *INGEST_FLAGS],
+                           "missing.csv"),
+    "generate-out-in-missing-dir": (["generate", "--prob", "0.5", "--out", "nodir/p.csv"],
+                                    "nodir/p.csv"),
+    "ingest-out-in-missing-dir": (["ingest", "--raw", "raw.csv", "--out", "nodir/p.csv",
+                                   *INGEST_FLAGS], "nodir/p.csv"),
+}
+
+
+@pytest.mark.parametrize("argv, path", FILE_ERRORS.values(), ids=FILE_ERRORS)
+def test_a_file_that_cannot_be_opened_exits_2_naming_the_path(
+    argv, path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.csv").write_text("slot,device_id,reading\n1,a,3.5\n1,b,1.0\n",
+                                      encoding="utf-8")
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert path in stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["raw.csv"]  # no output file appears
+
+
 def test_ingest_rejects_single_device(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("slot,device_id,reading\n1,n1,3.2\n", encoding="utf-8")

@@ -6,8 +6,10 @@ Subcommands:
   run        run the offline and/or online scheduler on one trace pair
   verify     run a verification suite and exit 0 only if it passes
 
-Exit codes: 0 success, 1 verification failure, 2 usage or data error. All
-randomness flows from --seed; without the flag the DUTYCYCLE_SEED
+Exit codes: 0 success, 1 verification failure, 2 bad input: a bad flag
+(argparse names it), bad data (the message names the file and the row) or
+a file that cannot be opened (the message names the path), each with one
+`error:` line on stderr and nothing on stdout. All randomness flows from --seed; without the flag the DUTYCYCLE_SEED
 environment variable applies, then a fixed default, never wall-clock time.
 Every report embeds the fully resolved configuration for reproducibility.
 """
@@ -136,11 +138,7 @@ def cmd_generate(args) -> int:
     seed = _resolve_seed(args.seed)
     model = ArrivalModel(prob_harvest=args.prob, period_len=args.period, seed=seed)
     trace_u, trace_v = generate_pair(model)
-    try:
-        write_pair_csv(trace_u, trace_v, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    write_pair_csv(trace_u, trace_v, args.out)
     config = {"command": "generate", "period": args.period, "prob": args.prob,
               "seed": seed, "out": args.out}
     print(f"# config: {json.dumps(config, sort_keys=True)}")
@@ -149,26 +147,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    try:
-        raws = read_raw_csv(args.raw, args.period)
-    except OSError as exc:
-        print(f"error: cannot read {args.raw}: {exc}", file=sys.stderr)
-        return 2
+    raws = read_raw_csv(args.raw, args.period)
     if len(raws) != 2:
-        print(
-            f"error: {args.raw}: need exactly two device ids for a pair, "
-            f"found {sorted(raws)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"{args.raw}: need exactly two device ids for a pair, found {sorted(raws)}"
         )
-        return 2
     id_u, id_v = sorted(raws)
     trace_u = threshold_trace(raws[id_u], args.threshold, args.period)
     trace_v = threshold_trace(raws[id_v], args.threshold, args.period)
-    try:
-        write_pair_csv(trace_u, trace_v, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    write_pair_csv(trace_u, trace_v, args.out)
     config = {"command": "ingest", "raw": args.raw, "threshold": args.threshold,
               "period": args.period, "out": args.out,
               "device_u": id_u, "device_v": id_v}
@@ -205,11 +192,7 @@ def report_json(payload: dict, results: dict[str, PairResult]) -> str:
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.trace is not None:
-        try:
-            trace_u, trace_v = read_pair_csv(args.trace)
-        except OSError as exc:
-            print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
-            return 2
+        trace_u, trace_v = read_pair_csv(args.trace)
         prob_active = None  # estimate from each device's own history
         source = {"trace": args.trace, "period": trace_u.period_len}
     else:
@@ -313,15 +296,11 @@ def cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"generate": cmd_generate, "ingest": cmd_ingest, "run": cmd_run,
+                "verify": cmd_verify}
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "ingest":
-            return cmd_ingest(args)
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_verify(args)
-    except ValueError as exc:  # bad data or environment; TraceFormatError included
+        return commands[args.command](args)
+    except (OSError, ValueError) as exc:  # every bad input past argparse leaves here
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

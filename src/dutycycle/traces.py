@@ -50,9 +50,9 @@ def check_seed(seed: int) -> int:
 
     numpy integers pass, and come back as int so that reports embedding
     them serialize; floats fail even when integral, so 1.7 is never drawn
-    as seed 1.
+    as seed 1, and so do bools, so False is never seed 0.
     """
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
 
@@ -61,9 +61,9 @@ def check_count(name: str, value: int, least: int = 1, most: int | None = None) 
     """value as a Python int; ValueError naming it unless an integer >= least (<= most if given).
 
     Like check_seed, numpy integers pass and floats fail even when integral,
-    so a period, trial count or warm-up is never a fraction.
+    so a period, trial count or warm-up is never a fraction; bools fail too.
     """
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if most is not None and not least <= value <= most:
         raise ValueError(f"{name} must lie in {least}..{most}, got {value}")
@@ -212,19 +212,35 @@ class RawTrace:
     samples: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        prev = 0
-        for i, (slot, reading) in enumerate(self.samples):
-            if slot <= prev:
-                raise TraceFormatError(
-                    f"sample row {i + 1} of device {self.device_id!r}: slot {slot} "
-                    f"not strictly increasing (previous was {prev})"
-                )
-            if not math.isfinite(reading) or reading < 0.0:
-                raise TraceFormatError(
-                    f"sample row {i + 1} of device {self.device_id!r}: reading "
-                    f"{reading!r} must be finite and non-negative"
-                )
-            prev = slot
+        _check_samples(self.device_id, self.samples)
+
+
+def _sample_problem(device_id: str, slot: int, reading: float, prev: int, period: int | None):
+    """The message for the first raw-sample rule that (slot, reading) breaks, or None.
+
+    In order: the slot is at least 1 (and at most period, if known), the
+    reading is finite and non-negative, and the slot rises above prev, the
+    device's previous slot (0 before its first sample).
+    """
+    if slot < 1:
+        return f"slot {slot} is below 1"
+    if period is not None and slot > period:
+        return f"slot {slot} outside 1..{period}"
+    if not math.isfinite(reading) or reading < 0.0:
+        return f"reading {reading!r} must be finite and non-negative"
+    if slot <= prev:
+        return f"slot {slot} of device {device_id!r} does not rise above its previous slot {prev}"
+    return None
+
+
+def _check_samples(device_id: str, samples, period_len: int | None = None) -> None:
+    """TraceFormatError naming the first of one device's samples that breaks a rule."""
+    prev = 0
+    for i, (slot, reading) in enumerate(samples, start=1):
+        problem = _sample_problem(device_id, slot, reading, prev, period_len)
+        if problem is not None:
+            raise TraceFormatError(f"sample row {i} of device {device_id!r}: {problem}")
+        prev = slot
 
 
 def generate_trace(model: ArrivalModel, device_id: str = "u") -> EnergyTrace:
@@ -246,15 +262,9 @@ def threshold_trace(raw: RawTrace, threshold: float, period_len: int) -> EnergyT
     """
     check_finite("threshold", threshold, positive=True)
     period_len = check_count("period_len", period_len)
+    _check_samples(raw.device_id, raw.samples, period_len)
     states = np.zeros(period_len, dtype=bool)
-    for i, (slot, reading) in enumerate(raw.samples):
-        if not (1 <= slot <= period_len):
-            raise TraceFormatError(
-                f"sample row {i + 1} of device {raw.device_id!r}: slot {slot} "
-                f"outside 1..{period_len}"
-            )
-        if reading >= threshold:
-            states[slot - 1] = True
+    states[[slot - 1 for slot, reading in raw.samples if reading >= threshold]] = True
     return EnergyTrace(raw.device_id, states)
 
 
@@ -332,20 +342,11 @@ def read_raw_csv(path, period_len: int | None = None) -> dict[str, RawTrace]:
                 reading = float(reading)
             except ValueError as exc:
                 raise TraceFormatError(f"{path}: row {row_no}: {exc}") from exc
-            if slot < 1:
-                raise TraceFormatError(f"{path}: row {row_no}: slot {slot} is below 1")
-            if period_len is not None and slot > period_len:
-                raise TraceFormatError(f"{path}: row {row_no}: slot {slot} outside 1..{period_len}")
-            if not math.isfinite(reading) or reading < 0.0:
-                raise TraceFormatError(
-                    f"{path}: row {row_no}: reading {reading!r} must be finite and non-negative"
-                )
             samples = by_device.setdefault(device, [])
-            if samples and slot <= samples[-1][0]:
-                raise TraceFormatError(
-                    f"{path}: row {row_no}: slot {slot} of device {device!r} does not "
-                    f"rise above its previous slot {samples[-1][0]}"
-                )
+            prev = samples[-1][0] if samples else 0
+            problem = _sample_problem(device, slot, reading, prev, period_len)
+            if problem is not None:
+                raise TraceFormatError(f"{path}: row {row_no}: {problem}")
             samples.append((slot, reading))
     return {dev: RawTrace(device_id=dev, samples=tuple(samples)) for dev, samples in by_device.items()}
 

@@ -417,6 +417,13 @@ def test_verify_exit_code_contract_on_failing_suite(capsys):
     assert "expected=625.0" in stdout
 
 
+def test_verify_all_runs_every_suite_in_order_and_exits_1(capsys):
+    code, stdout, _ = run_cli(["verify", "--suite", "all", "--trials", "40", "--seed", "2"], capsys)
+    assert code == 1  # t2 reports the known reference gap
+    verdicts = [line for line in stdout.splitlines() if line.startswith("suite ")]
+    assert verdicts == ["suite t1: PASS", "suite t2: FAIL", "suite t4: PASS", "suite bins: PASS"]
+
+
 def test_verify_is_deterministic(capsys):
     argv = ["verify", "--suite", "t4", "--trials", "200", "--seed", "9"]
     code_a, out_a, _ = run_cli(argv, capsys)

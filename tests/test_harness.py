@@ -28,6 +28,7 @@ from dutycycle import harness
 from dutycycle.metrics import heterogeneity
 from dutycycle.offline import optimum_counts
 from dutycycle.online import OnlineMode, simulate_arrays
+from dutycycle.traces import check_count, check_seed
 from dutycycle.harness import (
     heterogeneity_sweep,
     random_instance,
@@ -508,6 +509,19 @@ def test_bad_seed_is_refused_before_any_draw(build, shown):
 def test_fractional_counts_are_refused_at_construction(build, field, shown):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {shown}$"):
         build()
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "check, message",
+    [(lambda v: check_count("trials", v), "trials must be an integer"),
+     (check_seed, "seed must be a non-negative integer")],
+    ids=["check_count", "check_seed"],
+)
+def test_bools_are_refused_as_counts_and_seeds(check, message, value):
+    # bool is a numbers.Integral, so True would otherwise count as 1 and False seed 0
+    with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
+        check(value)
 
 
 PROBABILITY_ENTRY_POINTS = {

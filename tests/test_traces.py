@@ -406,7 +406,8 @@ def _stdlib_pair_csv(bits_u, bits_v) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("period", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 12345])
+# 70,000 slots take more than one _BLOCK_ROWS block of 5-digit slots (it splits at 42,767)
+@pytest.mark.parametrize("period", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 12345, 70000])
 def test_pair_csv_renderer_matches_the_stdlib_writer(tmp_path, period):
     rng = np.random.default_rng(period)
     bits_u, bits_v = rng.random(period) < 0.5, rng.random(period) < 0.3
@@ -419,8 +420,9 @@ def test_pair_csv_renderer_matches_the_stdlib_writer(tmp_path, period):
         assert expected == b"slot,b_u,b_v\r\n"
 
 
-def test_canonical_pair_csv_skips_the_row_loop(tmp_path, monkeypatch):
-    trace_u, trace_v = generate_pair(ArrivalModel(prob_harvest=0.5, period_len=1234, seed=5))
+@pytest.mark.parametrize("period", [1234, 70000])
+def test_canonical_pair_csv_skips_the_row_loop(tmp_path, monkeypatch, period):
+    trace_u, trace_v = generate_pair(ArrivalModel(prob_harvest=0.5, period_len=period, seed=5))
     path = tmp_path / "pair.csv"
     write_pair_csv(trace_u, trace_v, path)
 

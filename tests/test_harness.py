@@ -89,6 +89,22 @@ def test_p_one_collapses_all_algorithms_to_period_length():
         assert cell["metrics"]["cat"]["stderr"] == 0.0
 
 
+def test_zero_over_zero_reads_one_in_every_ratio():
+    # p = 0: no device harvests, both CATs are 0 in every trial
+    report = run_monte_carlo(ExperimentSpec(period_len=50, p_values=(0.0,), trials=40, seed=3))
+    online_cells = [c for c in report.cells if c["algorithm"].startswith("online")]
+    assert len(online_cells) == 2
+    for cell in online_cells:
+        assert cell["metrics"]["ratio"]["mean"] == 1.0
+        assert cell["checks"]["ratio_of_means"] == 1.0
+    rows = heterogeneity_sweep((0.0, 0.5), 50, 40, seed=3)
+    zero_rows = [r for r in rows if r["min_p"] == 0.0]
+    assert len(zero_rows) == 3
+    for row in zero_rows:
+        assert row["ratio_of_means"] == 1.0
+        assert row["mean_offline_cat"] == 0.0
+
+
 def test_oracle_cell_matches_offline_exactly():
     report = run_monte_carlo(
         small_spec(period_len=12, trials=60, algorithms=("offline", "oracle"))

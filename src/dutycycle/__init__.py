@@ -45,7 +45,6 @@ from .oracle import ORACLE_MAX_VERTEXES, OracleBudgetError, brute_force_counts, 
 from .metrics import (
     PairMetrics,
     compute_heterogeneity,
-    pair_rows,
     ratio_online_to_offline,
 )
 from .harness import (
@@ -92,7 +91,6 @@ __all__ = [
     "generate_trace",
     "offline_duty_cycle",
     "online_duty_cycle",
-    "pair_rows",
     "ratio_online_to_offline",
     "read_pair_csv",
     "read_raw_csv",

@@ -212,28 +212,19 @@ def cmd_run(args) -> int:
     }
     algorithms = ("offline", "online") if args.algo == "both" else (args.algo,)
     cfg = OnlineConfig(prob_active=prob_active, seed=seed, mode=args.mode)
-    offline, online, rows, ratio = evaluate_pair(
-        "pair1", trace_u, trace_v, args.eta, cfg, algorithms
-    )
+    results, rows, pair = evaluate_pair("pair1", trace_u, trace_v, args.eta, cfg, algorithms)
     if args.format == "json":
         payload: dict = {"config": config}
-        if ratio is not None:
-            payload["pair"] = {
-                "ratio": ratio,
-                "heterogeneity": rows[0].heterogeneity,
-                "p_hat_u": rows[0].p_hat_u,
-                "p_hat_v": rows[0].p_hat_v,
-            }
-        results = {name: result for name, result in (("offline", offline), ("online", online))
-                   if result is not None}
+        if "ratio" in pair:  # a one-scheduler report has no pair block
+            payload["pair"] = pair
         print(report_json(payload, results))
     else:
         print(f"# config: {json.dumps(config, sort_keys=True)}")
         print(rows[0].CSV_HEADER)
         for row in rows:
             print(row.to_csv_row())
-        if ratio is not None:
-            print(f"# ratio: {ratio!r}")
+        if "ratio" in pair:
+            print(f"# ratio: {pair['ratio']!r}")
     return 0
 
 

@@ -3,24 +3,26 @@
 Runs seeded trials over synthetic i.i.d. trace pairs, aggregates CAT/SAT
 into reproducible reports, and hosts the four verification suites exposed by
 the CLI. evaluate_pair is the one single-pair path: run_trace_pairs and the
-CLI's `run` both call it. A Monte Carlo cell splits its n trials into
-contiguous shards, at most one per CPU the process may use, each on its
-own thread (_for_each_block), and every shard streams its trials through
-row blocks (_trial_blocks, the one draw path). A block holds every
-stream's arrivals and decisions as np.packbits rows, eight slots a byte,
-drawn from raw Philox words (traces.bernoulli) and packed draw by draw,
-so the packed rows are all that reach the counts: the offline counts of
-the closed form offline.optimum_counts and the online counts of each
-mode from the count kernel online.simulate_arrays, a popcount per mask
-and a byte walk for the online banks; nothing packs them again. A cell
-gets only as many shards as keep each draw at _MIN_SHARD_ROWS rows or
-more while the shards' draws together hold at most _CHUNK_SLOTS
-trial-slots (_shard_plan); otherwise it runs as one shard drawing about
-_CHUNK_SLOTS trial-slots at once, as before the split. A block holds
-eight such draws, so its packed bytes equal one draw's bools. Only the
-per-trial count vectors are kept whole, so memory does not grow with n
-beyond them. Row i of every draw is trial i, so results depend neither
-on the block or draw size nor on the number of shards.
+CLI's `run` both call it. Every online/offline ratio, of one pair or of a
+cell's trials, comes from metrics.ratio_online_to_offline. A Monte Carlo
+cell splits its n trials into contiguous shards, at most one per CPU the
+process may use, each on its own thread (_for_each_block), and every
+shard streams its trials through row blocks (_trial_blocks, the one draw
+path). A block holds every stream's arrivals and decisions as
+np.packbits rows, eight slots a byte, drawn from raw Philox words
+(traces.bernoulli) and packed draw by draw, so the packed rows are all
+that reach the counts: the offline counts of the closed form
+offline.optimum_counts and the online counts of each mode from the count
+kernel online.simulate_arrays, a popcount per mask and a byte walk for
+the online banks; nothing packs them again. A cell gets only as many
+shards as keep each draw at _MIN_SHARD_ROWS rows or more while the
+shards' draws together hold at most _CHUNK_SLOTS trial-slots
+(_shard_plan); otherwise it runs as one shard drawing about _CHUNK_SLOTS
+trial-slots at once. A block holds eight such draws, so its packed bytes
+equal one draw's bools. Only the per-trial count vectors are kept whole,
+so memory does not grow with n beyond them. Row i of every draw is trial
+i, so results depend neither on the block or draw size nor on the number
+of shards.
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle's, instance by
@@ -51,12 +53,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import cat_from_counts
-from .metrics import (
-    PairMetrics,
-    heterogeneity,
-    pair_rows,
-    ratio_online_to_offline,
-)
+from .metrics import PairMetrics, compute_heterogeneity, heterogeneity, ratio_online_to_offline
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
 from .oracle import ORACLE_MAX_VERTEXES, brute_force_counts
@@ -70,6 +67,7 @@ from .traces import (
     check_finite,
     check_prob,
     check_seed,
+    estimate_prob,
     pair_period,
 )
 
@@ -246,8 +244,8 @@ def _shard_plan(trials: int, period_len: int) -> tuple[int, int]:
     _CHUNK_SLOTS. Several shards' draws together thus hold at most
     _CHUNK_SLOTS trial-slots, and a single shard draws
     _CHUNK_SLOTS // period_len rows at once, or one row when period_len is
-    larger: either way no more than the one draw a cell made at once before
-    it had shards. A block packs eight draws (_for_each_block).
+    larger: either way a cell's draws at one time hold at most _CHUNK_SLOTS
+    trial-slots, or one row. A block packs eight draws (_for_each_block).
     """
     limit = min(trials, _CHUNK_SLOTS // period_len) // _MIN_SHARD_ROWS
     shards = max(1, min(_worker_count(), limit))
@@ -378,13 +376,8 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
 
         for mode, (on_sat, on_async, on_wasted) in online_counts.items():
             on_cat = on_sat + eta * on_async
-            trial_ratios = np.where(
-                off_cat > 0.0, on_cat / np.where(off_cat > 0.0, off_cat, 1.0), 1.0
-            )
-            ratio_stats = _stats(trial_ratios)
-            ratio_of_means = (
-                float(on_cat.mean() / off_cat.mean()) if off_cat.mean() > 0 else 1.0
-            )
+            ratio_stats = _stats(ratio_online_to_offline(on_cat, off_cat))
+            ratio_of_means = float(ratio_online_to_offline(on_cat.mean(), off_cat.mean()))
             bound = approx_ratio_bound(p)
             report.cells.append(
                 {
@@ -520,21 +513,38 @@ def evaluate_pair(
 ) -> tuple:
     """Run the requested schedulers on one trace pair at one eta.
 
-    Returns (offline, online, rows, ratio): a result is None when its
-    scheduler is not in `algorithms`, rows holds one report row per result
-    that ran, and ratio is online CAT over offline CAT when both ran, else None.
+    Returns (results, rows, pair). results maps "offline" and "online" to
+    the result of each scheduler in `algorithms` that ran; rows holds one
+    report row per result. pair holds the pair's heterogeneity and
+    estimated harvest probabilities p_hat_u and p_hat_v, and, when both
+    schedulers ran, their CAT ratio (ratio_online_to_offline).
     """
-    offline = online = ratio = None
-    runs = []
+    results = {}
     if "offline" in algorithms:
-        offline = offline_duty_cycle(trace_u, trace_v, eta)
-        runs.append((f"{pair_id}/offline", offline.cat_total, offline.sat_total))
+        results["offline"] = offline_duty_cycle(trace_u, trace_v, eta)
     if "online" in algorithms:
-        online = online_duty_cycle(trace_u, trace_v, eta, online_cfg)
-        runs.append((f"{pair_id}/online[{online.mode.value}]", online.cat_total, online.sat_total))
-    if offline is not None and online is not None:
-        ratio = ratio_online_to_offline(online, offline)
-    return offline, online, pair_rows(trace_u, trace_v, runs), ratio
+        results["online"] = online_duty_cycle(trace_u, trace_v, eta, online_cfg)
+    pair = {
+        "heterogeneity": compute_heterogeneity(trace_u, trace_v),
+        "p_hat_u": estimate_prob(trace_u),
+        "p_hat_v": estimate_prob(trace_v),
+    }
+    period = trace_u.period_len
+    rows = [
+        PairMetrics(
+            pair_id=f"{pair_id}/{name}" + (f"[{result.mode.value}]" if name == "online" else ""),
+            cat=result.cat_total,
+            sat=result.sat_total,
+            cat_pct=result.cat_total / period,
+            sat_pct=result.sat_total / period,
+            **pair,
+        )
+        for name, result in results.items()
+    ]
+    if len(results) == 2:  # the ratio is a pair number, not a row field
+        cats = (results["online"].cat_total, results["offline"].cat_total)
+        pair["ratio"] = float(ratio_online_to_offline(*cats))
+    return results, rows, pair
 
 
 def run_trace_pairs(
@@ -563,20 +573,18 @@ def run_trace_pairs(
             pair_period(trace_u, trace_v)
         except ValueError as exc:
             raise ValueError(f"{pair_id}: {exc}") from exc
-        offline, online, rows, ratio = evaluate_pair(pair_id, trace_u, trace_v, eta, online_cfg)
+        results, rows, pair = evaluate_pair(pair_id, trace_u, trace_v, eta, online_cfg)
         report.pairs.extend(rows)
+        values = {f"{name}_cat": result.cat_total for name, result in results.items()}
+        values["ratio"] = pair["ratio"]
         report.cells.append(
             {
                 "cell": pair_id,
                 "eta": eta,
                 "algorithm": "pair",
-                "metrics": {
-                    "offline_cat": {"mean": offline.cat_total, "std": 0.0, "stderr": 0.0, "n": 1},
-                    "online_cat": {"mean": online.cat_total, "std": 0.0, "stderr": 0.0, "n": 1},
-                    "ratio": {"mean": ratio, "std": 0.0, "stderr": 0.0, "n": 1},
-                },
-                "heterogeneity": rows[0].heterogeneity,
-                "wasted_units": online.wasted_units,
+                "metrics": {key: _stats(np.array([x])) for key, x in values.items()},
+                "heterogeneity": pair["heterogeneity"],
+                "wasted_units": results["online"].wasted_units,
             }
         )
     return report
@@ -618,7 +626,7 @@ def heterogeneity_sweep(
                 "min_p": min(p_u, p_v),
                 "mean_offline_cat": float(off.mean()),
                 "mean_online_cat": float(onl.mean()),
-                "ratio_of_means": float(onl.mean() / off.mean()) if off.mean() > 0 else 1.0,
+                "ratio_of_means": float(ratio_online_to_offline(onl.mean(), off.mean())),
                 "mean_heterogeneity": float(het.mean()),
             }
         )

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PairResult
-from .traces import EnergyTrace, check_packed, count_packed, estimate_prob, pair_period
+from .traces import EnergyTrace, check_packed, count_packed, pair_period
 
 
 @dataclass(frozen=True)
@@ -62,38 +60,13 @@ def compute_heterogeneity(trace_u: EnergyTrace, trace_v: EnergyTrace) -> float:
     return float(heterogeneity(np.packbits(trace_u.states), np.packbits(trace_v.states)))
 
 
-def ratio_online_to_offline(online: PairResult, offline: PairResult) -> float:
-    """online CAT / offline CAT for the same trace pair; 1 when both are 0."""
-    if offline.cat_total == 0.0:
-        return 1.0 if online.cat_total == 0.0 else math.inf
-    return online.cat_total / offline.cat_total
+def ratio_online_to_offline(online_cat, offline_cat):
+    """online CAT / offline CAT: the one ratio rule of every report.
 
-
-def pair_rows(
-    trace_u: EnergyTrace,
-    trace_v: EnergyTrace,
-    runs: list[tuple[str, float, float]],
-) -> list[PairMetrics]:
-    """One report row per `(pair_id, cat, sat)` run over the same trace pair.
-
-    The pair's heterogeneity and estimated probabilities are computed once
-    and shared by every row.
+    Takes two CAT scalars, or two same-shape arrays of per-trial CATs, and
+    returns a float array of that shape (0-d for scalars). It reads 1 where
+    both CATs are 0 and inf where only the offline CAT is 0.
     """
-    period = trace_u.period_len
-    heterogeneity = compute_heterogeneity(trace_u, trace_v)
-    p_hat_u = estimate_prob(trace_u)
-    p_hat_v = estimate_prob(trace_v)
-    return [
-        PairMetrics(
-            pair_id=pair_id,
-            cat=cat,
-            sat=sat,
-            cat_pct=cat / period,
-            sat_pct=sat / period,
-            heterogeneity=heterogeneity,
-            p_hat_u=p_hat_u,
-            p_hat_v=p_hat_v,
-        )
-        for pair_id, cat, sat in runs
-    ]
-
+    on = np.asarray(online_cat, dtype=float)
+    off = np.asarray(offline_cat, dtype=float)
+    return np.divide(on, off, out=np.where(on > 0, np.inf, 1.0), where=off > 0)

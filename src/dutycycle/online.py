@@ -153,10 +153,12 @@ def _slot_rules(b_u, b_v, d_u, d_v, mode: OnlineMode):
     (n, T) arrays for n trials, time on the last axis; & and ~ act bit by
     bit on either, and every mask below is a conjunction with an arrival
     or a decision, so packing's zero padding stays zero. Returns the masks
-    (sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v):
+    (sync, lone, dep_u, dep_v, want_u, want_v):
 
     * sync: both devices harvest and are active, a synchronous edge;
-    * lone_u, lone_v: an active harvester outside a synchronous edge;
+    * lone: a device harvests and is active outside a synchronous edge. At
+      most one device can be such a harvester in a slot, as two would make
+      the slot sync, so one mask counts the lone harvesters of both;
     * dep_u, dep_v: a sleeping harvester banks its unit, unless it pairs;
     * want_u, want_v: the device's fresh unit pairs with the partner's most
       recent banked unit, if that bank is not empty.
@@ -165,8 +167,7 @@ def _slot_rules(b_u, b_v, d_u, d_v, mode: OnlineMode):
     carries the banks from slot to slot.
     """
     sync = b_u & b_v & d_u & d_v
-    lone_u = b_u & d_u & ~sync
-    lone_v = b_v & d_v & ~sync
+    lone = (b_u & d_u | b_v & d_v) & ~sync
     dep_u = b_u & ~d_u
     dep_v = b_v & ~d_v
     if mode == OnlineMode.MATCHING:
@@ -176,7 +177,7 @@ def _slot_rules(b_u, b_v, d_u, d_v, mode: OnlineMode):
         # both active, one harvests and the other debits its bank
         joint = d_u & d_v
         want_u, want_v = b_u & ~b_v & joint, b_v & ~b_u & joint
-    return sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v
+    return sync, lone, dep_u, dep_v, want_u, want_v
 
 
 def _wasted(lone, banked, asyn, mode: OnlineMode):
@@ -218,17 +219,16 @@ def simulate_arrays(
     by slot for one pair and records the edges.
     """
     check_packed(b_u, b_v, d_u, d_v)
-    sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
+    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
     end_u, low_u = _prefix_walk(dep_u & ~want_u, want_v)
     end_v, low_v = _prefix_walk(dep_v & ~want_v, want_u)
     attempts = count_packed(want_u) + count_packed(want_v)
-    lone = count_packed(lone_u) + count_packed(lone_v)
     if mode == OnlineMode.MATCHING:
         low_u = low_v = np.minimum(low_u, low_v)
         asyn = attempts + low_u
     else:
         asyn = attempts + low_u + low_v
-    wasted = _wasted(lone, end_u - low_u + end_v - low_v, asyn, mode)
+    wasted = _wasted(count_packed(lone), end_u - low_u + end_v - low_v, asyn, mode)
     return count_packed(sync).astype(float), asyn.astype(float), wasted.astype(float)
 
 
@@ -283,15 +283,16 @@ def _walk_pair(
     banked unit; as in simulate_arrays, a slot's pairings read the banks as
     they stood before the slot.
     """
-    sync, lone_u, lone_v, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
-    lone = np.count_nonzero(lone_u) + np.count_nonzero(lone_v)
+    sync, lone, dep_u, dep_v, want_u, want_v = _slot_rules(b_u, b_v, d_u, d_v, mode)
     asyn, bank_u, bank_v = lifo_walk(dep_u, dep_v, want_u, want_v)
     return OnlineResult(
         [(t, t) for t in (np.flatnonzero(sync) + 1).tolist()] + asyn,
         eta,
         b_u.shape[0],
         mode=mode,
-        wasted_units=_wasted(int(lone), len(bank_u) + len(bank_v), len(asyn), mode),
+        wasted_units=_wasted(
+            int(np.count_nonzero(lone)), len(bank_u) + len(bank_v), len(asyn), mode
+        ),
     )
 
 

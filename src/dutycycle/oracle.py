@@ -54,7 +54,7 @@ class OracleBudgetError(ValueError):
 @functools.lru_cache(maxsize=64)
 def _eta_as_fraction(eta: float) -> Fraction:
     frac = Fraction(eta).limit_denominator(1000)
-    if abs(float(frac) - eta) > 1e-9:
+    if frac == 0 or abs(float(frac) - eta) > 1e-9:  # a tiny eta rounds to 0 within 1e-9
         raise ValueError(
             f"eta {eta!r} is not representable as a small ratio; "
             "the oracle needs exact integer weights for tie-breaking"

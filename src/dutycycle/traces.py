@@ -391,8 +391,13 @@ def _pair_csv_bytes(bits_u: np.ndarray, bits_v: np.ndarray):
 
 def write_pair_csv(trace_u: EnergyTrace, trace_v: EnergyTrace, path) -> None:
     pair_period(trace_u, trace_v)
-    with open(path, "wb") as fh:
-        fh.writelines(_pair_csv_bytes(trace_u.states, trace_v.states))
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(_pair_csv_bytes(trace_u.states, trace_v.states))
+    except OSError as exc:
+        if exc.filename is None:  # a failed write or close names no file
+            exc.filename = path
+        raise
 
 
 def _canonical_pair_states(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:

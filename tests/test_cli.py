@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,6 +366,11 @@ FILE_ERRORS = {
                                     "nodir/p.csv"),
     "ingest-out-in-missing-dir": (["ingest", "--raw", "raw.csv", "--out", "nodir/p.csv",
                                    *INGEST_FLAGS], "nodir/p.csv"),
+    # the open succeeds and a write fails: the error carries no filename of its own
+    "generate-out-to-a-full-device": pytest.param(
+        ["generate", "--prob", "0.5", "--period", "600", "--out", "/dev/full"], "'/dev/full'",
+        marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+    ),
 }
 
 

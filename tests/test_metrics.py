@@ -11,9 +11,9 @@ from dutycycle import (
     compute_heterogeneity,
     offline_duty_cycle,
     online_duty_cycle,
-    pair_rows,
     ratio_online_to_offline,
 )
+from dutycycle.harness import evaluate_pair
 from dutycycle.metrics import heterogeneity
 
 
@@ -71,27 +71,49 @@ def test_ratio_examples():
     offline = offline_duty_cycle(WORKED_U, WORKED_V, 0.75)
     online_same = online_duty_cycle(WORKED_U, WORKED_V, 0.75, OnlineConfig(prob_active=1.0, seed=1))
     # p = 1 on a heterogeneous pair still loses the asynchronous edges
-    assert 0.0 <= ratio_online_to_offline(online_same, offline) <= 1.0
+    assert 0.0 <= ratio_online_to_offline(online_same.cat_total, offline.cat_total) <= 1.0
 
     ones = trace([1] * 8)
     ones_v = trace([1] * 8, "v")
     off1 = offline_duty_cycle(ones, ones_v, 0.75)
     on1 = online_duty_cycle(ones, ones_v, 0.75, OnlineConfig(prob_active=1.0, seed=1))
-    assert ratio_online_to_offline(on1, off1) == 1.0
+    assert ratio_online_to_offline(on1.cat_total, off1.cat_total) == 1.0
 
     zeros = trace([0] * 4)
     zeros_v = trace([0] * 4, "v")
     off0 = offline_duty_cycle(zeros, zeros_v, 0.75)
     on0 = online_duty_cycle(zeros, zeros_v, 0.75, OnlineConfig(prob_active=0.5, seed=1))
-    assert ratio_online_to_offline(on0, off0) == 1.0  # both zero
+    assert ratio_online_to_offline(on0.cat_total, off0.cat_total) == 1.0  # both zero
 
     on_zero = online_duty_cycle(WORKED_U, WORKED_V, 0.75, OnlineConfig(prob_active=0.0, seed=1))
-    assert ratio_online_to_offline(on_zero, offline) == 0.0
+    assert ratio_online_to_offline(on_zero.cat_total, offline.cat_total) == 0.0
+
+
+def test_ratio_rule_on_per_trial_arrays():
+    online = np.array([0.0, 1.5, 3.0, 0.0])
+    offline = np.array([0.0, 0.0, 4.0, 2.0])
+    assert ratio_online_to_offline(online, offline).tolist() == [1.0, math.inf, 0.75, 0.0]
+    assert float(ratio_online_to_offline(1.5, 0.0)) == math.inf
+
+
+def test_evaluate_pair_returns_the_pair_numbers_once():
+    cfg = OnlineConfig(prob_active=1.0, seed=1)
+    results, rows, pair = evaluate_pair("pair1", WORKED_U, WORKED_V, 0.75, cfg)
+    assert list(results) == ["offline", "online"]
+    assert [row.pair_id for row in rows] == ["pair1/offline", "pair1/online[matching]"]
+    assert pair["ratio"] == results["online"].cat_total / results["offline"].cat_total
+    for row in rows:
+        assert (row.heterogeneity, row.p_hat_u, row.p_hat_v) == (
+            pair["heterogeneity"],
+            pair["p_hat_u"],
+            pair["p_hat_v"],
+        )
+    results, _, pair = evaluate_pair("pair1", WORKED_U, WORKED_V, 0.75, cfg, ("online",))
+    assert list(results) == ["online"] and "ratio" not in pair
 
 
 def test_pair_metrics_row():
-    result = offline_duty_cycle(WORKED_U, WORKED_V, 0.75)
-    (row,) = pair_rows(WORKED_U, WORKED_V, [("pair1/offline", result.cat_total, result.sat_total)])
+    _, (row,), _ = evaluate_pair("pair1", WORKED_U, WORKED_V, 0.75, OnlineConfig(), ("offline",))
     assert row.cat == 3.5 and row.sat == 2.0
     assert row.cat_pct == pytest.approx(3.5 / 9)
     assert row.sat_pct == pytest.approx(2.0 / 9)

@@ -296,11 +296,13 @@ THIRTEEN = list(range(1, 14))
         (graph([1], THIRTEEN, period=13), OracleBudgetError),
         (graph([1], [2], eta=0.123456789123), ValueError),
         (graph([1], [2], eta=0.0), ValueError),
+        (graph([1, 3], [2], eta=1e-10), ValueError),
         (graph([1], [2], eta=1.5), ValueError),
         (graph([1], [2], eta=float("nan")), ValueError),
         ((EnergyTrace("u", [True] * 3), EnergyTrace("v", [True] * 4), 0.75), ValueError),
     ],
-    ids=["13-on-u", "13-on-v", "exotic-eta", "eta-0", "eta-above-1", "eta-nan", "period-mismatch"],
+    ids=["13-on-u", "13-on-v", "exotic-eta", "eta-0", "eta-1e-10", "eta-above-1", "eta-nan",
+         "period-mismatch"],
 )
 def test_counts_raise_what_the_witness_search_raises(args, error):
     with pytest.raises(error) as witness_error:

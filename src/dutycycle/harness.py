@@ -414,9 +414,7 @@ def random_instance(
     """
     period_len = check_count("period_len", period_len)
     p = check_prob("p", p)
-    rng = _stream(seed, _TAG_INSTANCE, index)
-    b_u = bernoulli(rng, period_len, p)
-    b_v = bernoulli(rng, period_len, p)
+    b_u, b_v = bernoulli(_stream(seed, _TAG_INSTANCE, index), (2, period_len), p)
     return EnergyTrace("u", b_u), EnergyTrace("v", b_v)
 
 

@@ -10,19 +10,31 @@ subset. It masks the side whose DP is cheaper by an estimate (the smaller
 side on large instances), and keeps masks in popcount order, so layer i
 pulls only masks of popcount <= i while they are at most half of all.
 
+A U-vertex gains w_async with every V-vertex but its same-slot partner, if
+it has one, which gains w_sync. So a layer takes the best predecessor of
+each mask through its set bits, adds w_async once, keeps the mask's own
+score where that is higher (the U-vertex left unmatched), and only when a
+partner exists pulls once more through the partner's bit with w_sync. The
+set-bit pull reads a rank table whose row r holds each mask's predecessor
+through its (r+1)-th lowest set bit, so the layer that adds the k-th
+U-vertex reads min(k, nb) rows, where a pull through every bit would read
+nb + 1 rows of which about half point at masks without that bit.
+
 Two entry points share one prologue (_instance: the checks, the size cap,
-the side choice and the integer gains) and one layer loop (_scores).
+the side choice and the integer weights) and one layer loop (_scores).
 brute_force_matching keeps every layer, at most 13 x 4097 int32 (about 213
 kB), to backtrack a witness. brute_force_counts, for callers that read only
-totals, keeps one row updated in place and reads (sync_count, async_count)
-off the best score. Ties break by weight, then synchronous edge count, then
-the lowest final V mask, and the witness prefers leaving the last U-vertex
-unmatched, then its lowest V partner; swapping the traces mirrors the
-witness (a property test pins this), so masking U gives the same one. The
-witness comes back as a graph.PairResult, the schedulers' result type, so
-the optimum reads as its cat_total, sync_count and async_count. Sizes are
-capped so the search stays cheap; larger ones are refused, not
-approximated.
+totals, keeps one row updated in place, stops one layer short and reduces
+the last layer to three terms (the full mask's score, the best other one's
+plus w_async, the best without the partner's plus w_sync); it reads
+(sync_count, async_count) off the best score. Ties break by weight, then
+synchronous edge count, then the lowest final V mask, and the witness
+prefers leaving the last U-vertex unmatched, then its lowest V partner;
+swapping the traces mirrors the witness (a property test pins this), so
+masking U gives the same one. The witness comes back as a
+graph.PairResult, the schedulers' result type, so the optimum reads as its
+cat_total, sync_count and async_count. Sizes are capped so the search
+stays cheap; larger ones are refused, not approximated.
 """
 
 from __future__ import annotations
@@ -67,28 +79,45 @@ def _layout(nb: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only intp (pos, prev) of the DP over nb-bit masks in popcount order.
 
     Column c holds order[c], the masks sorted by popcount, then by value;
-    pos[mask] is a mask's column. prev[0, c] is c (the U-vertex is left
-    unmatched), and prev[j + 1, c] is the column of order[c] ^ (1 << j) if
-    bit j is set, else 2**nb, the score table's unreachable sentinel column.
+    pos[mask] is a mask's column. prev[j, c] is the column of
+    order[c] ^ (1 << j) if bit j is set, else 2**nb, the score table's
+    unreachable sentinel column.
     """
     full = 1 << nb
     masks = np.arange(full)
     order = np.argsort(np.bitwise_count(masks), kind="stable")
     pos = np.empty_like(order)
     pos[order] = masks
-    prev = np.empty((nb + 1, full), dtype=np.intp)
-    prev[0] = masks
+    prev = np.empty((nb, full), dtype=np.intp)
     for j in range(nb):  # row by row, so no temporary is as large as the table
-        prev[j + 1] = np.where(order & (1 << j), pos[order ^ (1 << j)], full)
+        prev[j] = np.where(order & (1 << j), pos[order ^ (1 << j)], full)
     pos.flags.writeable = prev.flags.writeable = False
     return pos, prev
+
+
+@functools.lru_cache(maxsize=ORACLE_MAX_VERTEXES + 1)
+def _ranks(nb: int) -> np.ndarray:
+    """Read-only intp (nb, 2**nb) predecessors by set-bit rank: rank[r, c]
+    is prev[j, c] for the (r + 1)-th lowest set bit j of order[c], or
+    the sentinel 2**nb when order[c] has at most r set bits. So a mask's
+    predecessors through its bits fill its first popcount rows."""
+    prev = _layout(nb)[1]
+    full = 1 << nb
+    rank = np.full((nb, full), full, dtype=np.intp)
+    below = np.zeros(full, dtype=np.intp)  # set bits below bit j, per column
+    for j in range(nb):
+        cols = np.flatnonzero(prev[j] != full)
+        rank[below[cols], cols] = prev[j, cols]
+        below[cols] += 1
+    rank.flags.writeable = False
+    return rank
 
 
 @functools.lru_cache(maxsize=ORACLE_MAX_VERTEXES + 1)
 def _widths(nb: int) -> tuple[int, ...]:
     """Columns layer k pulls, for k up to the cap: the masks of popcount <= k,
     or all 2**nb once those are more than half, as numpy gathers through a
-    strided prefix of prev slower per index than through all of it."""
+    strided prefix of an index table slower per index than through all of it."""
     full = 1 << nb
     ends = itertools.accumulate(math.comb(nb, k) for k in range(ORACLE_MAX_VERTEXES + 1))
     return tuple(end if 2 * end <= full else full for end in ends)
@@ -96,20 +125,26 @@ def _widths(nb: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=(ORACLE_MAX_VERTEXES + 1) ** 2)
 def _dp_cost(layers: int, bits: int) -> int:
-    """Estimated cost of `layers` DP layers over bits-bit masks, in gathered
-    indexes, a layer's fixed numpy calls counting as 1200. Timed over every
-    instance shape up to 12x12 (Xeon host, numpy 2.4), the sides it picks
-    cost at most 2% more in total than the faster ones."""
-    return layers * 1200 + (bits + 1) * sum(_widths(bits)[1 : layers + 1])
+    """Estimated cost of `layers` DP layers over bits-bit masks, in indexes
+    read: layer k reads min(k, bits) rank rows and the row itself over its
+    width, and its fixed numpy calls count as 1500. Timed over every
+    instance shape up to 12x12, a partner on every other layer (2-vCPU Xeon
+    host, numpy 2.4, the faster of two runs), the sides it picks cost 0.1%
+    more in total than the faster ones, and at most 5% more on any shape."""
+    widths = _widths(bits)
+    return layers * 1500 + sum((min(k, bits) + 1) * widths[k] for k in range(1, layers + 1))
 
 
 def _instance(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float):
     """The prologue both entry points share: the checks, the side choice and
-    the integer gains, as (period_len, swap, A, B, frac, gains), B masked.
+    the integer weights, as (period_len, swap, A, B, frac, weights, partner),
+    B masked. An empty side costs no layers, so it is always A.
 
     score = weight_units * 16 + sync_count; weight differences are whole
     units so the +sync term (at most 12) can never flip the weight order.
-    gains[i][0] = 0 leaves u_i unmatched; gains[i][j + 1] pairs it with v_j.
+    weights = (w_sync, w_async), the gains of pairing a U-vertex with its
+    same-slot V-vertex and with any other; w_sync > w_async > 0. partner[i]
+    is the index in B of A[i]'s same-slot vertex, or None.
     """
     period_len = pair_period(trace_u, trace_v)
     check_eta(eta)
@@ -124,34 +159,58 @@ def _instance(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float):
     if swap:
         A, B = B, A
     frac = _eta_as_fraction(eta)
-    w_sync, w_async = frac.denominator * 16 + 1, frac.numerator * 16  # weight 1 is den units
-    gains = [[0] + [w_sync if u == v else w_async for v in B] for u in A]
-    return period_len, swap, A, B, frac, gains
+    weights = frac.denominator * 16 + 1, frac.numerator * 16  # weight 1 is den units
+    column = {v: j for j, v in enumerate(B)}
+    partner = [column.get(u) for u in A]
+    return period_len, swap, A, B, frac, weights, partner
 
 
-def _scores(gains: list[list[int]], nb: int, rows: int) -> np.ndarray:
-    """The DP's int32 score table, `rows` rows of 2**nb + 1 columns; row
-    i % rows holds layer i. So with len(gains) + 1 rows every layer is kept,
-    and one row takes every layer in place. That is exact, as each layer's
-    pull copies its predecessors before max writes; the columns a layer
-    does not reach, the sentinel's among them, keep _UNREACHABLE."""
+def _scores(
+    partner: list[int | None], weights: tuple[int, int], nb: int, rows: int, layers: int
+) -> np.ndarray:
+    """The DP's int32 score table after its first `layers` layers, `rows`
+    rows of 2**nb + 1 columns; row i % rows holds layer i. So with
+    layers + 1 rows every layer is kept, and one row takes every layer in
+    place. That is exact, as each layer's pulls copy its predecessors before
+    its last maximum writes. The sentinel column keeps _UNREACHABLE, and a
+    mask no matching reaches holds it or a score far below 0."""
     table = np.full((rows, (1 << nb) + 1), _UNREACHABLE, dtype=np.int32)
     table[0, 0] = 0
-    gain = np.array(gains, dtype=np.int32).reshape(len(gains), nb + 1, 1)
-    prev, widths = _layout(nb)[1], _widths(nb)
-    for i in range(len(gains)):
+    w_sync, w_async = weights
+    prev, rank, widths = _layout(nb)[1], _ranks(nb), _widths(nb)
+    for i in range(layers):
         end = widths[i + 1]  # i + 1 U-vertexes cover at most i + 1 V-vertexes
-        pulled = table[i % rows][prev[:, :end]]
-        pulled += gain[i]
-        pulled.max(axis=0, out=table[(i + 1) % rows, :end])
+        row, out = table[i % rows], table[(i + 1) % rows, :end]
+        # every mask in reach has at most i + 1 bits, so its first i + 1 ranks
+        best = row[rank[: i + 1, :end]].max(axis=0)
+        best += w_async
+        j = partner[i]
+        if j is None:
+            np.maximum(best, row[:end], out=out)
+        else:  # its partner's gain beats w_async through the same predecessor
+            np.maximum(best, row[:end], out=best)
+            sync = row[prev[j, :end]]
+            sync += w_sync
+            np.maximum(best, sync, out=out)
     return table
 
 
 def brute_force_counts(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -> tuple[int, int]:
     """The optimum's (sync_count, async_count): brute_force_matching's search,
     checks and errors included, in one score row and with no witness."""
-    _, _, _, B, frac, gains = _instance(trace_u, trace_v, eta)
-    score = int(_scores(gains, len(B), 1).max())
+    _, _, A, B, frac, weights, partner = _instance(trace_u, trace_v, eta)
+    score = 0  # no U-vertex: the empty matching
+    if A:
+        row = _scores(partner, weights, len(B), 1, len(A) - 1)[0]
+        w_sync, w_async = weights
+        # the last layer's best. The last U-vertex takes a free V-vertex of
+        # any mask but the full one (column -2), which beats leaving it
+        # unmatched there as w_async > 0; or it is left unmatched on the full
+        # mask; or it takes its partner, free in the masks its prev row holds
+        score = max(row[-2], row[:-2].max() + w_async)
+        if partner[-1] is not None:
+            score = max(score, row[_layout(len(B))[1][partner[-1]]].max() + w_sync)
+    score = int(score)
     sync, units = score % 16, score // 16  # score = weight_units * 16 + sync_count
     return sync, (units - sync * frac.denominator) // frac.numerator
 
@@ -163,19 +222,20 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
     or paired with any V-vertex still free. `table[i, mask]` is the best
     score over matchings of the first i U-vertexes that cover exactly the
     V-vertexes in `mask`, so merging partial matchings that reach the same
-    mask keeps the search exhaustive. Each layer is one numpy pull, through
-    the predecessor table, over the masks it can reach: the best of leaving
-    u_i unmatched and of each v_j it could take. When masking U is cheaper,
+    mask keeps the search exhaustive. Each layer works over the masks it can
+    reach: the best of taking any v_j (one pull through the rank table, plus
+    w_async), of leaving u_i unmatched, and of taking its same-slot v_j (one
+    pull through that bit, plus w_sync). When masking U is cheaper,
     the roles swap and the witness is mirrored back. Weights are compared
     in exact integer arithmetic (eta as a rational) so ties break
     deterministically. The vertexes are the traces' harvest slots;
     ValueError on a period mismatch or an eta outside (0, 1]. Returns the
     witness matching as a PairResult, whose totals are the optimum's.
     """
-    period_len, swap, A, B, _, gains = _instance(trace_u, trace_v, eta)
+    period_len, swap, A, B, _, weights, partner = _instance(trace_u, trace_v, eta)
     na, nb = len(A), len(B)
     pos, prev = _layout(nb)
-    table = _scores(gains, nb, na + 1)
+    table = _scores(partner, weights, nb, na + 1, na)
 
     final = table[na].take(pos)  # mask order
     mask = int(final.argmax())  # lowest mask among ties
@@ -191,13 +251,14 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
         if row[col] == score:
             continue
         for j in range(nb):
-            if row[prev[j + 1, col]] == score - gains[i][j + 1]:
+            gain = weights[0] if A[i] == B[j] else weights[1]
+            if row[prev[j, col]] == score - gain:
                 break
         else:  # pragma: no cover - DP bookkeeping guarantees a path
             raise AssertionError("witness backtrack failed")
         edges.append((A[i], B[j]))
-        col = prev[j + 1, col]
-        score -= gains[i][j + 1]
+        col = prev[j, col]
+        score -= gain
 
     if swap:
         edges = [(v, u) for u, v in edges]

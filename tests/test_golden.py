@@ -1,4 +1,5 @@
-"""Byte pins of the CLI reports and of the library's trace-pair and sweep reports.
+"""Byte pins of the CLI reports, of the library's trace-pair and sweep reports
+and of the oracle's witnesses.
 
 Each case runs `cli.main` in-process, or a library entry point directly, and
 compares the sha256 of its output with a digest recorded when the case was
@@ -9,11 +10,28 @@ change updates the digest and says so in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from dutycycle import ArrivalModel, OnlineConfig, generate_pair, run_trace_pairs
+from dutycycle import (
+    ArrivalModel,
+    EnergyTrace,
+    OnlineConfig,
+    brute_force_matching,
+    generate_pair,
+    run_trace_pairs,
+)
 from dutycycle.cli import ENV_SEED, main
-from dutycycle.harness import ExperimentSpec, heterogeneity_sweep, run_monte_carlo, verify_bins
+from dutycycle.harness import (
+    DEFAULT_SEED,
+    T1_P_GRID,
+    T1_PERIOD,
+    ExperimentSpec,
+    heterogeneity_sweep,
+    random_instance,
+    run_monte_carlo,
+    verify_bins,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -165,6 +183,40 @@ def test_oracle_cell_report_bytes():
     assert _sha(run_monte_carlo(spec).to_json()) == (
         "c6e4e6c2a978d0ca6f22eff7384e5983991fc551eb8b6a9aefac19bd5fbd6873"
     )
+
+
+def _heterogeneous_instances(count, seed):
+    """Random trace pairs of period 1-24, each side 0-12 harvest slots drawn
+    independently, so the two sides differ in size and density."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        period = int(rng.integers(1, 25))
+        na, nb = (int(rng.integers(0, min(period, 12) + 1)) for _ in range(2))
+        set_a = set((rng.choice(period, na, replace=False) + 1).tolist())
+        set_b = set((rng.choice(period, nb, replace=False) + 1).tolist())
+        yield (
+            EnergyTrace("u", [t in set_a for t in range(1, period + 1)]),
+            EnergyTrace("v", [t in set_b for t in range(1, period + 1)]),
+        )
+
+
+def test_oracle_witness_edges():
+    # the tie rules (lowest final V mask, then the last U-vertex unmatched,
+    # then its lowest partner) pick these witnesses: verify_optimality's 500
+    # default instances at eta 0.75, then 2,000 heterogeneous instances up to
+    # 12x12 at eta 0.5, 0.75 and 1
+    digest = hashlib.sha256()
+    for i in range(500):
+        p = T1_P_GRID[i % len(T1_P_GRID)]
+        trace_u, trace_v = random_instance(DEFAULT_SEED, i, T1_PERIOD, p)
+        digest.update(repr(brute_force_matching(trace_u, trace_v, 0.75).edges).encode())
+    for trace_u, trace_v in _heterogeneous_instances(2000, seed=26):
+        for eta in (0.5, 0.75, 1.0):
+            digest.update(repr(brute_force_matching(trace_u, trace_v, eta).edges).encode())
+    assert digest.hexdigest() == (
+        "1adbdcb2a40678e208830176fb969a19c4cf66100eaaae7bcecb2c89223d26c6"
+    )
+
 
 # (mode, prob_active) -> (sha256 of to_json(), sha256 of to_csv())
 TRACE_PAIR_REPORTS = {

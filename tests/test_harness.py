@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import sys
@@ -698,6 +699,18 @@ def test_random_instance_names_a_bad_argument(bad, name):
     args = {"seed": 1, "index": 0, "period_len": 5, "p": 0.5, **bad}
     with pytest.raises(ValueError, match=f"^{name} must "):
         random_instance(**args)
+
+
+def test_random_instance_draws_are_pinned():
+    # the states of verify_optimality's 500 default instances, byte for byte
+    digest = hashlib.sha256()
+    for i in range(500):
+        p = harness.T1_P_GRID[i % len(harness.T1_P_GRID)]
+        trace_u, trace_v = random_instance(harness.DEFAULT_SEED, i, harness.T1_PERIOD, p)
+        digest.update(trace_u.states.tobytes() + trace_v.states.tobytes())
+    assert digest.hexdigest() == (
+        "0c3d59e281cc626606286746bb9ceef2c2a33399f52527d8af3b72a1f9f8ef92"
+    )
 
 
 def test_verify_ratio_bound_small():

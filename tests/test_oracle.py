@@ -18,6 +18,7 @@ from dutycycle import (
     brute_force_matching,
     offline_duty_cycle,
 )
+from dutycycle import oracle
 from dutycycle.graph import cat_from_counts
 from dutycycle.offline import optimum_counts
 
@@ -286,6 +287,48 @@ def test_counts_equal_the_witness_on_every_period_5_pair():
             assert brute_force_counts(*g) == (ora.sync_count, ora.async_count), (g, eta)
 
 
+ODDS = [1, 3, 5, 7, 9]
+
+
+@pytest.mark.parametrize(
+    "set_a, set_b, eta, period, shape",
+    [
+        ([], [1, 2, 3], 0.75, 3, (0, 3)),
+        ([1, 2, 3], [], 0.75, 3, (0, 3)),  # the empty side is the one layered
+        ([], [], 0.75, 3, (0, 0)),
+        ([2], [1, 2, 3], 0.75, 3, (1, 3)),  # the last U-vertex takes its partner
+        ([4], [1, 2, 3], 0.75, 4, (1, 3)),  # ... has none and goes async
+        ([1, 2, 3], [1, 2, 4], 0.75, 4, (3, 3)),  # full V mask, the last one async
+        ([1, 2, 3], [1, 2, 3], 0.6, 3, (3, 3)),  # full V mask, the last one sync
+        ([1, 4, 5], [2, 3], 0.5, 5, (2, 3)),
+        ([2], [1, 2], 1.0, 2, (1, 2)),  # sync wins the weight tie
+        ([1, 2], [2, 3], 1.0, 3, (2, 2)),  # two async edges tie one sync and one async
+        ([1, 2], [2, 3], 0.001, 3, (2, 2)),
+        ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 0.001, 5, (5, 5)),
+        (list(range(1, 13)), ODDS, 0.75, 12, (12, 5)),  # full V mask, the last one unmatched
+        (list(range(1, 13)), ODDS[:4] + [12], 0.75, 12, (12, 5)),  # ... takes its partner
+        (ODDS, list(range(1, 13)), 1.0, 12, (12, 5)),  # masks U, the last layered one unmatched
+        (list(range(2, 14)), ODDS, 0.001, 13, (12, 5)),  # every edge but one async
+    ],
+    ids=["na-0", "na-0-swapped", "nb-0", "na-1-partner", "na-1-no-partner",
+         "full-mask-async", "full-mask-sync", "na-lt-nb", "eta-1-tie", "eta-1-pairs",
+         "eta-0.001", "eta-0.001-5x5", "na-gt-nb-unmatched", "na-gt-nb-partner",
+         "na-gt-nb-swapped", "na-gt-nb-eta-0.001"],
+)
+def test_counts_last_layer_edge_cases(set_a, set_b, eta, period, shape):
+    # brute_force_counts stops one layer short and reduces the last one;
+    # each case pins the shape the DP runs, after its side choice
+    g = graph(set_a, set_b, eta=eta, period=period)
+    _, _, A, B, *_ = oracle._instance(*g)
+    assert (len(A), len(B)) == shape
+    ora = brute_force_matching(*g)
+    assert_counts(ora, set_a, set_b, eta, period)
+    if max(len(set_a), len(set_b)) <= 5:
+        (weight, n_sync), maximizers = literal_optima(set_a, set_b, eta)
+        assert brute_force_counts(*g) == (n_sync, (weight - n_sync) / Fraction(str(eta)))
+        assert frozenset(ora.edges) in maximizers
+
+
 THIRTEEN = list(range(1, 14))
 
 
@@ -321,12 +364,15 @@ def test_import_builds_no_oracle_table_and_the_built_ones_are_read_only():
 import dutycycle, dutycycle.cli
 from dutycycle import EnergyTrace, brute_force_matching, oracle
 assert oracle._layout.cache_info().currsize == 0, oracle._layout.cache_info()
+assert oracle._ranks.cache_info().currsize == 0, oracle._ranks.cache_info()
 for n in range(oracle.ORACLE_MAX_VERTEXES + 1):
     brute_force_matching(EnergyTrace("u", [True] * n), EnergyTrace("v", [True] * n), 0.75)
 assert oracle._layout.cache_info().currsize == oracle.ORACLE_MAX_VERTEXES + 1
+assert oracle._ranks.cache_info().currsize == oracle.ORACLE_MAX_VERTEXES + 1
 for n in range(oracle.ORACLE_MAX_VERTEXES + 1):
     pos, prev = oracle._layout(n)
     assert not pos.flags.writeable and not prev.flags.writeable, n
+    assert not oracle._ranks(n).flags.writeable, n
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(dutycycle.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -4,25 +4,24 @@ Runs seeded trials over synthetic i.i.d. trace pairs, aggregates CAT/SAT
 into reproducible reports, and hosts the four verification suites exposed by
 the CLI. evaluate_pair is the one single-pair path: run_trace_pairs and the
 CLI's `run` both call it. Every online/offline ratio, of one pair or of a
-cell's trials, comes from metrics.ratio_online_to_offline. A Monte Carlo
-cell splits its n trials into contiguous shards, at most one per CPU the
-process may use, each on its own thread (_for_each_block), and every
-shard streams its trials through row blocks (_trial_blocks, the one draw
-path). A block holds every stream's arrivals and decisions as
-np.packbits rows, eight slots a byte, drawn from raw Philox words
-(traces.bernoulli) and packed draw by draw, so the packed rows are all
-that reach the counts: the offline counts of the closed form
-offline.optimum_counts and the online counts of each mode from the count
-kernel online.simulate_arrays, a popcount per mask and a byte walk for
-the online banks; nothing packs them again. A cell gets only as many
-shards as keep each draw at _MIN_SHARD_ROWS rows or more while the
-shards' draws together hold at most _CHUNK_SLOTS trial-slots
-(_shard_plan); otherwise it runs as one shard drawing about _CHUNK_SLOTS
-trial-slots at once. A block holds eight such draws, so its packed bytes
-equal one draw's bools. Only the per-trial count vectors are kept whole,
-so memory does not grow with n beyond them. Row i of every draw is trial
-i, so results depend neither on the block or draw size nor on the number
-of shards.
+cell's trials, comes from metrics.ratio_online_to_offline.
+
+One runner, _cell_counts, draws and counts every Monte Carlo cell;
+run_monte_carlo and heterogeneity_sweep only aggregate the per-trial count
+vectors it returns. It splits a cell's n trials into contiguous shards
+(_shard_plan), at most one per CPU the process may use, each on its own
+thread, and every shard streams its trials through row blocks
+(_trial_blocks, the one draw path). A block holds every stream's arrivals
+and decisions as np.packbits rows, eight slots a byte, drawn from raw
+Philox words (traces.bernoulli) and packed draw by draw; the packed rows
+are all that reach the counts, each a popcount per mask or a byte walk:
+offline.optimum_counts, online.simulate_arrays per mode and
+metrics.heterogeneity (the oracle unpacks them). The shards' draws
+together hold at most _CHUNK_SLOTS trial-slots, a block eight draws, and
+only the count vectors are kept whole, so memory does not grow with n
+beyond them. Row i of every draw is trial i, so results depend neither on
+the block or draw size nor on the number of shards.
+
 The suites:
 
 * optimality:    offline totals equal the exhaustive oracle's, instance by
@@ -245,40 +244,64 @@ def _shard_plan(trials: int, period_len: int) -> tuple[int, int]:
     _CHUNK_SLOTS trial-slots, and a single shard draws
     _CHUNK_SLOTS // period_len rows at once, or one row when period_len is
     larger: either way a cell's draws at one time hold at most _CHUNK_SLOTS
-    trial-slots, or one row. A block packs eight draws (_for_each_block).
+    trial-slots, or one row. A block packs eight draws (_cell_counts).
     """
     limit = min(trials, _CHUNK_SLOTS // period_len) // _MIN_SHARD_ROWS
     shards = max(1, min(_worker_count(), limit))
     return shards, max(1, _CHUNK_SLOTS // (shards * period_len))
 
 
-def _for_each_block(consume, seed, cell, p_u, p_v, trials, period_len, decisions) -> None:
-    """Call consume(block, b_u, b_v[, d_u, d_v]) on every block of one cell.
+def _cell_counts(
+    seed, cell, p_u, p_v, trials, period_len, *, modes=(), oracle_eta=None, het=False
+) -> dict:
+    """Draw one Monte Carlo cell and count each of its trials.
 
-    The arrays are np.packbits rows (_trial_blocks). The cell's trials are
-    split into contiguous shards (_shard_plan), each streamed through
-    blocks of eight draws' rows. The
-    calling thread runs the last shard and one new thread each of the
+    Returns per-trial count vectors keyed by what they count: "offline",
+    the (2, trials) int64 (sync, async) of the closed form
+    offline.optimum_counts, always; each OnlineMode in `modes`, the
+    (3, trials) float64 (sync, async, wasted) of online.simulate_arrays;
+    "oracle", when oracle_eta is given, the (2, trials) int64
+    brute_force_counts at that eta of each trial's unpacked rows; and
+    "heterogeneity", when het is set, the (trials,) metrics.heterogeneity.
+    Decisions are drawn only when a mode is requested.
+
+    The trials are split into contiguous shards (_shard_plan), each
+    streamed through blocks of eight draws' packed rows (_trial_blocks).
+    The calling thread runs the last shard and one new thread each of the
     others; numpy releases the GIL while it fills and scans arrays, so the
-    shards run on separate cores. consume must write only the rows its
-    block names. Every thread is joined before return. An exception raised
-    in a shard stops the other shards at their next block and is raised
-    here.
+    shards run on separate cores, each writing only its blocks' rows.
+    Every thread is joined before return. An exception raised in a shard
+    stops the other shards at their next block and is raised here.
     """
+    counts = {"offline": np.empty((2, trials), np.int64)}
+    if oracle_eta is not None:
+        counts["oracle"] = np.empty((2, trials), np.int64)
+    for mode in modes:
+        counts[mode] = np.empty((3, trials))
+    if het:
+        counts["heterogeneity"] = np.empty(trials)
     shards, rows = _shard_plan(trials, period_len)
     rows *= 8  # eight slots a byte: a block of eight draws packs into one draw's bytes
     bounds = [trials * w // shards for w in range(shards + 1)]
-
     errors = []
 
     def shard(start: int, stop: int) -> None:
         try:
-            for block, arrays in _trial_blocks(
-                seed, cell, p_u, p_v, start, stop, period_len, decisions, rows
+            for block, (b_u, b_v, *decisions) in _trial_blocks(
+                seed, cell, p_u, p_v, start, stop, period_len, bool(modes), rows
             ):
                 if errors:
                     return
-                consume(block, *arrays)
+                counts["offline"][:, block] = optimum_counts(b_u, b_v)
+                if oracle_eta is not None:
+                    bits = (np.unpackbits(r, axis=-1, count=period_len) for r in (b_u, b_v))
+                    for i, u, v in zip(range(block.start, block.stop), *bits):
+                        pair = EnergyTrace("u", u), EnergyTrace("v", v)
+                        counts["oracle"][:, i] = brute_force_counts(*pair, oracle_eta)
+                for mode in modes:
+                    counts[mode][:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
+                if het:
+                    counts["heterogeneity"][block] = heterogeneity(b_u, b_v)
         except BaseException as exc:  # raised again below, once every shard is done
             errors.append(exc)
 
@@ -294,51 +317,25 @@ def _for_each_block(consume, seed, cell, p_u, p_v, trials, period_len, decisions
             thread.join()
     if errors:
         raise errors[0]
+    return counts
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     """Run every (p, algorithm) cell of the spec and aggregate CAT/SAT.
 
-    Traces and activation decisions for trial i occupy row i of Philox
-    draws, packed block by block (_trial_blocks), so each trial is a pure
-    function of (seed, cell, trial index), and results depend neither on
-    the number of trials run around them nor on the block size or the
-    number of shards (_for_each_block). Each block feeds every algorithm of
-    the cell: offline counts come from the closed form
-    offline.optimum_counts; the oracle, when requested, counts each trial's
-    optimum on its unpacked rows (brute_force_counts: no witness), and its
-    counts are checked against the offline ones once every shard is done;
-    the online counts of each mode come from online.simulate_arrays. Only
-    the per-trial count vectors outlive a block.
+    Cell cell_idx is counted by _cell_counts at stream cell cell_idx; the
+    oracle's counts, when requested, are checked against the offline ones.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
-    run_online = "online" in spec.algorithms
-    run_oracle = "oracle" in spec.algorithms
+    modes = tuple(OnlineMode) if "online" in spec.algorithms else ()
+    ora_eta = eta if "oracle" in spec.algorithms else None
     for cell_idx, p in enumerate(spec.p_values):
         cell_name = f"p={p:g}"
-        sync = np.empty(spec.trials, dtype=np.int64)
-        asyn = np.empty_like(sync)
-        oracle_counts = np.empty((2, spec.trials), dtype=np.int64)
-        oracle_cat = np.empty(spec.trials)
-        online_counts = {mode: np.empty((3, spec.trials)) for mode in OnlineMode if run_online}
-
-        def consume(block, b_u, b_v, *decisions):
-            sync[block], asyn[block] = optimum_counts(b_u, b_v)
-            if run_oracle:
-                bits_u, bits_v = (
-                    np.unpackbits(rows, axis=-1, count=spec.period_len) for rows in (b_u, b_v)
-                )
-                for i, u, v in zip(range(block.start, block.stop), bits_u, bits_v):
-                    ora = brute_force_counts(EnergyTrace("u", u), EnergyTrace("v", v), eta)
-                    oracle_counts[:, i] = ora
-                    oracle_cat[i] = cat_from_counts(*ora, eta)  # as PairResult.cat_total
-            for mode, counts in online_counts.items():
-                counts[:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
-
-        _for_each_block(
-            consume, spec.seed, cell_idx, p, p, spec.trials, spec.period_len, run_online
+        counts = _cell_counts(
+            spec.seed, cell_idx, p, p, spec.trials, spec.period_len, modes=modes, oracle_eta=ora_eta
         )
+        sync, asyn = counts["offline"]
         off_sat = sync.astype(float)
         off_cat = off_sat + eta * asyn
 
@@ -360,7 +357,9 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                 }
             )
 
-        if run_oracle:
+        if ora_eta is not None:
+            ora = counts["oracle"]
+            oracle_cat = np.array([cat_from_counts(*c, eta) for c in ora.T.tolist()])
             report.cells.append(
                 {
                     "cell": cell_name,
@@ -369,12 +368,13 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                     "algorithm": "oracle",
                     "metrics": {"cat": _stats(oracle_cat)},
                     "checks": {
-                        "matches_offline_exactly": np.array_equal(oracle_counts, (sync, asyn))
+                        "matches_offline_exactly": np.array_equal(ora, counts["offline"])
                     },
                 }
             )
 
-        for mode, (on_sat, on_async, on_wasted) in online_counts.items():
+        for mode in modes:
+            on_sat, on_async, on_wasted = counts[mode]
             on_cat = on_sat + eta * on_async
             ratio_stats = _stats(ratio_online_to_offline(on_cat, off_cat))
             ratio_of_means = float(ratio_online_to_offline(on_cat.mean(), off_cat.mean()))
@@ -604,19 +604,16 @@ def heterogeneity_sweep(
     """
     ExperimentSpec(period_len, tuple(p_values), trials, eta, seed)  # validates the arguments
     rows: list[dict] = []
+    matching = OnlineMode.MATCHING
     for combo_idx, (p_u, p_v) in enumerate(itertools.product(p_values, p_values)):
-        off = np.empty(trials)
-        onl = np.empty(trials)
-        het = np.empty(trials)
-
-        def consume(block, b_u, b_v, d_u, d_v):
-            sync, asyn = optimum_counts(b_u, b_v)
-            off[block] = sync + eta * asyn
-            on_sync, on_async, _ = simulate_arrays(b_u, b_v, d_u, d_v, OnlineMode.MATCHING)
-            onl[block] = on_sync + eta * on_async
-            het[block] = heterogeneity(b_u, b_v)
-
-        _for_each_block(consume, seed, 1000 + combo_idx, p_u, p_v, trials, period_len, True)
+        counts = _cell_counts(
+            seed, 1000 + combo_idx, p_u, p_v, trials, period_len, modes=(matching,), het=True
+        )
+        sync, asyn = counts["offline"]
+        off = sync + eta * asyn
+        on_sync, on_async, _ = counts[matching]
+        onl = on_sync + eta * on_async
+        het = counts["heterogeneity"]
         rows.append(
             {
                 "p_u": p_u,

@@ -16,10 +16,13 @@ from dutycycle import (
     OnlineConfig,
     RawTrace,
     approx_ratio_bound,
+    brute_force_counts,
     check_balls_in_bins,
+    compute_heterogeneity,
     exact_expected_cat,
     expected_cat,
     generate_pair,
+    offline_duty_cycle,
     online_duty_cycle,
     run_monte_carlo,
     run_trace_pairs,
@@ -28,7 +31,7 @@ from dutycycle import (
 from dutycycle import harness
 from dutycycle.metrics import heterogeneity
 from dutycycle.offline import optimum_counts
-from dutycycle.online import OnlineMode, simulate_arrays
+from dutycycle.online import OnlineMode, _walk_pair, simulate_arrays
 from dutycycle.traces import check_count, check_seed
 from dutycycle.harness import (
     heterogeneity_sweep,
@@ -281,6 +284,57 @@ def test_a_block_holds_eight_draws(monkeypatch):
     run_monte_carlo(small_spec(period_len=1000, p_values=(0.5,), trials=500))
     assert sorted(blocks) == [250, 250]
     assert max(draws) == 32 and len(draws) == 2 * 4 * 8
+
+
+def _recorded_blocks(monkeypatch):
+    # (start, decisions, block rows) of every block _cell_counts draws
+    seen, real_blocks = [], harness._trial_blocks
+
+    def trial_blocks(seed, cell, p_u, p_v, start, stop, period_len, decisions, rows):
+        for block, arrays in real_blocks(
+            seed, cell, p_u, p_v, start, stop, period_len, decisions, rows
+        ):
+            seen.append((start, decisions, block.stop - block.start))
+            yield block, arrays
+
+    monkeypatch.setattr(harness, "_trial_blocks", trial_blocks)
+    return seen
+
+
+def test_cell_counts_equal_the_single_pair_path_trial_by_trial(monkeypatch):
+    # a heterogeneous cell at a period that is not a multiple of 8, split
+    # into two shards of 20 trials, each drawn as blocks of 8, 8 and 4 rows;
+    # eta = 0.6 is not a binary fraction
+    seed, cell, p_u, p_v, trials, period_len, eta = 11, 4, 0.2, 0.9, 40, 11, 0.6
+    _split(monkeypatch, 2, 1)
+    seen = _recorded_blocks(monkeypatch)
+    counts = harness._cell_counts(
+        seed, cell, p_u, p_v, trials, period_len,
+        modes=tuple(OnlineMode), oracle_eta=eta, het=True,
+    )
+    assert sorted(seen) == sorted((start, True, rows) for start in (0, 20) for rows in (8, 8, 4))
+    assert set(counts) == {"offline", "oracle", "heterogeneity", *OnlineMode}
+    whole = next(harness._trial_blocks(seed, cell, p_u, p_v, 0, trials, period_len, True, trials))
+    b_u, b_v, d_u, d_v = (
+        np.unpackbits(rows, axis=-1, count=period_len).astype(bool) for rows in whole[1]
+    )
+    for i in range(trials):
+        trace_u, trace_v = trace(b_u[i]), trace(b_v[i], "v")
+        offline = offline_duty_cycle(trace_u, trace_v, eta)
+        assert counts["offline"][:, i].tolist() == [offline.sync_count, offline.async_count]
+        assert tuple(counts["oracle"][:, i]) == brute_force_counts(trace_u, trace_v, eta)
+        for mode in OnlineMode:
+            walk = _walk_pair(b_u[i], b_v[i], d_u[i], d_v[i], mode, eta)
+            want = [walk.sync_count, walk.async_count, walk.wasted_units]
+            assert counts[mode][:, i].tolist() == want
+        assert counts["heterogeneity"][i] == compute_heterogeneity(trace_u, trace_v)
+
+
+def test_cell_counts_draw_decisions_only_for_a_mode(monkeypatch):
+    seen = _recorded_blocks(monkeypatch)
+    counts = harness._cell_counts(3, 0, 0.5, 0.5, 50, 20)
+    assert list(counts) == ["offline"] and counts["offline"].shape == (2, 50)
+    assert seen and not any(decisions for _, decisions, _ in seen)
 
 
 def test_count_kernels_refuse_bool_rows():

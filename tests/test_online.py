@@ -156,6 +156,54 @@ def test_prefix_run_forms_the_full_runs_early_edges(run):
         assert prefix.edges == tuple(e for e in full if max(e) <= k)
 
 
+@st.composite
+def flipped_runs(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    states = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    b_u, b_v, flip_u, flip_v = (draw(states) for _ in range(4))
+    t = draw(st.integers(0, n))
+    flip_u[:t] = flip_v[:t] = False  # flip only states after slot t
+    prob = st.floats(0.0, 1.0)
+    config = OnlineConfig(
+        prob_active=draw(st.one_of(st.none(), prob, st.tuples(prob, prob))),
+        seed=draw(st.integers(0, 2**20)),
+        mode=draw(st.sampled_from(list(OnlineMode))),
+        warmup=draw(st.sampled_from([1, 3, 60])),
+    )
+    return (b_u, b_v), (b_u ^ flip_u, b_v ^ flip_v), t, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=flipped_runs())
+def test_flipping_later_states_keeps_every_earlier_edge_and_decision(run):
+    # the online scheduler stays causal: what slots after t hold changes
+    # neither an edge active by slot t nor, in the estimated mode, a
+    # decision of slots 1..t
+    before, after, t, config = run
+    early, decisions = [], []
+    for b_u, b_v in (before, after):
+        edges = online_duty_cycle(trace(b_u), trace(b_v, "v"), ETA, config).edges
+        early.append(tuple(e for e in edges if max(e) <= t))
+        decisions.append([d[:t].tolist() for d in _decision_arrays(b_u, b_v, config, "u", "v")])
+    assert early[0] == early[1]
+    assert decisions[0] == decisions[1]
+
+
+@pytest.mark.parametrize("mode", list(OnlineMode))
+def test_estimated_mode_equals_offline_at_one_slot(mode):
+    # the estimate for slot t reads slot t's own state: at T = 1 it is that
+    # state, so a harvester is always active and an idle device never is
+    for b_u, b_v in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        trace_u, trace_v = trace([b_u]), trace([b_v], "v")
+        offline = offline_duty_cycle(trace_u, trace_v, ETA)
+        for seed in range(5):
+            for warmup in (1, 2, 60):
+                config = cfg(p=None, mode=mode, seed=seed, warmup=warmup)
+                online = online_duty_cycle(trace_u, trace_v, ETA, config)
+                assert online.edges == offline.edges
+                assert online.cat_total == offline.cat_total
+
+
 @settings(max_examples=250, deadline=None)
 @given(run=random_runs())
 def test_count_kernel_equals_stepwise_rules(run):

@@ -214,10 +214,7 @@ def cmd_run(args) -> int:
     cfg = OnlineConfig(prob_active=prob_active, seed=seed, mode=args.mode)
     results, rows, pair = evaluate_pair("pair1", trace_u, trace_v, args.eta, cfg, algorithms)
     if args.format == "json":
-        payload: dict = {"config": config}
-        if "ratio" in pair:  # a one-scheduler report has no pair block
-            payload["pair"] = pair
-        print(report_json(payload, results))
+        print(report_json({"config": config, "pair": pair}, results))
     else:
         print(f"# config: {json.dumps(config, sort_keys=True)}")
         print(rows[0].CSV_HEADER)

@@ -42,17 +42,19 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     Step 3 lets each remaining V-vertex take the nearest earlier remaining
     U-vertex. A U-vertex is left over only when no V-vertex is free before
     it, so every leftover U-vertex precedes every leftover V-vertex, and
-    step 3 is zip(v_left, reversed(u_left)). With X and Y the U-only and
+    step 3 is zip(reversed(u_left), v_left). With X and Y the U-only and
     V-only harvest counts, steps 2 and 3 thus make min(X, Y) async edges by
     construction. Unmatched vertexes never spend their banked unit.
 
-    Returns (sync_slots, step2 (u, v) pairs, step3 (v, u) pairs); slots are
-    1-based. offline_duty_cycle wraps it in a PairResult; callers that need
-    only the edge counts use optimum_counts.
+    Returns the matching as one list of 1-based (u_slot, v_slot) edges: the
+    sync edges, then step 2's pairs, then step 3's. offline_duty_cycle wraps
+    it in a PairResult; callers that need only the edge counts use
+    optimum_counts.
     """
     u_only, v_only = b_u & ~b_v, b_v & ~b_u
     step2, u_left, v_left = lifo_walk(u_only, v_only, u_only, np.zeros_like(u_only))
-    return np.flatnonzero(b_u & b_v) + 1, step2, list(zip(v_left, reversed(u_left)))
+    sync = [(t, t) for t in (np.flatnonzero(b_u & b_v) + 1).tolist()]
+    return sync + step2 + list(zip(reversed(u_left), v_left))
 
 
 def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):
@@ -84,10 +86,7 @@ def offline_duty_cycle(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float) -
     graph's vertexes; ValueError on a period mismatch or an eta outside (0, 1]."""
     period_len = pair_period(trace_u, trace_v)
     check_eta(eta)
-    sync_slots, step2, step3 = duty_cycle_arrays(trace_u.states, trace_v.states)
-
-    edges = [(t, t) for t in sync_slots.tolist()] + step2 + [(u, v) for v, u in step3]
-    return PairResult(edges, eta, period_len)
+    return PairResult(duty_cycle_arrays(trace_u.states, trace_v.states), eta, period_len)
 
 
 def expected_cat(period_len: int, p: float, eta: float) -> float:

@@ -75,42 +75,31 @@ def _eta_as_fraction(eta: float) -> Fraction:
 
 
 @functools.lru_cache(maxsize=ORACLE_MAX_VERTEXES + 1)
-def _layout(nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only intp (pos, prev) of the DP over nb-bit masks in popcount order.
+def _layout(nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only intp (pos, prev, rank) of the DP over nb-bit masks in
+    popcount order, built in one pass over the bits.
 
     Column c holds order[c], the masks sorted by popcount, then by value;
     pos[mask] is a mask's column. prev[j, c] is the column of
     order[c] ^ (1 << j) if bit j is set, else 2**nb, the score table's
-    unreachable sentinel column.
+    unreachable sentinel column. rank[r, c] is prev[j, c] for the (r + 1)-th
+    lowest set bit j of order[c], or the sentinel when order[c] has at most
+    r set bits, so a mask's predecessors through its bits fill its first
+    popcount rows.
     """
     full = 1 << nb
     masks = np.arange(full)
     order = np.argsort(np.bitwise_count(masks), kind="stable")
     pos = np.empty_like(order)
     pos[order] = masks
-    prev = np.empty((nb, full), dtype=np.intp)
-    for j in range(nb):  # row by row, so no temporary is as large as the table
-        prev[j] = np.where(order & (1 << j), pos[order ^ (1 << j)], full)
-    pos.flags.writeable = prev.flags.writeable = False
-    return pos, prev
-
-
-@functools.lru_cache(maxsize=ORACLE_MAX_VERTEXES + 1)
-def _ranks(nb: int) -> np.ndarray:
-    """Read-only intp (nb, 2**nb) predecessors by set-bit rank: rank[r, c]
-    is prev[j, c] for the (r + 1)-th lowest set bit j of order[c], or
-    the sentinel 2**nb when order[c] has at most r set bits. So a mask's
-    predecessors through its bits fill its first popcount rows."""
-    prev = _layout(nb)[1]
-    full = 1 << nb
-    rank = np.full((nb, full), full, dtype=np.intp)
-    below = np.zeros(full, dtype=np.intp)  # set bits below bit j, per column
-    for j in range(nb):
-        cols = np.flatnonzero(prev[j] != full)
-        rank[below[cols], cols] = prev[j, cols]
-        below[cols] += 1
-    rank.flags.writeable = False
-    return rank
+    prev = np.full((nb, full), full, dtype=np.intp)
+    rank = np.full_like(prev, full)
+    for j in range(nb):  # row by row, so no temporary is as large as a table
+        cols = np.flatnonzero(order & (1 << j))
+        below = np.bitwise_count(order[cols] & ((1 << j) - 1))  # set bits below bit j
+        prev[j, cols] = rank[below, cols] = pos[order[cols] ^ (1 << j)]
+    pos.flags.writeable = prev.flags.writeable = rank.flags.writeable = False
+    return pos, prev, rank
 
 
 @functools.lru_cache(maxsize=ORACLE_MAX_VERTEXES + 1)
@@ -177,7 +166,8 @@ def _scores(
     table = np.full((rows, (1 << nb) + 1), _UNREACHABLE, dtype=np.int32)
     table[0, 0] = 0
     w_sync, w_async = weights
-    prev, rank, widths = _layout(nb)[1], _ranks(nb), _widths(nb)
+    _, prev, rank = _layout(nb)
+    widths = _widths(nb)
     for i in range(layers):
         end = widths[i + 1]  # i + 1 U-vertexes cover at most i + 1 V-vertexes
         row, out = table[i % rows], table[(i + 1) % rows, :end]
@@ -234,7 +224,7 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
     """
     period_len, swap, A, B, _, weights, partner = _instance(trace_u, trace_v, eta)
     na, nb = len(A), len(B)
-    pos, prev = _layout(nb)
+    pos, prev, _ = _layout(nb)
     table = _scores(partner, weights, nb, na + 1, na)
 
     final = table[na].take(pos)  # mask order

@@ -24,6 +24,7 @@ from dutycycle import (
     EnergyTrace,
     OnlineConfig,
     OnlineMode,
+    PairResult,
     assert_energy_feasible,
     brute_force_matching,
     exact_expected_cat,
@@ -61,8 +62,10 @@ def test_criterion_1_offline_optimality_exhaustive_and_random():
         b_u = masks[mu]
         trace_u = traces_u[mu]
         for mv in range(256):
-            sync_slots, s2, s3 = duty_cycle_arrays(b_u, masks[mv])
-            greedy = (len(sync_slots), len(s2) + len(s3))
+            # PairResult rejects a vertex used twice, so this also checks
+            # that every greedy matching is exclusive
+            matched = PairResult(duty_cycle_arrays(b_u, masks[mv]), eta, 8)
+            greedy = (matched.sync_count, matched.async_count)
             ora = brute_force_matching(trace_u, traces_v[mv], eta)
             if greedy != (ora.sync_count, ora.async_count):
                 mismatches += 1

@@ -149,8 +149,9 @@ def test_report_json_matches_json_dumps(algo, mode, eta, path, offline, online, 
     if algo != "offline":
         results["online"] = OnlineResult(online, eta, 600, mode=OnlineMode(mode),
                                          wasted_units=wasted)
-    if algo == "both":
-        payload["pair"] = dict(zip(("ratio", "heterogeneity", "p_hat_u", "p_hat_v"), floats))
+    # every report has a pair block; only one of both schedulers has a ratio
+    keys = ("heterogeneity", "p_hat_u", "p_hat_v") + (("ratio",) if algo == "both" else ())
+    payload["pair"] = dict(zip(keys, floats))
     expected = {**payload, **{name: r.to_json_dict() for name, r in results.items()}}
     assert report_json(payload, results) == json.dumps(expected, sort_keys=True, indent=2)
 

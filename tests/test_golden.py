@@ -74,7 +74,7 @@ GOLDEN_RUNS = {
     "run-json-offline": (
         RUN_PROB + ["--format", "json", "--algo", "offline"],
         0,
-        "f56deeb7433a71e2e62133a5ce3d4763a8c0f0634da29e5869cf34196a60897a",
+        "1de9f1596c5b787dea15d0dfd8b96936b0a3a22bd856334d3fa85192f158e6a8",
     ),
     "run-csv-offline": (
         RUN_PROB + ["--format", "csv", "--algo", "offline"],
@@ -84,7 +84,7 @@ GOLDEN_RUNS = {
     "run-json-online": (
         RUN_PROB + ["--format", "json", "--algo", "online"],
         0,
-        "b66197dad9712987469cd3113b181ef8c2ecb734ca845ee83dc18ff9f4e8ee69",
+        "79d184eb4c525ac6bdac0472176561c980f42560b7421988ee30383d95edaa21",
     ),
     "run-csv-online": (
         RUN_PROB + ["--format", "csv", "--algo", "online"],

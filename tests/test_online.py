@@ -356,9 +356,11 @@ def test_matching_walk_with_clairvoyant_decisions_is_the_offline_greedy():
     states = (np.arange(2**period)[:, None] >> np.arange(period)) & 1 == 1
     for b_u in states:
         for b_v in states:
-            sync_slots, step2, _ = duty_cycle_arrays(b_u, b_v)
+            # step 2 pairs a U-vertex with an earlier V-vertex, step 3 the reverse
+            edges = duty_cycle_arrays(b_u, b_v)
+            step2 = [(u, v) for u, v in edges if u > v]
             result = _walk_pair(b_u, b_v, b_u & b_v, b_u, OnlineMode.MATCHING, ETA)
-            assert result.edges == tuple(sorted([(t, t) for t in sync_slots.tolist()] + step2))
+            assert result.edges == tuple(sorted([(u, v) for u, v in edges if u == v] + step2))
             x, y = np.count_nonzero(b_u & ~b_v), np.count_nonzero(b_v & ~b_u)
             assert result.wasted_units == x + y - 2 * len(step2)
 

@@ -364,15 +364,13 @@ def test_import_builds_no_oracle_table_and_the_built_ones_are_read_only():
 import dutycycle, dutycycle.cli
 from dutycycle import EnergyTrace, brute_force_matching, oracle
 assert oracle._layout.cache_info().currsize == 0, oracle._layout.cache_info()
-assert oracle._ranks.cache_info().currsize == 0, oracle._ranks.cache_info()
 for n in range(oracle.ORACLE_MAX_VERTEXES + 1):
     brute_force_matching(EnergyTrace("u", [True] * n), EnergyTrace("v", [True] * n), 0.75)
 assert oracle._layout.cache_info().currsize == oracle.ORACLE_MAX_VERTEXES + 1
-assert oracle._ranks.cache_info().currsize == oracle.ORACLE_MAX_VERTEXES + 1
 for n in range(oracle.ORACLE_MAX_VERTEXES + 1):
-    pos, prev = oracle._layout(n)
+    pos, prev, rank = oracle._layout(n)
     assert not pos.flags.writeable and not prev.flags.writeable, n
-    assert not oracle._ranks(n).flags.writeable, n
+    assert not rank.flags.writeable, n
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(dutycycle.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -32,8 +32,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dutycycle import OnlineMode
-from dutycycle.metrics import ratio_online_to_offline
+from dutycycle import OnlineMode, ratio_online_to_offline
 from dutycycle.offline import optimum_counts
 from dutycycle.online import _estimated_probs, _walk_pair, simulate_arrays
 

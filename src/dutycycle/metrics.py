@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .traces import EnergyTrace, check_packed, count_packed, pair_period
 
 @dataclass(frozen=True)
 class PairMetrics:
-    """One row of per-pair reporting."""
+    """One row of per-pair reporting; CSV_HEADER, set below, names its fields."""
 
     pair_id: str
     cat: float
@@ -22,21 +22,12 @@ class PairMetrics:
     p_hat_u: float
     p_hat_v: float
 
-    CSV_HEADER = "pair_id,cat,sat,cat_pct,sat_pct,heterogeneity,p_hat_u,p_hat_v"
-
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                self.pair_id,
-                repr(self.cat),
-                repr(self.sat),
-                repr(self.cat_pct),
-                repr(self.sat_pct),
-                repr(self.heterogeneity),
-                repr(self.p_hat_u),
-                repr(self.p_hat_v),
-            ]
-        )
+        """The row under CSV_HEADER: pair_id as is, every number as its repr."""
+        return ",".join([self.pair_id, *(repr(getattr(self, f.name)) for f in fields(self)[1:])])
+
+
+PairMetrics.CSV_HEADER = ",".join(f.name for f in fields(PairMetrics))
 
 
 def heterogeneity(b_u: np.ndarray, b_v: np.ndarray):

@@ -222,19 +222,19 @@ def test_oracle_witness_edges():
 TRACE_PAIR_REPORTS = {
     ("matching", None): (
         "fec8ebb7c806a5b7a886e757fad6b8d75e2f42719e192153812e55e66427356c",
-        "0d5c57a2ce8fc28a8071b109b3ed212ff01d83b962d9518088b886d42d02a26d",
+        "b55e78c11cd908afd41d261c84a33dfb3140b33937564abe5d86b8faf0ec8dad",
     ),
     ("matching", (0.4, 0.7)): (
         "2d27a00a05a4c7b5cccf92201b58c4cf52b5d2d07fb427645ae80cf963b1ced9",
-        "3957dea89d7a449ef75e026c6e03230608230744cb41485945f35abc7dae9f2e",
+        "e7b4b620c1a3cc3ac7eabe496980ef1d4759476c0e3e1aba75e82753b652531f",
     ),
     ("slotsim", None): (
         "3cccb1651309587b5afd9680a43333d876385f1da574aa803153c98054f31805",
-        "11fef8a78488764bd90fd0f656333e57277f476ae538b733c4cf27787bb40226",
+        "5d11cc04e4aa59ef3ab8a4c81e81016cb0a3890c10e50c2f5e405a60113d871f",
     ),
     ("slotsim", (0.4, 0.7)): (
         "f1840f8a83280f9249b94adb0ac8d423955c163a55e6d0145a5c050ddc8c2763",
-        "632ce74c34b68863a996efef9bb063c4eecabe86023b902eb079218dd21e4def",
+        "514a16ac821fb78d97f90a8fd05d728662d82fc609d0b0c61ad6a2f4bd0d6463",
     ),
 }
 

@@ -131,6 +131,8 @@ def test_spec_validation():
         small_spec(p_values=(1.2,))
     with pytest.raises(ValueError):
         small_spec(algorithms=("offline", "magic"))
+    with pytest.raises(ValueError, match="algorithms must not be empty"):
+        small_spec(algorithms=())
 
 
 def test_stderr_shrinks_with_trials():
@@ -702,6 +704,8 @@ def test_pair_report_rows():
     assert ids == ["pair1/offline", "pair1/online[matching]"]
     csv_text = report.to_csv()
     assert "pair_id,cat,sat" in csv_text
+    # a trace-pair cell has no p, so its rows leave that column empty
+    assert "\npair1,,0.75,pair,offline_cat,2.75,0.0,1\n" in csv_text
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,20 @@ p^2 >= 1 - e^{-p^2} is stronger than the paper's bound. The online counts
 come from simulate_arrays, the offline ones from optimum_counts; one test
 ties the tables to the literal bank walk, online._walk_pair.
 
+Heterogeneous pairs, each device waking with its own harvest probability,
+take the same rows tabled by (a, b) = (|b_u| + |d_u|, |b_v| + |d_v|): a row
+has probability p_u^a (1-p_u)^(2T-a) p_v^b (1-p_v)^(2T-b). Elevated to
+degree 2T + 1 in each variable, E_on - p_u p_v E_off has the coefficients
+
+    M[a, b] = C_on[a-1, b-1] + C_on[a-1, b] + C_on[a, b-1] + C_on[a, b]
+              - C_off[a-1, b-1],
+
+so every M[a, b] >= 0 proves a ratio of at least p_u p_v on all of [0, 1]^2.
+As p_u p_v >= 1 - e^{-p_u p_v} and p_u p_v >= min(p_u, p_v)^2, that is
+stronger than either heterogeneous form of the paper's bound. It holds in
+matching mode at T <= 5. In slotsim the certificate fails from T = 2 on, so
+that mode is checked only on an exact rational grid.
+
 The same rows, weighted by the estimated-probability decisions of
 online._estimated_probs in place of p, give that mode's exact ratio.
 """
@@ -68,20 +82,34 @@ def _row_counts(T: int, mode: OnlineMode | None):
 
 
 @functools.cache
-def _count_tables(T: int, mode: OnlineMode | None):
-    """(S[k], A[k]): the sync and async counts summed over the rows of
-    popcount k, so C[k] = den * S[k] + num * A[k] at any eta."""
-    k = _rows(T)[2]
+def _pair_count_tables(T: int, mode: OnlineMode | None):
+    """(S[a, b], A[a, b]): the sync and async counts summed over the rows in
+    which u's fields hold a = |b_u| + |d_u| ones and v's b = |b_v| + |d_v|,
+    as (2T+1, 2T+1) tables, so C = den * S + num * A at any eta."""
+    n = 2 * T + 1
+    b_u, b_v, d_u, d_v = (np.bitwise_count(f) for f in _rows(T)[1])
+    cell = (b_u + d_u) * n + b_v + d_v
     return tuple(
-        np.bincount(k, weights=c, minlength=4 * T + 1).astype(np.int64)
+        np.bincount(cell, weights=c, minlength=n * n).reshape(n, n).astype(np.int64)
         for c in _row_counts(T, mode)
     )
 
 
-def cat_table(T: int, mode: OnlineMode | None, eta: Fraction) -> np.ndarray:
-    """The integer table C[k] = den * (sync + eta * async), summed over the
-    rows of total popcount k."""
-    sync, asyn = _count_tables(T, mode)
+@functools.cache
+def _count_tables(T: int, mode: OnlineMode | None):
+    """(S[k], A[k]): the pair tables summed along a + b = k, which are the
+    counts summed over the rows of total popcount k."""
+    k = np.add.outer(np.arange(2 * T + 1), np.arange(2 * T + 1)).ravel()
+    return tuple(
+        np.bincount(k, weights=t.ravel(), minlength=4 * T + 1).astype(np.int64)
+        for t in _pair_count_tables(T, mode)
+    )
+
+
+def cat_table(T: int, mode: OnlineMode | None, eta: Fraction, pair: bool = False) -> np.ndarray:
+    """The integer table C = den * (sync + eta * async), summed over the rows
+    of each total popcount k, or with pair set over those of each (a, b)."""
+    sync, asyn = (_pair_count_tables if pair else _count_tables)(T, mode)
     return eta.denominator * sync + eta.numerator * asyn
 
 
@@ -90,6 +118,27 @@ def margins(c_on: np.ndarray, c_off: np.ndarray, power: int = 2) -> np.ndarray:
     in the basis p^j (1-p)^(degree - j); power is 1 or 2."""
     lift = [0] * power + [math.comb(2 - power, i) for i in range(3 - power)]
     return np.convolve(c_on, [1, 2, 1]) - np.convolve(c_off, lift)
+
+
+def pair_margins(c_on: np.ndarray, c_off: np.ndarray) -> np.ndarray:
+    """The coefficients M[a, b] of E_on - p_u p_v E_off at degree 2T + 1 in
+    each variable, in the basis p_u^a (1-p_u)^(2T+1-a) p_v^b (1-p_v)^(2T+1-b),
+    from the (2T+1, 2T+1) tables of cat_table(..., pair=True)."""
+    on, off = np.pad(c_on, 1), np.pad(c_off, 1)
+    return on[:-1, :-1] + on[:-1, 1:] + on[1:, :-1] + on[1:, 1:] - off[:-1, :-1]
+
+
+def grid_gaps(c_on: np.ndarray, c_off: np.ndarray, N: int) -> np.ndarray:
+    """G[a, b] = N^(4T+2) den (E_on - p_u p_v E_off) at p_u = a/N, p_v = b/N,
+    as exact Python integers in an (N+1, N+1) object array."""
+    n = len(c_on) - 1
+    # power[a, i] = N^n p^i (1-p)^(n-i) at p = a/N
+    power = np.array(
+        [[a**i * (N - a) ** (n - i) for i in range(n + 1)] for a in range(N + 1)], dtype=object
+    )
+    on, off = (power @ c.astype(object) @ power.T for c in (c_on, c_off))
+    a = np.arange(N + 1).astype(object)
+    return N * N * on - np.multiply.outer(a, a) * off
 
 
 def expectation(table: np.ndarray, p):
@@ -125,6 +174,38 @@ def test_the_certificate_rejects_a_ratio_of_p(T, mode):
     # and the claim is false: at p = 1/10 the ratio falls short of p
     p = Fraction(1, 10)
     assert expectation(c_on, p) < p * expectation(c_off, p)
+
+
+# The bivariate certificate at (mode, T) -> (least M[a, b], how many are
+# negative), the same at both etas. It proves the p_u p_v floor in matching
+# mode at T <= 5, and in slotsim only at T = 1; see the grid test below.
+PAIR_CERTIFICATE = {
+    **{(OnlineMode.MATCHING, T): (0, 0) for T in range(1, 6)},
+    (OnlineMode.SLOT_SIM, 1): (0, 0),
+    (OnlineMode.SLOT_SIM, 2): (-6, 4),
+    (OnlineMode.SLOT_SIM, 3): (-54, 7),
+    (OnlineMode.SLOT_SIM, 4): (-216, 6),
+}
+
+
+@pytest.mark.parametrize("eta", ETAS, ids=str)
+@pytest.mark.parametrize("mode, T", list(PAIR_CERTIFICATE))
+def test_online_cat_against_pu_pv_times_the_optimum(mode, T, eta):
+    m = pair_margins(cat_table(T, mode, eta, pair=True), cat_table(T, None, eta, pair=True))
+    assert (m.min(), np.count_nonzero(m < 0)) == PAIR_CERTIFICATE[mode, T], m.tolist()
+    assert (not m.any()) == (T == 1), m.tolist()  # the ratio is exactly p_u p_v at T = 1
+
+
+@pytest.mark.parametrize("eta", ETAS, ids=str)
+@pytest.mark.parametrize("T", [2, 3, 4])
+def test_slotsim_pair_ratio_on_an_exact_grid(T, eta):
+    # every p_u, p_v in {0, 1/40, ..., 1}, in exact integer arithmetic
+    mode, N = OnlineMode.SLOT_SIM, 40
+    gaps = grid_gaps(cat_table(T, mode, eta, pair=True), cat_table(T, None, eta, pair=True), N)
+    assert min(gaps.ravel().tolist()) >= 0
+    # at T = 2 the floor is met on the whole diagonal, inside the square, where
+    # the homogeneous ratio is exactly p^2; so no Bernstein certificate can hold
+    assert (not gaps.diagonal().any()) == (T == 2)
 
 
 @pytest.mark.parametrize("mode", list(OnlineMode))

@@ -16,7 +16,7 @@ and decisions as np.packbits rows, eight slots a byte, drawn from raw
 Philox words (traces.bernoulli) and packed draw by draw; the packed rows
 are all that reach the counts, each a popcount per mask or a byte walk:
 offline.optimum_counts, online.simulate_arrays per mode and
-metrics.heterogeneity (the oracle unpacks them). The shards' draws
+metrics.heterogeneity (oracle.schedule_counts unpacks them). The shards' draws
 together hold at most _CHUNK_SLOTS trial-slots, a block eight draws, and
 only the count vectors are kept whole, so memory does not grow with n
 beyond them. Row i of every draw is trial i, so results depend neither on
@@ -24,8 +24,9 @@ the block or draw size nor on the number of shards.
 
 The suites:
 
-* optimality:    offline totals equal the exhaustive oracle's, instance by
-                 instance (exact integer edge counts; no witness is built).
+* optimality:    offline totals equal the exhaustive schedule oracle's,
+                 instance by instance, from one batched DP per _T1_CHUNK
+                 instances (exact integer edge counts; no witness is built).
 * expected-cat:  mean offline CAT against the closed-form reference
                  |T| p [p + 2 eta (1-p)]. The reference overcounts the
                  asynchronous term (see offline.expected_cat), so this suite
@@ -55,7 +56,7 @@ from .graph import cat_from_counts
 from .metrics import PairMetrics, compute_heterogeneity, heterogeneity, ratio_online_to_offline
 from .offline import expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
-from .oracle import ORACLE_MAX_VERTEXES, brute_force_counts
+from .oracle import ORACLE_MAX_VERTEXES, _eta_as_fraction, schedule_counts
 from .traces import (
     DEFAULT_SEED,
     EnergyTrace,
@@ -104,11 +105,18 @@ class ExperimentSpec:
         for algo in self.algorithms:
             if algo not in _ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if "oracle" in self.algorithms and self.period_len > ORACLE_MAX_VERTEXES:
-            raise ValueError(
-                f"oracle runs need period_len <= {ORACLE_MAX_VERTEXES}, "
-                f"got {self.period_len}; refusing rather than approximating"
-            )
+        cells = [f"p={p:g}" for p in self.p_values]  # run_monte_carlo's cell names
+        for field_name, names in ("p_values", cells), ("algorithms", self.algorithms):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"{field_name} repeat {name!r}")
+        if "oracle" in self.algorithms:
+            if self.period_len > ORACLE_MAX_VERTEXES:
+                raise ValueError(
+                    f"oracle runs need period_len <= {ORACLE_MAX_VERTEXES}, "
+                    f"got {self.period_len}; refusing rather than approximating"
+                )
+            _eta_as_fraction(self.eta)  # refuse an eta the oracle cannot weight
 
     def to_json_dict(self) -> dict:
         spec = asdict(self)
@@ -246,7 +254,7 @@ def _cell_counts(
     offline.optimum_counts, always; each OnlineMode in `modes`, the
     (3, trials) float64 (sync, async, wasted) of online.simulate_arrays;
     "oracle", when oracle_eta is given, the (2, trials) int64
-    brute_force_counts at that eta of each trial's unpacked rows; and
+    oracle.schedule_counts at that eta of each block's unpacked rows; and
     "heterogeneity", when het is set, the (trials,) metrics.heterogeneity.
     Decisions are drawn only when a mode is requested.
 
@@ -280,9 +288,7 @@ def _cell_counts(
                 counts["offline"][:, block] = optimum_counts(b_u, b_v)
                 if oracle_eta is not None:
                     bits = (np.unpackbits(r, axis=-1, count=period_len) for r in (b_u, b_v))
-                    for i, u, v in zip(range(block.start, block.stop), *bits):
-                        pair = EnergyTrace("u", u), EnergyTrace("v", v)
-                        counts["oracle"][:, i] = brute_force_counts(*pair, oracle_eta)
+                    counts["oracle"][:, block] = schedule_counts(*bits, oracle_eta)
                 for mode in modes:
                     counts[mode][:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
                 if het:
@@ -608,6 +614,8 @@ T2_PERIOD = 1000
 T2_P_VALUES = (0.2, 0.5, 0.8)
 T4_P_VALUES = (0.3, 0.5, 0.8)
 BINS_DEFAULTS = {"n": 500, "m": 1000, "subset_size": 300, "epsilon": 0.05}
+# Instances verify_optimality draws and certifies at once; bounds its memory.
+_T1_CHUNK = 256
 
 
 def _suite_report(
@@ -618,24 +626,22 @@ def _suite_report(
 
 
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
-    """Offline totals must equal the exhaustive oracle's (brute_force_counts)."""
+    """Offline totals must equal the exhaustive schedule oracle's
+    (schedule_counts), called once per _T1_CHUNK instances."""
     seed = check_seed(seed)
     trials = check_count("trials", trials)
-    check_eta(eta)
+    _eta_as_fraction(check_eta(eta))  # refuse an eta the oracle cannot weight
     mismatches = []
-    for i in range(trials):
-        p = T1_P_GRID[i % len(T1_P_GRID)]
-        trace_u, trace_v = random_instance(seed, i, T1_PERIOD, p)
-        off = offline_duty_cycle(trace_u, trace_v, eta)
-        ora = brute_force_counts(trace_u, trace_v, eta)
-        if (off.sync_count, off.async_count) != ora:
-            mismatches.append(
-                {
-                    "instance": i,
-                    "offline": [off.sync_count, off.async_count],
-                    "oracle": list(ora),
-                }
-            )
+    for lo in range(0, trials, _T1_CHUNK):
+        chunk = range(lo, min(lo + _T1_CHUNK, trials))
+        pairs = [random_instance(seed, i, T1_PERIOD, T1_P_GRID[i % len(T1_P_GRID)]) for i in chunk]
+        offline = [offline_duty_cycle(trace_u, trace_v, eta) for trace_u, trace_v in pairs]
+        states = (np.array([pair[side].states for pair in pairs]) for side in (0, 1))
+        for i, off, ora in zip(chunk, offline, schedule_counts(*states, eta).T.tolist()):
+            if [off.sync_count, off.async_count] != ora:
+                mismatches.append(
+                    {"instance": i, "offline": [off.sync_count, off.async_count], "oracle": ora}
+                )
     passed = not mismatches
     return _suite_report("t1", trials, T1_PERIOD, eta, seed, mismatches=mismatches, passed=passed)
 

@@ -1,6 +1,6 @@
-"""Exhaustive maximum-weight matching oracle for small instances.
+"""Exhaustive oracles for small instances: a matching search and a schedule DP.
 
-Deliberately dumb certification tool: it considers every vertex-exclusive
+The matching search is deliberately dumb: it considers every vertex-exclusive
 matching of the energy-state graph (a vertex per harvest slot; same-slot
 edges weight 1, cross-slot weight eta) with a layered dynamic program, with
 no greedy shortcuts shared with the production scheduler. Layer i holds,
@@ -35,6 +35,10 @@ masking U gives the same one. The witness comes back as a
 graph.PairResult, the schedulers' result type, so the optimum reads as its
 cat_total, sync_count and async_count. Sizes are capped so the search
 stays cheap; larger ones are refused, not approximated.
+
+schedule_counts searches schedules instead, by one DP over (slot, bank_u,
+bank_v) for a batch of arrival rows. Every schedule is a matching and an
+optimal matching is schedulable, so its counts are the matching search's.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ ORACLE_MAX_VERTEXES = 12
 # Score of a mask no partial matching reaches. Far enough below zero that
 # adding the gains of 12 layers can neither overflow int32 nor reach 0.
 _UNREACHABLE = np.iinfo(np.int32).min // 2
+
+# Bank states (pads included) of the rows in one schedule_counts pass; its
+# table and one slot's gather take about 26 bytes a state.
+_SCHEDULE_CELLS = 2**16
 
 
 class OracleBudgetError(ValueError):
@@ -254,3 +262,48 @@ def brute_force_matching(trace_u: EnergyTrace, trace_v: EnergyTrace, eta: float)
         edges = [(v, u) for u, v in edges]
     return PairResult(edges, eta, period_len)
 
+
+def schedule_counts(b_u, b_v, eta: float) -> np.ndarray:
+    """The (2, n) int64 (sync, async) counts of the best energy-feasible
+    schedule of each of n bool (n, T) arrival rows, by one DP over
+    (slot, bank_u, bank_v), sharing only _eta_as_fraction with the mask DP.
+
+    A slot banks every fresh unit, scores 1 on a joint harvest, or scores
+    eta by spending one side's fresh unit with a banked unit of the other
+    (on a joint harvest that banks the other fresh unit and ends where the
+    joint score does, for less). So each slot kind, 2 * (u harvests) +
+    (v harvests), has two moves: (wait, wait), (bank v, spend v), (bank u,
+    spend u) and (bank both, joint). Scores are weight units * (T + 1) +
+    sync count, so the best maximizes weight, then sync count. A row's
+    table is (T + 4) x (T + 2), bank_u i in row i + 2 and bank_v j in
+    column j + 1 among unreachable pads, so a move is a shift of it, flat.
+    """
+    kinds = 2 * np.asarray(b_u, bool) + np.asarray(b_v, bool)
+    frac = _eta_as_fraction(check_eta(eta))
+    n, period_len = kinds.shape
+    side, width = period_len + 1, period_len + 2
+    span, unreachable = side * width, np.iinfo(np.int64).min // 2
+    # [kind, move]: where the move's source grid starts in a row's flat table
+    sources = np.array([[0, 0], [-1, width], [-width, 1], [-width - 1, 0]]) + 2 * width
+    gains = np.zeros((4, 2, 1), np.int64)  # [kind, move]; move 0 gains nothing
+    gains[1:, 1, 0] = [frac.numerator * side, frac.numerator * side, frac.denominator * side + 1]
+    best = np.empty(n, np.int64)
+    step = max(1, _SCHEDULE_CELLS // span)
+    for lo in range(0, n, step):
+        block = kinds[lo : lo + step].T
+        table = np.full((block.shape[1], side + 3, width), unreachable)
+        table[:, 2, 1] = 0  # both banks empty
+        grid, pads = table[:, 2:-1].reshape(len(table), span), table[:, 2:-1, 0]
+        flat = table.ravel()
+        shifted = np.lib.stride_tricks.as_strided(
+            flat, (flat.size - span + 1, span), flat.strides * 2, writeable=False
+        )
+        starts = sources[block] + np.arange(0, flat.size, table[0].size)[:, None]
+        for start, gain in zip(starts, gains[block]):
+            pulled = shifted[start]  # (rows, 2, span): each move's source grid
+            pulled += gain
+            pulled.max(axis=1, out=grid)
+            pads.fill(unreachable)  # a move off the grid wrote into them
+        best[lo : lo + len(table)] = grid.max(axis=1)
+    sync = best % side
+    return np.stack([sync, (best // side - sync * frac.denominator) // frac.numerator])

@@ -40,6 +40,7 @@ from dutycycle.harness import (
     verify_ratio_bound,
 )
 from dutycycle.offline import duty_cycle_arrays
+from dutycycle.oracle import schedule_counts
 
 SEED = 20150
 
@@ -58,6 +59,7 @@ def test_criterion_1_offline_optimality_exhaustive_and_random():
     traces_v = [EnergyTrace("v", arr) for arr in masks]
 
     mismatches = 0
+    totals = []
     for mu in range(256):
         b_u = masks[mu]
         trace_u = traces_u[mu]
@@ -67,8 +69,12 @@ def test_criterion_1_offline_optimality_exhaustive_and_random():
             matched = PairResult(duty_cycle_arrays(b_u, masks[mv]), eta, 8)
             greedy = (matched.sync_count, matched.async_count)
             ora = brute_force_matching(trace_u, traces_v[mv], eta)
+            totals.append([ora.sync_count, ora.async_count])
             if greedy != (ora.sync_count, ora.async_count):
                 mismatches += 1
+    # the schedule oracle, in one batch, finds the matching oracle's totals
+    rows = np.array(masks)
+    schedules = schedule_counts(np.repeat(rows, 256, axis=0), np.tile(rows, (256, 1)), eta)
 
     random_result = verify_optimality(trials=500, seed=SEED, eta=eta)
     elapsed = time.time() - t0
@@ -80,6 +86,7 @@ def test_criterion_1_offline_optimality_exhaustive_and_random():
         f"{mismatches} mismatches, {elapsed:.1f}s",
     )
     assert mismatches == 0
+    assert schedules.T.tolist() == totals
     assert random_result["passed"], random_result["mismatches"][:3]
 
 

@@ -1,5 +1,6 @@
 """Byte pins of the CLI reports, of the library's trace-pair and sweep reports
-and of the oracle's witnesses.
+and of the oracle's witnesses, whose instances also hold the schedule oracle
+to the matching oracle.
 
 Each case runs `cli.main` in-process, or a library entry point directly, and
 compares the sha256 of its output with a digest recorded when the case was
@@ -17,11 +18,13 @@ from dutycycle import (
     ArrivalModel,
     EnergyTrace,
     OnlineConfig,
+    brute_force_counts,
     brute_force_matching,
     generate_pair,
     run_trace_pairs,
 )
 from dutycycle.cli import ENV_SEED, main
+from dutycycle.oracle import schedule_counts
 from dutycycle.harness import (
     DEFAULT_SEED,
     T1_P_GRID,
@@ -216,6 +219,20 @@ def test_oracle_witness_edges():
     assert digest.hexdigest() == (
         "1adbdcb2a40678e208830176fb969a19c4cf66100eaaae7bcecb2c89223d26c6"
     )
+
+
+def test_schedule_oracle_counts_on_the_witness_instances():
+    # the batched schedule DP against the matching search on the same 2,000
+    # heterogeneous instances, one batch per period and eta
+    by_period = {}
+    for trace_u, trace_v in _heterogeneous_instances(2000, seed=26):
+        by_period.setdefault(trace_u.period_len, []).append((trace_u, trace_v))
+    assert len(by_period) == 24
+    for pairs in by_period.values():
+        b_u, b_v = (np.array([pair[side].states for pair in pairs]) for side in (0, 1))
+        for eta in (0.5, 0.75, 1.0):
+            want = [list(brute_force_counts(*pair, eta)) for pair in pairs]
+            assert schedule_counts(b_u, b_v, eta).T.tolist() == want
 
 
 # (mode, prob_active) -> (sha256 of to_json(), sha256 of to_csv())

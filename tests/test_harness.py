@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ from dutycycle import (
     EnergyTrace,
     ExperimentSpec,
     OnlineConfig,
+    PairResult,
     RawTrace,
     approx_ratio_bound,
     brute_force_counts,
@@ -133,6 +135,13 @@ def test_spec_validation():
         small_spec(algorithms=("offline", "magic"))
     with pytest.raises(ValueError, match="algorithms must not be empty"):
         small_spec(algorithms=())
+    # run_monte_carlo names a cell f"p={p:g}", so two p values may not share a name
+    with pytest.raises(ValueError, match=r"^p_values repeat 'p=0\.5'$"):
+        small_spec(p_values=(0.5, 0.3, 0.5))
+    with pytest.raises(ValueError, match=r"^p_values repeat 'p=0\.3'$"):
+        small_spec(p_values=(0.3, 0.30000000000000004))
+    with pytest.raises(ValueError, match=r"^algorithms repeat 'offline'$"):
+        small_spec(algorithms=("offline", "online", "offline"))
 
 
 def test_stderr_shrinks_with_trials():
@@ -730,6 +739,63 @@ def test_verify_optimality_checks_eta_before_any_instance(monkeypatch, eta):
     monkeypatch.setattr(harness, "random_instance", lambda *a: pytest.fail("drew an instance"))
     with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]"):
         verify_optimality(trials=1, seed=3, eta=eta)
+
+
+def test_verify_optimality_refuses_an_eta_the_oracle_cannot_weight_before_any_instance(
+    monkeypatch,
+):
+    monkeypatch.setattr(harness, "random_instance", lambda *a: pytest.fail("drew an instance"))
+    with pytest.raises(ValueError, match=r"^eta 0\.785\d* is not representable as a small ratio"):
+        verify_optimality(trials=1, seed=3, eta=math.pi / 4)
+
+
+def test_an_oracle_spec_refuses_an_eta_the_oracle_cannot_weight_before_any_draw(monkeypatch):
+    monkeypatch.setattr(harness, "_trial_blocks", lambda *a: pytest.fail("drew a block"))
+    with pytest.raises(ValueError, match=r"^eta 0\.785\d* is not representable as a small ratio"):
+        run_monte_carlo(
+            small_spec(period_len=12, eta=math.pi / 4, algorithms=("offline", "oracle"))
+        )
+    small_spec(eta=math.pi / 4)  # cells without the oracle take any eta in (0, 1]
+
+
+def _greedy_without_its_last_edge(trace_u, trace_v, eta):
+    full = offline_duty_cycle(trace_u, trace_v, eta)
+    return PairResult(full.edges[:-1], eta, full.period_len)
+
+
+def test_verify_optimality_does_not_depend_on_its_chunk(monkeypatch):
+    # a greedy that drops an edge mismatches on every instance with one;
+    # chunks of 3 split the 40 instances off the p grid's period of 8
+    monkeypatch.setattr(harness, "offline_duty_cycle", _greedy_without_its_last_edge)
+    whole = verify_optimality(trials=40, seed=3)
+    monkeypatch.setattr(harness, "_T1_CHUNK", 3)
+    assert verify_optimality(trials=40, seed=3) == whole
+    want = []
+    for i in range(40):
+        pair = random_instance(3, i, harness.T1_PERIOD, harness.T1_P_GRID[i % 8])
+        greedy = _greedy_without_its_last_edge(*pair, 0.75)
+        off, ora = [greedy.sync_count, greedy.async_count], list(brute_force_counts(*pair, 0.75))
+        if off != ora:
+            want.append({"instance": i, "offline": off, "oracle": ora})
+    assert len(want) > 30 and whole["mismatches"] == want and not whole["passed"]
+
+
+def test_verify_optimality_memory_does_not_grow_with_trials(monkeypatch):
+    # instances live one chunk at a time, so 1,024 trials peak about where 64
+    # do; the slack covers numpy's small-buffer cache, far below the ~1.8 MB
+    # that keeping every instance's traces and matching would take
+    monkeypatch.setattr(harness, "_T1_CHUNK", 32)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            verify_optimality(trials=trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(32)  # builds what the first call caches
+    assert peak(1024) < peak(64) + 2**17
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from dutycycle import (
 )
 from dutycycle import oracle
 from dutycycle.graph import cat_from_counts
+from dutycycle.oracle import schedule_counts
 from dutycycle.offline import optimum_counts
 
 
@@ -382,3 +383,73 @@ for n in range(oracle.ORACLE_MAX_VERTEXES + 1):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# schedule_counts: the DP over (slot, bank_u, bank_v)
+# ---------------------------------------------------------------------------
+
+
+def literal_schedule_outcomes(arrivals_u, arrivals_v):
+    """Every (sync, async) count some schedule of the model reaches, found by
+    trying every action in every slot and keeping the feasible plans.
+
+    A slot banks every fresh unit, scores a joint harvest, or spends one
+    side's fresh unit with a banked unit of the other, banking the other
+    side's fresh unit if it has one.
+    """
+    outcomes = set()
+    actions = ("bank", "joint", "u spends", "v spends")
+    for plan in itertools.product(actions, repeat=len(arrivals_u)):
+        bank_u = bank_v = n_sync = n_async = 0
+        for fresh_u, fresh_v, action in zip(arrivals_u, arrivals_v, plan):
+            if action == "bank":
+                bank_u, bank_v = bank_u + fresh_u, bank_v + fresh_v
+            elif action == "joint" and fresh_u and fresh_v:
+                n_sync += 1
+            elif action == "u spends" and fresh_u and bank_v:
+                bank_v, n_async = bank_v - 1 + fresh_v, n_async + 1
+            elif action == "v spends" and fresh_v and bank_u:
+                bank_u, n_async = bank_u - 1 + fresh_u, n_async + 1
+            else:
+                break  # the action needs a unit the slot does not have
+        else:
+            outcomes.add((n_sync, n_async))
+    return outcomes
+
+
+@pytest.mark.parametrize("cells", [oracle._SCHEDULE_CELLS, 40])
+def test_schedule_counts_equal_a_literal_enumeration_of_every_schedule(monkeypatch, cells):
+    # every arrival pair at T = 1..4, 340 in all, at four exact etas; 40
+    # cells split the rows into passes of one to four rows
+    monkeypatch.setattr(oracle, "_SCHEDULE_CELLS", cells)
+    etas = (Fraction(3, 4), Fraction(3, 5), Fraction(1), Fraction(1, 20))
+    for period in range(1, 5):
+        rows = list(itertools.product((False, True), repeat=period))
+        pairs = list(itertools.product(rows, rows))
+        outcomes = [literal_schedule_outcomes(u, v) for u, v in pairs]
+        b_u, b_v = (np.array([pair[side] for pair in pairs]) for side in (0, 1))
+        for eta in etas:
+            best = [max(found, key=lambda c: (c[0] + eta * c[1], c[0])) for found in outcomes]
+            assert schedule_counts(b_u, b_v, float(eta)).T.tolist() == [list(c) for c in best]
+
+
+def test_schedule_counts_examples():
+    rows = [
+        ([1, 0], [0, 1], (0, 1)),  # v's fresh unit spends u's banked one
+        ([0, 1], [1, 0], (0, 1)),  # u's fresh unit spends v's banked one
+        ([0, 1], [1, 1], (1, 0)),  # the joint harvest beats spending v's bank
+        ([1, 1, 0], [0, 0, 1], (0, 1)),  # one pair per slot, the other unit wasted
+        ([1, 0, 0, 1], [0, 1, 1, 0], (0, 2)),
+        ([0, 0, 0], [1, 1, 1], (0, 0)),
+    ]
+    for arrivals_u, arrivals_v, want in rows:
+        got = schedule_counts(np.array([arrivals_u], bool), np.array([arrivals_v], bool), 0.75)
+        assert tuple(got[:, 0]) == want, (arrivals_u, arrivals_v)
+
+
+@pytest.mark.parametrize("eta, error", [(0.0, "eta must lie in"), (1.5, "eta must lie in"),
+                                        (math.pi / 4, "not representable")])
+def test_schedule_counts_refuse_what_the_matching_oracle_refuses(eta, error):
+    with pytest.raises(ValueError, match=error):
+        schedule_counts(np.ones((1, 3), bool), np.ones((1, 3), bool), eta)

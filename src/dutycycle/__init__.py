@@ -41,7 +41,7 @@ from .online import (
     approx_ratio_bound,
     online_duty_cycle,
 )
-from .oracle import ORACLE_MAX_VERTEXES, OracleBudgetError, brute_force_counts, brute_force_matching
+from .oracle import ORACLE_MAX_VERTEXES, OracleBudgetError, brute_force_matching
 from .metrics import (
     PairMetrics,
     compute_heterogeneity,
@@ -80,7 +80,6 @@ __all__ = [
     "TraceFormatError",
     "approx_ratio_bound",
     "assert_energy_feasible",
-    "brute_force_counts",
     "brute_force_matching",
     "check_balls_in_bins",
     "compute_heterogeneity",

@@ -18,7 +18,7 @@ from dutycycle import (
     PairResult,
     RawTrace,
     approx_ratio_bound,
-    brute_force_counts,
+    brute_force_matching,
     check_balls_in_bins,
     compute_heterogeneity,
     exact_expected_cat,
@@ -122,6 +122,9 @@ def test_oracle_cell_matches_offline_exactly():
 def test_oracle_refused_on_large_periods():
     with pytest.raises(ValueError, match="oracle"):
         small_spec(period_len=100, algorithms=("offline", "oracle"))
+    with pytest.raises(ValueError, match=r"oracle runs need period_len <= 12, got 13"):
+        small_spec(period_len=13, algorithms=("oracle",))
+    assert small_spec(period_len=12, algorithms=("oracle",)).period_len == 12
 
 
 def test_spec_validation():
@@ -333,7 +336,8 @@ def test_cell_counts_equal_the_single_pair_path_trial_by_trial(monkeypatch):
         trace_u, trace_v = trace(b_u[i]), trace(b_v[i], "v")
         offline = offline_duty_cycle(trace_u, trace_v, eta)
         assert counts["offline"][:, i].tolist() == [offline.sync_count, offline.async_count]
-        assert tuple(counts["oracle"][:, i]) == brute_force_counts(trace_u, trace_v, eta)
+        ora = brute_force_matching(trace_u, trace_v, eta)
+        assert counts["oracle"][:, i].tolist() == [ora.sync_count, ora.async_count]
         for mode in OnlineMode:
             walk = _walk_pair(b_u[i], b_v[i], d_u[i], d_v[i], mode, eta)
             want = [walk.sync_count, walk.async_count, walk.wasted_units]
@@ -774,7 +778,9 @@ def test_verify_optimality_does_not_depend_on_its_chunk(monkeypatch):
     for i in range(40):
         pair = random_instance(3, i, harness.T1_PERIOD, harness.T1_P_GRID[i % 8])
         greedy = _greedy_without_its_last_edge(*pair, 0.75)
-        off, ora = [greedy.sync_count, greedy.async_count], list(brute_force_counts(*pair, 0.75))
+        witness = brute_force_matching(*pair, 0.75)
+        off = [greedy.sync_count, greedy.async_count]
+        ora = [witness.sync_count, witness.async_count]
         if off != ora:
             want.append({"instance": i, "offline": off, "oracle": ora})
     assert len(want) > 30 and whole["mismatches"] == want and not whole["passed"]

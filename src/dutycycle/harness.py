@@ -24,9 +24,9 @@ the block or draw size nor on the number of shards.
 
 The suites:
 
-* optimality:    offline totals equal the exhaustive schedule oracle's,
-                 instance by instance, from one batched DP per _T1_CHUNK
-                 instances (exact integer edge counts; no witness is built).
+* optimality:    offline totals equal the exhaustive schedule oracle's on
+                 each trial of one stream cell, from one batched DP per block
+                 (exact integer edge counts; no witness is built).
 * expected-cat:  mean offline CAT against the closed-form reference
                  |T| p [p + 2 eta (1-p)]. The reference overcounts the
                  asynchronous term (see offline.expected_cat), so this suite
@@ -52,9 +52,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import cat_from_counts
+from .graph import PairResult, cat_from_counts
 from .metrics import PairMetrics, compute_heterogeneity, heterogeneity, ratio_online_to_offline
-from .offline import expected_cat, offline_duty_cycle, optimum_counts
+from .offline import duty_cycle_arrays, expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
 from .oracle import ORACLE_MAX_VERTEXES, _eta_as_fraction, schedule_counts
 from .traces import (
@@ -75,7 +75,6 @@ from .traces import (
 _TAG_TRACE = 1
 _TAG_DECISION = 2
 _TAG_BINS = 3
-_TAG_INSTANCE = 4
 
 _ALGORITHMS = ("offline", "online", "oracle")
 
@@ -184,8 +183,8 @@ def _worker_count() -> int:
 def _trial_blocks(
     seed: int,
     cell: int,
-    p_u: float,
-    p_v: float,
+    p_u: float | np.ndarray,
+    p_v: float | np.ndarray,
     start: int,
     stop: int,
     period_len: int,
@@ -198,7 +197,8 @@ def _trial_blocks(
     of them, and the list holds their arrivals and, when `decisions` is
     set, activation decisions, each as np.packbits rows: uint8 of shape
     (block rows, ceil(period_len / 8)), eight slots a byte, zero padded.
-    A block is filled draw by draw, each traces.bernoulli call covering
+    p_u and p_v are each a probability or an array whose entry i is trial
+    i's. A block is filled draw by draw, each traces.bernoulli call covering
     at most ceil(rows / 8) rows, so the bool and raw-word arrays of one
     draw take no more memory than the packed block. Each stream starts at
     row `start`: traces.bernoulli takes one 64-bit Philox output per value
@@ -221,10 +221,12 @@ def _trial_blocks(
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
         packed = [np.empty((hi - lo, -(-period_len // 8)), np.uint8) for _ in streams]
-        for at in range(0, hi - lo, draw_rows):
-            shape = (min(draw_rows, hi - lo - at), period_len)
+        for at in range(lo, hi, draw_rows):
+            end = min(at + draw_rows, hi)
             for out, (rng, p) in zip(packed, streams):
-                out[at : at + shape[0]] = np.packbits(bernoulli(rng, shape, p), axis=-1)
+                p_rows = p[at:end, None] if isinstance(p, np.ndarray) else p
+                bits = bernoulli(rng, (end - at, period_len), p_rows)
+                out[at - lo : end - lo] = np.packbits(bits, axis=-1)
         yield slice(lo, hi), packed
 
 
@@ -387,20 +389,6 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                 }
             )
     return report
-
-
-def random_instance(
-    seed: int, index: int, period_len: int, p: float
-) -> tuple[EnergyTrace, EnergyTrace]:
-    """Deterministic random trace pair for certification runs.
-
-    ValueError naming the argument unless period_len is a positive integer,
-    p lies in [0, 1] and seed is a non-negative integer (_stream checks it).
-    """
-    period_len = check_count("period_len", period_len)
-    p = check_prob("p", p)
-    b_u, b_v = bernoulli(_stream(seed, _TAG_INSTANCE, index), (2, period_len), p)
-    return EnergyTrace("u", b_u), EnergyTrace("v", b_v)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +602,8 @@ T2_PERIOD = 1000
 T2_P_VALUES = (0.2, 0.5, 0.8)
 T4_P_VALUES = (0.3, 0.5, 0.8)
 BINS_DEFAULTS = {"n": 500, "m": 1000, "subset_size": 300, "epsilon": 0.05}
-# Instances verify_optimality draws and certifies at once; bounds its memory.
-_T1_CHUNK = 256
+# verify_optimality's stream cell, past run_monte_carlo's and the sweep's.
+_T1_CELL = 2**32
 
 
 def _suite_report(
@@ -626,18 +614,21 @@ def _suite_report(
 
 
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
-    """Offline totals must equal the exhaustive schedule oracle's
-    (schedule_counts), called once per _T1_CHUNK instances."""
+    """Offline totals must equal the exhaustive schedule oracle's. Instance
+    i is trial i of cell _T1_CELL at p = T1_P_GRID[i % 8]; schedule_counts
+    scores a block of _CHUNK_SLOTS // (8 * T1_PERIOD) rows at once, and
+    the greedy, through PairResult's checks, runs on each row."""
     seed = check_seed(seed)
     trials = check_count("trials", trials)
     _eta_as_fraction(check_eta(eta))  # refuse an eta the oracle cannot weight
+    p = np.resize(T1_P_GRID, trials)
+    rows = max(1, _CHUNK_SLOTS // (8 * T1_PERIOD))
     mismatches = []
-    for lo in range(0, trials, _T1_CHUNK):
-        chunk = range(lo, min(lo + _T1_CHUNK, trials))
-        pairs = [random_instance(seed, i, T1_PERIOD, T1_P_GRID[i % len(T1_P_GRID)]) for i in chunk]
-        offline = [offline_duty_cycle(trace_u, trace_v, eta) for trace_u, trace_v in pairs]
-        states = (np.array([pair[side].states for pair in pairs]) for side in (0, 1))
-        for i, off, ora in zip(chunk, offline, schedule_counts(*states, eta).T.tolist()):
+    for block, packed in _trial_blocks(seed, _T1_CELL, p, p, 0, trials, T1_PERIOD, False, rows):
+        b_u, b_v = (np.unpackbits(r, axis=-1, count=T1_PERIOD).view(bool) for r in packed)
+        oracle = schedule_counts(b_u, b_v, eta).T.tolist()
+        for i, u, v, ora in zip(range(block.start, block.stop), b_u, b_v, oracle):
+            off = PairResult(duty_cycle_arrays(u, v), eta, T1_PERIOD)
             if [off.sync_count, off.async_count] != ora:
                 mismatches.append(
                     {"instance": i, "offline": [off.sync_count, off.async_count], "oracle": ora}

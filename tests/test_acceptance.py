@@ -33,7 +33,6 @@ from dutycycle import (
 )
 from dutycycle.harness import (
     heterogeneity_sweep,
-    random_instance,
     verify_bins,
     verify_expected_cat,
     verify_optimality,
@@ -41,6 +40,7 @@ from dutycycle.harness import (
 )
 from dutycycle.offline import duty_cycle_arrays
 from dutycycle.oracle import schedule_counts
+from instances import random_instance
 
 SEED = 20150
 

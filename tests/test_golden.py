@@ -30,10 +30,10 @@ from dutycycle.harness import (
     T1_PERIOD,
     ExperimentSpec,
     heterogeneity_sweep,
-    random_instance,
     run_monte_carlo,
     verify_bins,
 )
+from instances import random_instance
 
 
 @pytest.fixture(autouse=True)
@@ -204,9 +204,10 @@ def _heterogeneous_instances(count, seed):
 
 def test_oracle_witness_edges():
     # the tie rules (lowest final V mask, then the last U-vertex unmatched,
-    # then its lowest partner) pick these witnesses: verify_optimality's 500
-    # default instances at eta 0.75, then 2,000 heterogeneous instances up to
-    # 12x12 at eta 0.5, 0.75 and 1
+    # then its lowest partner) pick these witnesses: 500 period-12 pairs of
+    # the fixed per-instance streams (instances.py) at T1_P_GRID's p values
+    # and eta 0.75, then 2,000 heterogeneous instances up to 12x12 at eta
+    # 0.5, 0.75 and 1
     digest = hashlib.sha256()
     for i in range(500):
         p = T1_P_GRID[i % len(T1_P_GRID)]

@@ -32,12 +32,11 @@ from dutycycle import (
 )
 from dutycycle import harness
 from dutycycle.metrics import heterogeneity
-from dutycycle.offline import optimum_counts
+from dutycycle.offline import duty_cycle_arrays, optimum_counts
 from dutycycle.online import OnlineMode, _walk_pair, simulate_arrays
 from dutycycle.traces import check_count, check_seed
 from dutycycle.harness import (
     heterogeneity_sweep,
-    random_instance,
     verify_bins,
     verify_expected_cat,
     verify_optimality,
@@ -249,13 +248,10 @@ def test_blocks_are_packed_rows_of_one_whole_bool_draw(monkeypatch, period_len, 
     # blocks of 9 and 20 rows are drawn 2 and 3 rows at a time, which
     # divide neither them nor the shards' 11 - start trials; every block
     # must still be np.packbits of its rows of one whole draw per stream,
-    # zero padded, and no draw may cover more than ceil(rows / 8) rows
+    # zero padded, and no draw may cover more than ceil(rows / 8) rows.
+    # So too with a per-trial p, 0 and 1 among it, compared as a column
     trials = 11
-    whole = []
-    for tag in (harness._TAG_TRACE, harness._TAG_DECISION):
-        for side, p in enumerate((0.3, 0.6)):
-            rng = harness._stream(5, tag, 2, side)
-            whole.append(np.packbits(rng.random((trials, period_len)) < p, axis=-1))
+    per_trial = (np.linspace(0.0, 1.0, trials), np.resize([0.9, 0.2, 0.5], trials))
     draws, real_bernoulli = [], harness.bernoulli
 
     def bernoulli(rng, size, p):
@@ -263,16 +259,24 @@ def test_blocks_are_packed_rows_of_one_whole_bool_draw(monkeypatch, period_len, 
         return real_bernoulli(rng, size, p)
 
     monkeypatch.setattr(harness, "bernoulli", bernoulli)
-    for start in range(9):
-        got = list(harness._trial_blocks(5, 2, 0.3, 0.6, start, trials, period_len, True, rows))
-        assert [block.start for block, _ in got] == list(range(start, trials, rows))
-        assert got[-1][0].stop == trials
-        for block, arrays in got:
-            assert block.stop - block.start <= rows
-            for packed, want in zip(arrays, whole):
-                assert packed.dtype == np.uint8
-                np.testing.assert_array_equal(packed, want[block])
-                assert not np.unpackbits(packed, axis=-1)[:, period_len:].any()
+    for p_u, p_v in (0.3, 0.6), per_trial:
+        whole = []
+        for tag in (harness._TAG_TRACE, harness._TAG_DECISION):
+            for side, p in enumerate((p_u, p_v)):
+                rng = harness._stream(5, tag, 2, side)
+                draw = rng.random((trials, period_len)) < np.reshape(p, (-1, 1))
+                whole.append(np.packbits(draw, axis=-1))
+        for start in range(9):
+            args = (5, 2, p_u, p_v, start, trials, period_len, True, rows)
+            got = list(harness._trial_blocks(*args))
+            assert [block.start for block, _ in got] == list(range(start, trials, rows))
+            assert got[-1][0].stop == trials
+            for block, arrays in got:
+                assert block.stop - block.start <= rows
+                for packed, want in zip(arrays, whole):
+                    assert packed.dtype == np.uint8
+                    np.testing.assert_array_equal(packed, want[block])
+                    assert not np.unpackbits(packed, axis=-1)[:, period_len:].any()
     assert max(draws) == -(-rows // 8)
 
 
@@ -740,7 +744,7 @@ def test_verify_optimality_refuses_to_certify_no_instances(trials):
 
 @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5, float("nan")])
 def test_verify_optimality_checks_eta_before_any_instance(monkeypatch, eta):
-    monkeypatch.setattr(harness, "random_instance", lambda *a: pytest.fail("drew an instance"))
+    monkeypatch.setattr(harness, "_trial_blocks", lambda *a: pytest.fail("drew a block"))
     with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]"):
         verify_optimality(trials=1, seed=3, eta=eta)
 
@@ -748,7 +752,7 @@ def test_verify_optimality_checks_eta_before_any_instance(monkeypatch, eta):
 def test_verify_optimality_refuses_an_eta_the_oracle_cannot_weight_before_any_instance(
     monkeypatch,
 ):
-    monkeypatch.setattr(harness, "random_instance", lambda *a: pytest.fail("drew an instance"))
+    monkeypatch.setattr(harness, "_trial_blocks", lambda *a: pytest.fail("drew a block"))
     with pytest.raises(ValueError, match=r"^eta 0\.785\d* is not representable as a small ratio"):
         verify_optimality(trials=1, seed=3, eta=math.pi / 4)
 
@@ -762,23 +766,29 @@ def test_an_oracle_spec_refuses_an_eta_the_oracle_cannot_weight_before_any_draw(
     small_spec(eta=math.pi / 4)  # cells without the oracle take any eta in (0, 1]
 
 
-def _greedy_without_its_last_edge(trace_u, trace_v, eta):
-    full = offline_duty_cycle(trace_u, trace_v, eta)
-    return PairResult(full.edges[:-1], eta, full.period_len)
+def _greedy_without_its_last_edge(b_u, b_v):
+    return duty_cycle_arrays(b_u, b_v)[:-1]
+
+
+def _t1_rows(trials, seed):
+    # the bool rows of verify_optimality's instances 0..trials-1, as one block
+    p = np.resize(harness.T1_P_GRID, trials)
+    args = (seed, harness._T1_CELL, p, p, 0, trials, harness.T1_PERIOD, False, trials)
+    _, packed = next(harness._trial_blocks(*args))
+    return [np.unpackbits(r, axis=-1, count=harness.T1_PERIOD).astype(bool) for r in packed]
 
 
 def test_verify_optimality_does_not_depend_on_its_chunk(monkeypatch):
     # a greedy that drops an edge mismatches on every instance with one;
-    # chunks of 3 split the 40 instances off the p grid's period of 8
-    monkeypatch.setattr(harness, "offline_duty_cycle", _greedy_without_its_last_edge)
+    # blocks of 3 rows split the 40 instances off the p grid's period of 8
+    monkeypatch.setattr(harness, "duty_cycle_arrays", _greedy_without_its_last_edge)
     whole = verify_optimality(trials=40, seed=3)
-    monkeypatch.setattr(harness, "_T1_CHUNK", 3)
+    monkeypatch.setattr(harness, "_CHUNK_SLOTS", 3 * 8 * harness.T1_PERIOD)
     assert verify_optimality(trials=40, seed=3) == whole
     want = []
-    for i in range(40):
-        pair = random_instance(3, i, harness.T1_PERIOD, harness.T1_P_GRID[i % 8])
-        greedy = _greedy_without_its_last_edge(*pair, 0.75)
-        witness = brute_force_matching(*pair, 0.75)
+    for i, (b_u, b_v) in enumerate(zip(*_t1_rows(40, 3))):
+        greedy = PairResult(_greedy_without_its_last_edge(b_u, b_v), 0.75, harness.T1_PERIOD)
+        witness = brute_force_matching(trace(b_u), trace(b_v, "v"), 0.75)
         off = [greedy.sync_count, greedy.async_count]
         ora = [witness.sync_count, witness.async_count]
         if off != ora:
@@ -787,10 +797,10 @@ def test_verify_optimality_does_not_depend_on_its_chunk(monkeypatch):
 
 
 def test_verify_optimality_memory_does_not_grow_with_trials(monkeypatch):
-    # instances live one chunk at a time, so 1,024 trials peak about where 64
+    # instances live one block at a time, so 1,024 trials peak about where 64
     # do; the slack covers numpy's small-buffer cache, far below the ~1.8 MB
     # that keeping every instance's traces and matching would take
-    monkeypatch.setattr(harness, "_T1_CHUNK", 32)
+    monkeypatch.setattr(harness, "_CHUNK_SLOTS", 32 * 8 * harness.T1_PERIOD)
 
     def peak(trials):
         tracemalloc.start()
@@ -804,43 +814,27 @@ def test_verify_optimality_memory_does_not_grow_with_trials(monkeypatch):
     assert peak(1024) < peak(64) + 2**17
 
 
-@pytest.mark.parametrize(
-    "bad, name",
-    [
-        ({"seed": -1}, "seed"),
-        ({"seed": 1.5}, "seed"),
-        ({"period_len": 2.5}, "period_len"),
-        ({"period_len": 0}, "period_len"),
-        ({"p": 1.5}, "p"),
-        ({"p": -0.1}, "p"),
-        ({"p": float("nan")}, "p"),
-    ],
-    ids=[
-        "seed-negative",
-        "seed-fraction",
-        "period-fraction",
-        "period-zero",
-        "p-above-one",
-        "p-negative",
-        "p-nan",
-    ],
-)
-def test_random_instance_names_a_bad_argument(bad, name):
-    args = {"seed": 1, "index": 0, "period_len": 5, "p": 0.5, **bad}
-    with pytest.raises(ValueError, match=f"^{name} must "):
-        random_instance(**args)
+def test_verify_optimality_instance_rows_are_pinned(monkeypatch):
+    # the rows that verify_optimality's 500 default instances hand the
+    # oracle, byte for byte, then the same rows drawn as one block
+    seen, real_counts = [], harness.schedule_counts
 
+    def schedule_counts(b_u, b_v, eta):
+        seen.append((b_u.copy(), b_v.copy()))
+        return real_counts(b_u, b_v, eta)
 
-def test_random_instance_draws_are_pinned():
-    # the states of verify_optimality's 500 default instances, byte for byte
+    monkeypatch.setattr(harness, "schedule_counts", schedule_counts)
+    assert verify_optimality()["passed"]
+    b_u, b_v = (np.concatenate(side) for side in zip(*seen))
+    assert b_u.dtype == bool and b_u.shape == b_v.shape == (500, harness.T1_PERIOD)
     digest = hashlib.sha256()
-    for i in range(500):
-        p = harness.T1_P_GRID[i % len(harness.T1_P_GRID)]
-        trace_u, trace_v = random_instance(harness.DEFAULT_SEED, i, harness.T1_PERIOD, p)
-        digest.update(trace_u.states.tobytes() + trace_v.states.tobytes())
+    for u, v in zip(b_u, b_v):
+        digest.update(u.tobytes() + v.tobytes())
     assert digest.hexdigest() == (
-        "0c3d59e281cc626606286746bb9ceef2c2a33399f52527d8af3b72a1f9f8ef92"
+        "621763f66183e6f3b9d6723ce47f28ef1c715ab50a6ecc4f480e9f7da2972740"
     )
+    for got, want in zip((b_u, b_v), _t1_rows(500, harness.DEFAULT_SEED)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_verify_ratio_bound_small():

@@ -12,8 +12,8 @@ from dutycycle import (
     expected_cat,
     offline_duty_cycle,
 )
-from dutycycle.harness import random_instance
 from dutycycle.offline import duty_cycle_arrays, optimum_counts
+from instances import random_instance
 
 
 def graph(set_a, set_b, eta=0.75, period=None):

@@ -49,9 +49,9 @@ from .traces import (
 ENV_SEED = "DUTYCYCLE_SEED"
 DEFAULT_ETA = 0.75
 DEFAULT_PERIOD = 600  # ten hours of one-minute slots, the usual field setup
-# One edge of a result's "edges" list, as json.dumps(..., sort_keys=True,
-# indent=2) writes it at that list's depth in a `run` report.
-_EDGE_JSON = '      {\n        "kind": "%s",\n        "u": %d,\n        "v": %d\n      }'
+# One edge of a result's "edges" list as json.dumps(..., sort_keys=True,
+# indent=2) writes it in a `run` report: % fills in the kind, then u and v.
+_EDGE_JSON = '      {\n        "kind": "%s",\n        "u": %%d,\n        "v": %%d\n      }'
 
 
 def _checked(convert):
@@ -169,9 +169,10 @@ def report_json(payload: dict, results: dict[str, PairResult]) -> str:
     to_json_dict() added, as json.dumps(..., sort_keys=True, indent=2)
     writes it.
 
-    An edge list has a fixed shape at a fixed depth, so it is rendered by
-    _EDGE_JSON, far faster than json.dumps's pure-Python indenting encoder
-    and without a dict per edge. json.dumps writes the rest with each list
+    An edge list has a fixed shape at a fixed depth, so each edge is
+    rendered by one of two templates, _EDGE_JSON with its kind filled in:
+    far faster than json.dumps's pure-Python indenting encoder, and
+    without a dict per edge. json.dumps writes the rest with each list
     replaced by its result's name, and the lists are spliced in after. The
     search text `"edges": "<name>"` can only match a real "edges" key,
     because json.dumps escapes every quote inside a string.
@@ -183,7 +184,8 @@ def report_json(payload: dict, results: dict[str, PairResult]) -> str:
     for name, result in results.items():
         rendered = "[]"
         if result.edges:
-            rows = [_EDGE_JSON % ("sync" if u == v else "async", u, v) for u, v in result.edges]
+            sync, asyn = _EDGE_JSON % "sync", _EDGE_JSON % "async"
+            rows = [(sync if edge[0] == edge[1] else asyn) % edge for edge in result.edges]
             rendered = "[\n" + ",\n".join(rows) + "\n    ]"
         text = text.replace(f'"edges": "{name}"', f'"edges": {rendered}', 1)
     return text

@@ -11,17 +11,19 @@ result type of the offline scheduler, the online scheduler and the oracle.
 
 Both schedulers pair a fresh unit with the partner's most recently banked
 unit. lifo_walk, the one bank walk in the package, applies that rule to the
-online modes' per-slot masks and to the offline greedy's clairvoyant ones.
+online modes' per-slot masks and to the offline greedy's clairvoyant ones,
+of one pair or of a block of pairs, one a row.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traces import EnergyTrace, check_eta
+from .traces import EnergyTrace, check_eta, check_rows
 
 
 class ExclusivityError(ValueError):
@@ -47,36 +49,55 @@ def cat_from_counts(sync: int, async_count: int, eta: float) -> float:
     return (sync * den + async_count * num) / den
 
 
+def set_slots(mask: np.ndarray):
+    """Where a bool (T,) or (n, T) mask is set, in row-major order: the flat
+    indices, the 1-based slots within each row as a list, and how many fall
+    in each row as a list, one row for a (T,) mask."""
+    flat = mask.ravel().nonzero()[0]
+    if mask.ndim == 1:
+        return flat, (flat + 1).tolist(), [flat.size]
+    rows, slots = np.divmod(flat, mask.shape[1])
+    return flat, (slots + 1).tolist(), np.bincount(rows, minlength=len(mask)).tolist()
+
+
 def lifo_walk(dep_u: np.ndarray, dep_v: np.ndarray, want_u: np.ndarray, want_v: np.ndarray):
     """Pair fresh units with the partner's most recently banked ones.
 
-    Takes four bool (T,) masks and visits, in slot order, only the slots
-    where one is set. In slot t a device whose want mask is set pairs its
-    fresh unit with the partner bank's latest slot, if that bank is not
-    empty; both checks read the banks as they stood before the slot. Then
-    a device whose dep mask is set and that did not just pair banks t.
-    Returns (edges, bank_u, bank_v): the 1-based (u_slot, v_slot) pairs in
-    the order made, and the slots left in each bank, ascending.
+    Takes four bool masks of one pair, (T,), or of n pairs, (n, T) with one
+    pair a row, and visits, in slot order, only the slots where one is set.
+    In slot t a device whose want mask is set pairs its fresh unit with the
+    partner bank's latest slot, if that bank is not empty; both checks read
+    the banks as they stood before the slot. Then a device whose dep mask
+    is set and that did not just pair banks t. Returns (edges, bank_u,
+    bank_v): the 1-based (u_slot, v_slot) pairs in the order made, and the
+    slots left in each bank, ascending. For (n, T) masks it returns a list
+    of n such triples, row i's equal to the walk of row i alone: the masks
+    are gathered once, and each row starts with empty banks.
     """
-    visit = np.flatnonzero(dep_u | dep_v | want_u | want_v)
-    edges: list[tuple[int, int]] = []
-    bank_u: list[int] = []
-    bank_v: list[int] = []
-    masks = (m[visit].tolist() for m in (dep_u, dep_v, want_u, want_v))
-    for t, dep_u_t, dep_v_t, want_u_t, want_v_t in zip((visit + 1).tolist(), *masks):
-        # u's pairing pops only bank v, so v's check still reads bank u as
-        # it stood before the slot; a unit that pairs is not banked
-        if want_u_t and bank_v:
-            edges.append((t, bank_v.pop()))
-            dep_u_t = False
-        if want_v_t and bank_u:
-            edges.append((bank_u.pop(), t))
-            dep_v_t = False
-        if dep_u_t:
-            bank_u.append(t)
-        if dep_v_t:
-            bank_v.append(t)
-    return edges, bank_u, bank_v
+    ndim = check_rows(dep_u, dep_v, want_u, want_v)
+    visit, slots, counts = set_slots(dep_u | dep_v | want_u | want_v)
+    masks = (m.ravel()[visit].tolist() for m in (dep_u, dep_v, want_u, want_v))
+    steps = zip(slots, *masks)
+    walks = []
+    for count in counts:
+        edges: list[tuple[int, int]] = []
+        bank_u: list[int] = []
+        bank_v: list[int] = []
+        for t, dep_u_t, dep_v_t, want_u_t, want_v_t in itertools.islice(steps, count):
+            # u's pairing pops only bank v, so v's check still reads bank u as
+            # it stood before the slot; a unit that pairs is not banked
+            if want_u_t and bank_v:
+                edges.append((t, bank_v.pop()))
+                dep_u_t = False
+            if want_v_t and bank_u:
+                edges.append((bank_u.pop(), t))
+                dep_v_t = False
+            if dep_u_t:
+                bank_u.append(t)
+            if dep_v_t:
+                bank_v.append(t)
+        walks.append((edges, bank_u, bank_v))
+    return walks if ndim == 2 else walks[0]
 
 
 @dataclass(frozen=True)

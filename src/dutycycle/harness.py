@@ -26,7 +26,9 @@ The suites:
 
 * optimality:    offline totals equal the exhaustive schedule oracle's on
                  each trial of one stream cell, from one batched DP per block
-                 (exact integer edge counts; no witness is built).
+                 (exact integer edge counts; no witness is built). The greedy
+                 runs once per block too, on the same unpacked rows, and each
+                 row's matching becomes a PairResult.
 * expected-cat:  mean offline CAT against the closed-form reference
                  |T| p [p + 2 eta (1-p)]. The reference overcounts the
                  asynchronous term (see offline.expected_cat), so this suite
@@ -615,9 +617,10 @@ def _suite_report(
 
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
     """Offline totals must equal the exhaustive schedule oracle's. Instance
-    i is trial i of cell _T1_CELL at p = T1_P_GRID[i % 8]; schedule_counts
-    scores a block of _CHUNK_SLOTS // (8 * T1_PERIOD) rows at once, and
-    the greedy, through PairResult's checks, runs on each row."""
+    i is trial i of cell _T1_CELL at p = T1_P_GRID[i % 8]. A block holds
+    _CHUNK_SLOTS // (8 * T1_PERIOD) rows; one schedule_counts call scores
+    it, one duty_cycle_arrays call runs the greedy on it, and each row's
+    matching goes through PairResult's checks."""
     seed = check_seed(seed)
     trials = check_count("trials", trials)
     _eta_as_fraction(check_eta(eta))  # refuse an eta the oracle cannot weight
@@ -627,8 +630,9 @@ def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 
     for block, packed in _trial_blocks(seed, _T1_CELL, p, p, 0, trials, T1_PERIOD, False, rows):
         b_u, b_v = (np.unpackbits(r, axis=-1, count=T1_PERIOD).view(bool) for r in packed)
         oracle = schedule_counts(b_u, b_v, eta).T.tolist()
-        for i, u, v, ora in zip(range(block.start, block.stop), b_u, b_v, oracle):
-            off = PairResult(duty_cycle_arrays(u, v), eta, T1_PERIOD)
+        greedy = duty_cycle_arrays(b_u, b_v)
+        for i, edges, ora in zip(range(block.start, block.stop), greedy, oracle, strict=True):
+            off = PairResult(edges, eta, T1_PERIOD)
             if [off.sync_count, off.async_count] != ora:
                 mismatches.append(
                     {"instance": i, "offline": [off.sync_count, off.async_count], "oracle": ora}

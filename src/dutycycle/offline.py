@@ -15,17 +15,19 @@ online scheduler and the oracle return too.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .graph import PairResult, lifo_walk
+from .graph import PairResult, lifo_walk, set_slots
 from .traces import (
     EnergyTrace,
     check_count,
     check_eta,
     check_packed,
     check_prob,
+    check_rows,
     count_packed,
     pair_period,
 )
@@ -46,15 +48,24 @@ def duty_cycle_arrays(b_u: np.ndarray, b_v: np.ndarray):
     V-only harvest counts, steps 2 and 3 thus make min(X, Y) async edges by
     construction. Unmatched vertexes never spend their banked unit.
 
-    Returns the matching as one list of 1-based (u_slot, v_slot) edges: the
-    sync edges, then step 2's pairs, then step 3's. offline_duty_cycle wraps
-    it in a PairResult; callers that need only the edge counts use
-    optimum_counts.
+    Takes one pair's (T,) arrays, or n pairs' (n, T) rows, and returns the
+    matching as one list of 1-based (u_slot, v_slot) edges: the sync edges,
+    then step 2's pairs, then step 3's. For rows it returns n such lists,
+    row i's equal to the call on row i alone, from one lifo_walk over the
+    block. ValueError naming the shapes unless both are (T,) or (n, T) of
+    one shape. offline_duty_cycle wraps a list in a PairResult; callers
+    that need only the edge counts use optimum_counts.
     """
+    ndim = check_rows(b_u, b_v)
     u_only, v_only = b_u & ~b_v, b_v & ~b_u
-    step2, u_left, v_left = lifo_walk(u_only, v_only, u_only, np.zeros_like(u_only))
-    sync = [(t, t) for t in (np.flatnonzero(b_u & b_v) + 1).tolist()]
-    return sync + step2 + list(zip(reversed(u_left), v_left))
+    walks = lifo_walk(u_only, v_only, u_only, np.zeros_like(u_only))
+    _, sync, counts = set_slots(b_u & b_v)
+    sync = iter(sync)
+    matchings = []
+    for count, (step2, u_left, v_left) in zip(counts, walks if ndim == 2 else [walks]):
+        step1 = [(t, t) for t in itertools.islice(sync, count)]
+        matchings.append(step1 + step2 + list(zip(reversed(u_left), v_left)))
+    return matchings if ndim == 2 else matchings[0]
 
 
 def optimum_counts(b_u: np.ndarray, b_v: np.ndarray):

@@ -161,8 +161,9 @@ def schedule_counts(b_u, b_v, eta: float) -> np.ndarray:
     span, unreachable = side * width, np.iinfo(np.int64).min // 2
     # [kind, move]: where the move's source grid starts in a row's flat table
     sources = np.array([[0, 0], [-1, width], [-width, 1], [-width - 1, 0]]) + 2 * width
-    gains = np.zeros((4, 2, 1), np.int64)  # [kind, move]; move 0 gains nothing
-    gains[1:, 1, 0] = [frac.numerator * side, frac.numerator * side, frac.denominator * side + 1]
+    # move 1's gain column by kind; move 0 gains nothing
+    gains = np.array([[0], [frac.numerator], [frac.numerator], [frac.denominator]], np.int64) * side
+    gains[3] += 1
     best = np.empty(n, np.int64)
     step = max(1, _SCHEDULE_CELLS // span)
     for lo in range(0, n, step):
@@ -175,10 +176,11 @@ def schedule_counts(b_u, b_v, eta: float) -> np.ndarray:
             flat, (flat.size - span + 1, span), flat.strides * 2, writeable=False
         )
         starts = sources[block] + np.arange(0, flat.size, table[0].size)[:, None]
-        for start, gain in zip(starts, gains[block]):
-            pulled = shifted[start]  # (rows, 2, span): each move's source grid
-            pulled += gain
-            pulled.max(axis=1, out=grid)
+        for wait, pair, gain in zip(starts[..., 0], starts[..., 1], gains[block]):
+            paired = shifted[pair]  # (rows, span): move 1's source grid
+            paired += gain
+            # move 0's source is gathered, too, before the slot writes grid
+            np.maximum(paired, shifted[wait], out=grid)
             pads.fill(unreachable)  # a move off the grid wrote into them
         best[lo : lo + len(table)] = grid.max(axis=1)
     sync = best % side

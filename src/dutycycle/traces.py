@@ -134,6 +134,14 @@ def check_packed(*rows: np.ndarray) -> None:
             raise TypeError(f"expected np.packbits rows (uint8), got dtype {array.dtype}")
 
 
+def check_rows(*masks) -> int:
+    """The ndim, 1 or 2, of masks of one shape; ValueError naming the shapes otherwise."""
+    shapes = [np.shape(m) for m in masks]
+    if len(shapes[0]) not in (1, 2) or shapes.count(shapes[0]) < len(shapes):
+        raise ValueError(f"masks must be (T,) or (n, T) and of one shape, got {shapes}")
+    return len(shapes[0])
+
+
 def count_packed(rows: np.ndarray) -> np.ndarray:
     """Set bits along the last axis of np.packbits rows, as int64."""
     return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)

@@ -58,23 +58,27 @@ def test_criterion_1_offline_optimality_exhaustive_and_random():
     traces_u = [EnergyTrace("u", arr) for arr in masks]
     traces_v = [EnergyTrace("v", arr) for arr in masks]
 
+    # pair (mu, mv) is row 256 * mu + mv; the greedy walks all 65,536 rows
+    # in one block, and each row's matching is checked on its own
+    rows = np.array(masks)
+    b_u, b_v = np.repeat(rows, 256, axis=0), np.tile(rows, (256, 1))
+    matchings = iter(duty_cycle_arrays(b_u, b_v))
     mismatches = 0
     totals = []
     for mu in range(256):
-        b_u = masks[mu]
         trace_u = traces_u[mu]
         for mv in range(256):
             # PairResult rejects a vertex used twice, so this also checks
             # that every greedy matching is exclusive
-            matched = PairResult(duty_cycle_arrays(b_u, masks[mv]), eta, 8)
+            matched = PairResult(next(matchings), eta, 8)
             greedy = (matched.sync_count, matched.async_count)
             ora = brute_force_matching(trace_u, traces_v[mv], eta)
             totals.append([ora.sync_count, ora.async_count])
             if greedy != (ora.sync_count, ora.async_count):
                 mismatches += 1
+    assert next(matchings, None) is None
     # the schedule oracle, in one batch, finds the matching oracle's totals
-    rows = np.array(masks)
-    schedules = schedule_counts(np.repeat(rows, 256, axis=0), np.tile(rows, (256, 1)), eta)
+    schedules = schedule_counts(b_u, b_v, eta)
 
     random_result = verify_optimality(trials=500, seed=SEED, eta=eta)
     elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from dutycycle import (
     offline_duty_cycle,
 )
 from dutycycle.graph import cat_from_counts, lifo_walk
+from dutycycle.online import OnlineMode, _slot_rules
+from instances import bool_blocks
 
 
 def trace(states, device_id="u"):
@@ -217,3 +220,35 @@ def test_lifo_walk_by_hand():
     assert (bank_u, bank_v) == ([1], [])
     empty = np.zeros(0, bool)
     assert lifo_walk(empty, empty, empty, empty) == ([], [], [])
+
+
+def _walks_row_by_row(masks):
+    walks = lifo_walk(*masks)
+    assert isinstance(walks, list) and len(walks) == len(masks[0])
+    for i, walk in enumerate(walks):
+        assert walk == lifo_walk(*(m[i] for m in masks))
+
+
+@settings(max_examples=100)
+@given(block=bool_blocks(2))
+def test_lifo_walk_block_equals_each_rows_walk_offline(block):
+    # the offline greedy's masks: U-only units bank and want, V-only bank
+    b_u, b_v = block
+    u_only, v_only = b_u & ~b_v, b_v & ~b_u
+    _walks_row_by_row((u_only, v_only, u_only, np.zeros_like(u_only)))
+
+
+@settings(max_examples=100)
+@given(block=bool_blocks(4), mode=st.sampled_from(list(OnlineMode)))
+def test_lifo_walk_block_equals_each_rows_walk_online(block, mode):
+    _walks_row_by_row(_slot_rules(*block, mode)[2:])
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(3, 5), (3, 5), (3, 5), (5,)], [(2, 4)] * 3 + [(3, 4)], [()] * 4, [(2, 2, 2)] * 4],
+)
+def test_lifo_walk_refuses_masks_not_one_row_shape(shapes):
+    masks = [np.zeros(shape, bool) for shape in shapes]
+    with pytest.raises(ValueError, match=re.escape(str(shapes[-1]))):
+        lifo_walk(*masks)

@@ -767,7 +767,9 @@ def test_an_oracle_spec_refuses_an_eta_the_oracle_cannot_weight_before_any_draw(
 
 
 def _greedy_without_its_last_edge(b_u, b_v):
-    return duty_cycle_arrays(b_u, b_v)[:-1]
+    # the last edge of every row's matching, for one pair or a block of rows
+    cut = [edges[:-1] for edges in duty_cycle_arrays(np.atleast_2d(b_u), np.atleast_2d(b_v))]
+    return cut if np.ndim(b_u) == 2 else cut[0]
 
 
 def _t1_rows(trials, seed):
@@ -794,6 +796,16 @@ def test_verify_optimality_does_not_depend_on_its_chunk(monkeypatch):
         if off != ora:
             want.append({"instance": i, "offline": off, "oracle": ora})
     assert len(want) > 30 and whole["mismatches"] == want and not whole["passed"]
+
+
+def test_verify_optimality_refuses_a_greedy_short_of_a_row(monkeypatch):
+    # a greedy one matching short of its block raises rather than leave a row unchecked
+    def greedy_without_the_last_row(b_u, b_v):
+        return duty_cycle_arrays(b_u, b_v)[:-1]
+
+    monkeypatch.setattr(harness, "duty_cycle_arrays", greedy_without_the_last_row)
+    with pytest.raises(ValueError, match="shorter"):
+        verify_optimality(trials=40, seed=3)
 
 
 def test_verify_optimality_memory_does_not_grow_with_trials(monkeypatch):

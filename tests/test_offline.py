@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dutycycle import (
     offline_duty_cycle,
 )
 from dutycycle.offline import duty_cycle_arrays, optimum_counts
-from instances import random_instance
+from instances import bool_blocks, random_instance
 
 
 def graph(set_a, set_b, eta=0.75, period=None):
@@ -270,3 +271,22 @@ def test_edges_match_two_pass_reference_on_random_pairs(period, p_u, p_v, seed):
     trace_v = EnergyTrace("v", rng.random(period) < p_v)
     expected = _reference_edges(trace_u.harvest_slots(), trace_v.harvest_slots())
     assert offline_duty_cycle(trace_u, trace_v, 0.75).edges == expected
+
+
+@settings(max_examples=100)
+@given(block=bool_blocks(2))
+def test_duty_cycle_arrays_block_equals_each_rows_call(block):
+    b_u, b_v = block
+    matchings = duty_cycle_arrays(b_u, b_v)
+    assert isinstance(matchings, list) and len(matchings) == len(b_u)
+    for i, edges in enumerate(matchings):
+        assert edges == duty_cycle_arrays(b_u[i], b_v[i])
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(3, 5), (5,)], [(2, 4), (3, 4)], [(4,), (5,)], [(), ()], [(1, 2, 3)] * 2]
+)
+def test_duty_cycle_arrays_refuses_arrays_not_one_row_shape(shapes):
+    b_u, b_v = (np.zeros(shape, bool) for shape in shapes)
+    with pytest.raises(ValueError, match=re.escape(f"{shapes[0]}, {shapes[1]}")):
+        duty_cycle_arrays(b_u, b_v)

@@ -6,8 +6,8 @@ A slot where both harvest and both stay awake is worth 1; a slot where one
 device runs on a stored unit is worth the charging efficiency eta. Scheduling
 reduces to a weighted bipartite matching between the two devices' harvest
 slots. The package ships the optimal offline scheduler, a randomized online
-scheduler, an exhaustive matching oracle for certification, metrics, a Monte
-Carlo harness and a CLI.
+scheduler, an exhaustive schedule oracle that certifies it (and a matching
+oracle the tests check both against), metrics, a Monte Carlo harness and a CLI.
 """
 
 from .traces import (

@@ -16,19 +16,18 @@ and decisions as np.packbits rows, eight slots a byte, drawn from raw
 Philox words (traces.bernoulli) and packed draw by draw; the packed rows
 are all that reach the counts, each a popcount per mask or a byte walk:
 offline.optimum_counts, online.simulate_arrays per mode and
-metrics.heterogeneity (oracle.schedule_counts unpacks them). The shards' draws
-together hold at most _CHUNK_SLOTS trial-slots, a block eight draws, and
-only the count vectors are kept whole, so memory does not grow with n
-beyond them. Row i of every draw is trial i, so results depend neither on
-the block or draw size nor on the number of shards.
+metrics.heterogeneity. The shards' draws together hold at most _CHUNK_SLOTS
+trial-slots, a block eight draws, and only the count vectors are kept
+whole, so memory does not grow with n beyond them. Row i of every draw is
+trial i, so results depend neither on the block or draw size nor on the
+number of shards.
 
 The suites:
 
-* optimality:    offline totals equal the exhaustive schedule oracle's on
-                 each trial of one stream cell, from one batched DP per block
-                 (exact integer edge counts; no witness is built). The greedy
-                 runs once per block too, on the same unpacked rows, and each
-                 row's matching becomes a PairResult.
+* optimality:    the greedy's totals equal the exhaustive schedule oracle's
+                 on each trial of one stream cell, both run once per block of
+                 unpacked rows by _oracle_counts (exact integer edge counts;
+                 no witness is built), the loop the oracle cell reads too.
 * expected-cat:  mean offline CAT against the closed-form reference
                  |T| p [p + 2 eta (1-p)]. The reference overcounts the
                  asynchronous term (see offline.expected_cat), so this suite
@@ -54,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import PairResult, cat_from_counts
+from .graph import PairResult
 from .metrics import PairMetrics, compute_heterogeneity, heterogeneity, ratio_online_to_offline
 from .offline import duty_cycle_arrays, expected_cat, offline_duty_cycle, optimum_counts
 from .online import OnlineConfig, OnlineMode, approx_ratio_bound, online_duty_cycle, simulate_arrays
@@ -201,8 +200,9 @@ def _trial_blocks(
     (block rows, ceil(period_len / 8)), eight slots a byte, zero padded.
     p_u and p_v are each a probability or an array whose entry i is trial
     i's. A block is filled draw by draw, each traces.bernoulli call covering
-    at most ceil(rows / 8) rows, so the bool and raw-word arrays of one
-    draw take no more memory than the packed block. Each stream starts at
+    at most ceil(rows / 8) rows, so one draw's bool array takes about as
+    many bytes as one stream's packed block, and its raw Philox words
+    (8 bytes a value) eight times that. Each stream starts at
     row `start`: traces.bernoulli takes one 64-bit Philox output per value
     and Philox makes four per counter, so skipping k = start * period_len
     values is advance(k // 4) then random_raw(k % 4). Philox fills rows in
@@ -248,19 +248,16 @@ def _shard_plan(trials: int, period_len: int) -> tuple[int, int]:
     return shards, max(1, _CHUNK_SLOTS // (shards * period_len))
 
 
-def _cell_counts(
-    seed, cell, p_u, p_v, trials, period_len, *, modes=(), oracle_eta=None, het=False
-) -> dict:
+def _cell_counts(seed, cell, p_u, p_v, trials, period_len, *, modes=(), het=False) -> dict:
     """Draw one Monte Carlo cell and count each of its trials.
 
     Returns per-trial count vectors keyed by what they count: "offline",
     the (2, trials) int64 (sync, async) of the closed form
     offline.optimum_counts, always; each OnlineMode in `modes`, the
     (3, trials) float64 (sync, async, wasted) of online.simulate_arrays;
-    "oracle", when oracle_eta is given, the (2, trials) int64
-    oracle.schedule_counts at that eta of each block's unpacked rows; and
-    "heterogeneity", when het is set, the (trials,) metrics.heterogeneity.
-    Decisions are drawn only when a mode is requested.
+    and "heterogeneity", when het is set, the (trials,)
+    metrics.heterogeneity. Decisions are drawn only when a mode is
+    requested.
 
     The trials are split into contiguous shards (_shard_plan), each
     streamed through blocks of eight draws' packed rows (_trial_blocks).
@@ -271,8 +268,6 @@ def _cell_counts(
     stops the other shards at their next block and is raised here.
     """
     counts = {"offline": np.empty((2, trials), np.int64)}
-    if oracle_eta is not None:
-        counts["oracle"] = np.empty((2, trials), np.int64)
     for mode in modes:
         counts[mode] = np.empty((3, trials))
     if het:
@@ -290,9 +285,6 @@ def _cell_counts(
                 if errors:
                     return
                 counts["offline"][:, block] = optimum_counts(b_u, b_v)
-                if oracle_eta is not None:
-                    bits = (np.unpackbits(r, axis=-1, count=period_len) for r in (b_u, b_v))
-                    counts["oracle"][:, block] = schedule_counts(*bits, oracle_eta)
                 for mode in modes:
                     counts[mode][:, block] = simulate_arrays(b_u, b_v, *decisions, mode)
                 if het:
@@ -315,21 +307,32 @@ def _cell_counts(
     return counts
 
 
+def _oracle_counts(seed, cell, p, trials, period_len, eta):
+    """Yield, a block of _CHUNK_SLOTS // (8 * period_len) rows at a time, the
+    greedy's [sync, async] counts, one a row, and the oracle's (2, rows) int64
+    counts of trials 0..trials-1 of one stream cell, drawn at p on both sides.
+    The one place that unpacks rows and calls oracle.schedule_counts."""
+    rows = max(1, _CHUNK_SLOTS // (8 * period_len))
+    for _, packed in _trial_blocks(seed, cell, p, p, 0, trials, period_len, False, rows):
+        b_u, b_v = (np.unpackbits(r, axis=-1, count=period_len).view(bool) for r in packed)
+        matchings = zip(b_u, duty_cycle_arrays(b_u, b_v), strict=True)  # one a row
+        greedy = (PairResult(edges, eta, period_len) for _, edges in matchings)
+        yield [[off.sync_count, off.async_count] for off in greedy], schedule_counts(b_u, b_v, eta)
+
+
 def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
     """Run every (p, algorithm) cell of the spec and aggregate CAT/SAT.
 
-    Cell cell_idx is counted by _cell_counts at stream cell cell_idx; the
-    oracle's counts, when requested, are checked against the offline ones.
+    Cell cell_idx is counted by _cell_counts at stream cell cell_idx. The
+    oracle cell scores the same trials through _oracle_counts and checks
+    that the oracle, the closed form and the greedy agree on every trial.
     """
     report = RunReport(config={"experiment": spec.to_json_dict()})
     eta = spec.eta
     modes = tuple(OnlineMode) if "online" in spec.algorithms else ()
-    ora_eta = eta if "oracle" in spec.algorithms else None
     for cell_idx, p in enumerate(spec.p_values):
         head = {"cell": f"p={p:g}", "p": p, "eta": eta}
-        counts = _cell_counts(
-            spec.seed, cell_idx, p, p, spec.trials, spec.period_len, modes=modes, oracle_eta=ora_eta
-        )
+        counts = _cell_counts(spec.seed, cell_idx, p, p, spec.trials, spec.period_len, modes=modes)
         sync, asyn = counts["offline"]
         off_sat = sync.astype(float)
         off_cat = off_sat + eta * asyn
@@ -350,17 +353,17 @@ def run_monte_carlo(spec: ExperimentSpec) -> RunReport:
                 }
             )
 
-        if ora_eta is not None:
-            ora = counts["oracle"]
-            oracle_cat = np.array([cat_from_counts(*c, eta) for c in ora.T.tolist()])
+        if "oracle" in spec.algorithms:
+            blocks = _oracle_counts(spec.seed, cell_idx, p, spec.trials, spec.period_len, eta)
+            greedy, ora = zip(*blocks)
+            greedy, ora = np.vstack(greedy).T, np.hstack(ora)
+            agree = np.array_equal(ora, counts["offline"]) and np.array_equal(greedy, ora)
             report.cells.append(
                 {
                     **head,
                     "algorithm": "oracle",
-                    "metrics": {"cat": _stats(oracle_cat)},
-                    "checks": {
-                        "matches_offline_exactly": np.array_equal(ora, counts["offline"])
-                    },
+                    "metrics": {"cat": _stats(ora[0] + eta * ora[1])},
+                    "checks": {"matches_offline_exactly": agree},
                 }
             )
 
@@ -617,26 +620,22 @@ def _suite_report(
 
 def verify_optimality(trials: int = 500, seed: int = DEFAULT_SEED, eta: float = 0.75) -> dict:
     """Offline totals must equal the exhaustive schedule oracle's. Instance
-    i is trial i of cell _T1_CELL at p = T1_P_GRID[i % 8]. A block holds
-    _CHUNK_SLOTS // (8 * T1_PERIOD) rows; one schedule_counts call scores
-    it, one duty_cycle_arrays call runs the greedy on it, and each row's
-    matching goes through PairResult's checks."""
+    i is trial i of cell _T1_CELL at p = T1_P_GRID[i % 8]; the greedy's and
+    the oracle's counts of each come from _oracle_counts, and every
+    instance where they differ is listed."""
     seed = check_seed(seed)
     trials = check_count("trials", trials)
     _eta_as_fraction(check_eta(eta))  # refuse an eta the oracle cannot weight
     p = np.resize(T1_P_GRID, trials)
-    rows = max(1, _CHUNK_SLOTS // (8 * T1_PERIOD))
-    mismatches = []
-    for block, packed in _trial_blocks(seed, _T1_CELL, p, p, 0, trials, T1_PERIOD, False, rows):
-        b_u, b_v = (np.unpackbits(r, axis=-1, count=T1_PERIOD).view(bool) for r in packed)
-        oracle = schedule_counts(b_u, b_v, eta).T.tolist()
-        greedy = duty_cycle_arrays(b_u, b_v)
-        for i, edges, ora in zip(range(block.start, block.stop), greedy, oracle, strict=True):
-            off = PairResult(edges, eta, T1_PERIOD)
-            if [off.sync_count, off.async_count] != ora:
-                mismatches.append(
-                    {"instance": i, "offline": [off.sync_count, off.async_count], "oracle": ora}
-                )
+    rows = itertools.chain.from_iterable(
+        zip(greedy, oracle.T.tolist())
+        for greedy, oracle in _oracle_counts(seed, _T1_CELL, p, trials, T1_PERIOD, eta)
+    )
+    mismatches = [
+        {"instance": i, "offline": off, "oracle": ora}
+        for i, (off, ora) in enumerate(rows)
+        if off != ora
+    ]
     passed = not mismatches
     return _suite_report("t1", trials, T1_PERIOD, eta, seed, mismatches=mismatches, passed=passed)
 

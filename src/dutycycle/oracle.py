@@ -35,9 +35,8 @@ import numpy as np
 from .graph import PairResult
 from .traces import EnergyTrace, check_eta, pair_period
 
-# Upper bound on each side's vertex count for the exhaustive search. 12 keeps the
-# layered table at 13 layers of 4096 masks (about 53k states), enough for
-# period-12 certification runs at high harvest probabilities.
+# Upper bound on each side's vertex count for the matching search: 13 layers of
+# 4096 masks (about 53k states). Oracle ExperimentSpecs keep period_len within it.
 ORACLE_MAX_VERTEXES = 12
 
 # Score of a mask no partial matching reaches. Far enough below zero that

@@ -14,8 +14,10 @@ from dutycycle import (
     offline_duty_cycle,
     threshold_trace,
 )
+from dutycycle import harness
 from dutycycle.cli import main, report_json
 from dutycycle.harness import verify_bins, verify_optimality
+from dutycycle.offline import duty_cycle_arrays
 
 
 def run_cli(argv, capsys):
@@ -404,6 +406,23 @@ def test_verify_t1_passes(capsys):
     code, stdout, _ = run_cli(["verify", "--suite", "t1", "--trials", "40", "--seed", "2"], capsys)
     assert code == 0
     assert "suite t1: PASS" in stdout
+
+
+def test_verify_t1_reports_its_first_ten_mismatches_and_fails(monkeypatch, capsys):
+    # a greedy that drops each row's last edge falls short on every instance
+    def greedy_without_its_last_edge(b_u, b_v):
+        return [edges[:-1] for edges in duty_cycle_arrays(b_u, b_v)]
+
+    monkeypatch.setattr(harness, "duty_cycle_arrays", greedy_without_its_last_edge)
+    code, stdout, _ = run_cli(["verify", "--suite", "t1", "--trials", "40", "--seed", "3"], capsys)
+    mismatches = verify_optimality(trials=40, seed=3)["mismatches"]
+    assert code == 1 and len(mismatches) == 40
+    lines = stdout.splitlines()
+    assert lines[1] == "t1 optimality: 40 instances at period 12, mismatches=40"
+    assert lines[2:] == [
+        f"  instance {bad['instance']}: offline={bad['offline']} oracle={bad['oracle']}"
+        for bad in mismatches[:10]
+    ] + ["suite t1: FAIL"]
 
 
 def test_verify_bins_passes(capsys):

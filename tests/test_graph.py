@@ -195,6 +195,19 @@ def test_feasibility_catches_overspending():
         assert_energy_feasible(sched, t_u, t_v)
 
 
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        (dict(a_u=(1, 0), a_v=(0, 0, 0), cat=(0.0,) * 3), "^a_u length 2 != period_len 3$"),
+        (dict(a_u=(1, 0, 0), a_v=(0, 2, 0), cat=(0.0,) * 3), "^decisions must be 0 or 1$"),
+    ],
+    ids=["short-row", "non-binary-decision"],
+)
+def test_schedule_refuses_bad_input(fields, error):
+    with pytest.raises(ValueError, match=error):
+        Schedule(period_len=3, **fields)
+
+
 def test_total_weight_uses_correctly_rounded_sum():
     # 10 asynchronous edges at eta = 0.1: fsum keeps the identity with the
     # correctly rounded sum of the schedule's per-slot CAT

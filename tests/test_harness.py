@@ -211,6 +211,15 @@ def test_shard_plan_keeps_blocks_and_memory_of_one_block(monkeypatch, cpus, tria
         assert trials // shards >= harness._MIN_SHARD_ROWS
 
 
+@pytest.mark.parametrize("cpu_count, workers", [(6, 6), (None, 1)])
+def test_worker_count_falls_back_to_the_cpu_count_without_affinity(
+    monkeypatch, cpu_count, workers
+):
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
+    assert harness._worker_count() == workers
+
+
 @pytest.mark.parametrize(
     "cpus, trials, period_len, plan",
     [
@@ -327,11 +336,10 @@ def test_cell_counts_equal_the_single_pair_path_trial_by_trial(monkeypatch):
     _split(monkeypatch, 2, 1)
     seen = _recorded_blocks(monkeypatch)
     counts = harness._cell_counts(
-        seed, cell, p_u, p_v, trials, period_len,
-        modes=tuple(OnlineMode), oracle_eta=eta, het=True,
+        seed, cell, p_u, p_v, trials, period_len, modes=tuple(OnlineMode), het=True
     )
     assert sorted(seen) == sorted((start, True, rows) for start in (0, 20) for rows in (8, 8, 4))
-    assert set(counts) == {"offline", "oracle", "heterogeneity", *OnlineMode}
+    assert set(counts) == {"offline", "heterogeneity", *OnlineMode}
     whole = next(harness._trial_blocks(seed, cell, p_u, p_v, 0, trials, period_len, True, trials))
     b_u, b_v, d_u, d_v = (
         np.unpackbits(rows, axis=-1, count=period_len).astype(bool) for rows in whole[1]
@@ -340,13 +348,35 @@ def test_cell_counts_equal_the_single_pair_path_trial_by_trial(monkeypatch):
         trace_u, trace_v = trace(b_u[i]), trace(b_v[i], "v")
         offline = offline_duty_cycle(trace_u, trace_v, eta)
         assert counts["offline"][:, i].tolist() == [offline.sync_count, offline.async_count]
-        ora = brute_force_matching(trace_u, trace_v, eta)
-        assert counts["oracle"][:, i].tolist() == [ora.sync_count, ora.async_count]
         for mode in OnlineMode:
             walk = _walk_pair(b_u[i], b_v[i], d_u[i], d_v[i], mode, eta)
             want = [walk.sync_count, walk.async_count, walk.wasted_units]
             assert counts[mode][:, i].tolist() == want
         assert counts["heterogeneity"][i] == compute_heterogeneity(trace_u, trace_v)
+
+
+def test_oracle_counts_equal_the_single_pair_path_trial_by_trial(monkeypatch):
+    # the greedy's and the schedule oracle's counts of each trial, from
+    # blocks of 3 rows that divide neither the 40 trials nor the per-trial
+    # p's period of 3, at a period that is not a multiple of 8 and an eta
+    # that is not a binary fraction
+    seed, cell, trials, period_len, eta = 11, 4, 40, 11, 0.6
+    p = np.resize([0.2, 0.9, 0.5], trials)
+    monkeypatch.setattr(harness, "_CHUNK_SLOTS", 3 * 8 * period_len)
+    blocks = list(harness._oracle_counts(seed, cell, p, trials, period_len, eta))
+    assert [(len(greedy), oracle.shape) for greedy, oracle in blocks] == (
+        [(3, (2, 3))] * 13 + [(1, (2, 1))]
+    )
+    greedy = [row for block, _ in blocks for row in block]
+    oracle = np.hstack([oracle for _, oracle in blocks])
+    whole = next(harness._trial_blocks(seed, cell, p, p, 0, trials, period_len, False, trials))
+    b_u, b_v = (np.unpackbits(rows, axis=-1, count=period_len).astype(bool) for rows in whole[1])
+    for i in range(trials):
+        trace_u, trace_v = trace(b_u[i]), trace(b_v[i], "v")
+        offline = offline_duty_cycle(trace_u, trace_v, eta)
+        assert greedy[i] == [offline.sync_count, offline.async_count]
+        ora = brute_force_matching(trace_u, trace_v, eta)
+        assert oracle[:, i].tolist() == [ora.sync_count, ora.async_count]
 
 
 def test_cell_counts_draw_decisions_only_for_a_mode(monkeypatch):
@@ -770,6 +800,27 @@ def _greedy_without_its_last_edge(b_u, b_v):
     # the last edge of every row's matching, for one pair or a block of rows
     cut = [edges[:-1] for edges in duty_cycle_arrays(np.atleast_2d(b_u), np.atleast_2d(b_v))]
     return cut if np.ndim(b_u) == 2 else cut[0]
+
+
+@pytest.mark.parametrize("eta", [0.598, 0.787])
+def test_the_oracle_cell_computes_cat_as_the_offline_cell_does(eta):
+    # both take sync + eta * async in float, so at an eta that binary
+    # floats do not hold the two cells still agree to the last digit
+    spec = small_spec(period_len=12, p_values=(0.5, 0.8), trials=400, eta=eta, seed=3,
+                      algorithms=("offline", "oracle"))
+    cells = run_monte_carlo(spec).cells
+    assert [c["algorithm"] for c in cells] == ["offline", "oracle"] * 2
+    for offline, oracle in zip(cells[::2], cells[1::2]):
+        assert oracle["checks"]["matches_offline_exactly"]
+        assert oracle["metrics"]["cat"] == offline["metrics"]["cat"]
+
+
+def test_the_oracle_cell_catches_a_greedy_short_of_an_edge(monkeypatch):
+    # the closed form and the oracle still agree; the greedy no longer does
+    spec = small_spec(period_len=12, p_values=(0.5,), algorithms=("offline", "oracle"))
+    assert run_monte_carlo(spec).cells[1]["checks"]["matches_offline_exactly"]
+    monkeypatch.setattr(harness, "duty_cycle_arrays", _greedy_without_its_last_edge)
+    assert not run_monte_carlo(spec).cells[1]["checks"]["matches_offline_exactly"]
 
 
 def _t1_rows(trials, seed):

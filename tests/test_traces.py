@@ -193,6 +193,12 @@ def test_estimate_prob_examples():
     assert abs(estimate_prob(big) - 0.3) < 0.01
 
 
+def test_estimate_prob_refuses_an_empty_trace():
+    empty = EnergyTrace(device_id="u", states=())
+    with pytest.raises(ValueError, match="^cannot estimate a probability from an empty trace$"):
+        estimate_prob(empty)
+
+
 def test_pair_csv_round_trip_is_bit_exact(tmp_path):
     model = ArrivalModel(prob_harvest=0.5, period_len=64, seed=21)
     trace_u, trace_v = generate_pair(model)
